@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import bergman, henkin
 from .abgroups import group_invariants, is_trivial_group
 from .derived import derived_limit, limit_exactness_check, scd_finite
-from .errors import BudgetExceeded, InvsysError, ParseError
+from .errors import BadOption, BudgetExceeded, InvsysError, ParseError
 from .setsys import (DEFAULT_BUDGET, Tower, is_surjective, limit_threads,
                      ml_report, universal_images)
 from .textio import Document, parse_document
@@ -101,6 +101,8 @@ def cmd_surjective(args, report: RunReport) -> int:
 
 
 def _clip_tower(t: Tower, horizon) -> Tower:
+    if horizon is not None and horizon < 1:
+        raise BadOption(f"--horizon must be at least 1, got {horizon}")
     if horizon is None or horizon >= t.horizon:
         return t
     from .setsys import validate_tower

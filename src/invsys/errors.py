@@ -87,6 +87,10 @@ class SquaresDoNotCommute(InvsysError):
     """A ladder of level maps does not commute with the bonds."""
 
 
+class BadOption(InvsysError):
+    """A command-line option has a value the command cannot use."""
+
+
 class ParseError(InvsysError):
     def __init__(self, line, message):
         self.line = line

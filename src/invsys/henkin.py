@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import (NoStrictUpper, NotCompatible, NotComparable, NotMember,
-                     OddLength)
+                     OddLength, UnknownElement)
 from .poset import Poset
 from .setsys import SetSystem
 
@@ -84,6 +84,8 @@ def henkin_lift(poset: Poset, x: Sequence[str], alpha: str, beta: str,
 
 def enumerate_members(poset: Poset, level: str, maxlen: int) -> list[tuple[str, ...]]:
     """All members at the given level with length at most maxlen."""
+    if level not in poset.elements:
+        raise UnknownElement(f"level {level!r} is not an element of the poset")
     out: list[tuple[str, ...]] = []
 
     def extend(prefix: tuple[str, ...], odds: tuple[str, ...]):

@@ -250,28 +250,16 @@ def solve(m: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
     return v.apply(y)
 
 
-def lll_reduce(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Shorter basis of the same lattice (entries in V can be huge).
-
-    Requires linearly independent vectors; delegated to sympy's exact LLL.
-    """
-    if len(vectors) <= 1:
-        return vectors
-    from sympy.polys.domains import ZZ
-    from sympy.polys.matrices import DomainMatrix
-    dm = DomainMatrix.from_list([[ZZ(x) for x in v] for v in vectors], ZZ)
-    return [tuple(int(x) for x in row) for row in dm.lll().to_list()]
-
-
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel lattice {x : m x = 0}, LLL-shortened."""
+    """Basis of the integer kernel lattice {x : m x = 0}.
+
+    The columns of the Smith transform V whose diagonal entry is zero, in
+    column order: V is unimodular, so they are a basis of the kernel lattice
+    and not merely of a finite-index sublattice.
+    """
     _, d, v = smith_normal_form(m)
-    out = []
-    for j in range(m.cols):
-        dj = d.entries[j][j] if j < m.rows else 0
-        if dj == 0:
-            out.append(v.col(j))
-    return lll_reduce(out)
+    return [v.col(j) for j in range(m.cols)
+            if j >= m.rows or d.entries[j][j] == 0]
 
 
 def relative_kernel(m: IntMatrix, lat: IntMatrix) -> IntMatrix:

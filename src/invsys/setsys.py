@@ -286,6 +286,8 @@ def ml_report(t: Tower) -> MLReport:
 def universal_images(sys: "SetSystem | Tower"):
     """Restrict every carrier to the intersection of incoming images.
 
+    Over a poset base the carriers then shrink to the largest subsets that
+    every cover bond maps into each other, so the result is again a system.
     Returns (restricted system, metadata) where metadata maps each
     comparable pair to the surjectivity verdict of its restricted bond.
     """
@@ -305,13 +307,27 @@ def universal_images(sys: "SetSystem | Tower"):
                 meta[(n, m)] = image == set(prim[n])
         return restricted, meta
 
-    prim = {}
+    keep = {}
     for i in sys.base.elements:
         inter = set(sys.carriers[i])
         for j in sys.base.elements:
             if sys.base.leq(i, j):
                 inter &= {sys.bond(i, j)[x] for x in sys.carriers[j]}
-        prim[i] = tuple(x for x in sys.carriers[i] if x in inter)
+        keep[i] = inter
+    # Off a directed base a kept element can map to a dropped one; drop it
+    # too, upwards, visiting each bond entry at most twice.
+    preimages = {}  # (lo, y) -> [(hi, x) : x kept, cover bond (lo, hi) sends x to y]
+    for (lo, hi), bmap in sys.cover_bonds.items():
+        for x in keep[hi]:
+            preimages.setdefault((lo, bmap[x]), []).append((hi, x))
+    dropped = [(lo, y) for (lo, y) in preimages if y not in keep[lo]]
+    while dropped:
+        for hi, x in preimages.get(dropped.pop(), ()):
+            if x in keep[hi]:
+                keep[hi].discard(x)
+                dropped.append((hi, x))
+    prim = {i: tuple(x for x in sys.carriers[i] if x in keep[i])
+            for i in sys.base.elements}
     bonds = {(lo, hi): {x: sys.cover_bonds[(lo, hi)][x] for x in prim[hi]}
              for (lo, hi) in sys.cover_bonds}
     restricted = SetSystem(sys.base, prim, bonds)

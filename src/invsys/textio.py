@@ -127,8 +127,10 @@ def parse_document(text: str) -> Document:
         head = line.split()[0]
         if head == "poset":
             close_block()
-            _, name = line.split()
-            block = {"kind": "poset", "name": _check_label(name, lineno),
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError(lineno, "expected: poset NAME")
+            block = {"kind": "poset", "name": _check_label(parts[1], lineno),
                      "line": lineno, "elements": [], "covers": []}
         elif head == "system":
             close_block()

@@ -156,3 +156,53 @@ def test_h0_basis_consistency():
     # each basis column is a cocycle: the differential kills it
     for j in range(basis.cols):
         assert all(x == 0 for x in cx.diff[0].apply(basis.col(j)))
+
+
+def _wedge_sequence():
+    """0 -> A -> B -> C -> 0 over the wedge c < a, c < b.
+
+    A is the witness system (Z at c, 0 on top), B is constant Z and C is Z
+    on top with 0 at c.  lim C = Z^2 receives lim B = Z diagonally, so
+    lim v has cokernel Z, which is all of lim^1 A.
+    """
+    p = wedge_poset()
+    z, zero = FgAbGroup.free(1), FgAbGroup.trivial()
+    one = IntMatrix.identity(1)
+    a = scd_witness_system(p)
+    b = validate_absystem(p, {e: z for e in p.elements},
+                          {cov: AbHom(z, z, one) for cov in p.covers})
+    gc = {e: (zero if e == "c" else z) for e in p.elements}
+    c = validate_absystem(p, gc, {(lo, hi): AbHom.zero(gc[hi], gc[lo])
+                                  for (lo, hi) in p.covers})
+    u = {e: (AbHom(z, z, one) if e == "c" else AbHom.zero(zero, z))
+         for e in p.elements}
+    v = {e: (AbHom.zero(z, zero) if e == "c" else AbHom(z, z, one))
+         for e in p.elements}
+    return a, b, c, u, v
+
+
+def test_exactness_report_on_wedge_sequence():
+    rep = limit_exactness_check(*_wedge_sequence())
+    assert (rep.lim_a, rep.lim_b, rep.lim_c) == ((0, []), (1, []), (2, []))
+    assert rep.lim1_a == (1, [])
+    assert rep.coker_v == (1, [])
+    assert rep.u_injective and rep.exact_at_middle
+    assert not rep.v_surjective
+    assert rep.coker_embeds_in_lim1
+    assert not rep.a_surjective and not rep.base_has_maximum
+    assert rep.ok and not rep.exact
+
+
+def test_exactness_check_builds_one_nerve_complex_per_system(monkeypatch):
+    import invsys.derived as derived
+    built = []
+
+    def counting(sys, *args, **kwargs):
+        built.append(sys)
+        return nerve_complex(sys, *args, **kwargs)
+
+    monkeypatch.setattr(derived, "nerve_complex", counting)
+    a, b, c, u, v = _wedge_sequence()
+    derived.limit_exactness_check(a, b, c, u, v)
+    assert len(built) == 3
+    assert {id(s) for s in built} == {id(a), id(b), id(c)}

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invsys.abgroups import AbHom, FgAbGroup
+from invsys.derived import nerve_complex, validate_absystem
 from invsys.intlinalg import (IntMatrix, det, in_lattice, invariant_factors,
                               inverse_unimodular, is_unimodular, kernel_basis,
                               lattice_contains, rank, relative_kernel,
                               smith_normal_form, solve)
+from invsys.poset import chain_poset, grid_poset
 
 from conftest import minors_gcd_invariants, random_int_matrix
 
@@ -123,3 +128,54 @@ def test_rank_examples():
     assert rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
     assert rank(IntMatrix.zeros(3, 2)) == 0
     assert rank(IntMatrix.identity(4)) == 4
+
+
+small_matrices = st.integers(1, 5).flatmap(
+    lambda r: st.integers(1, 6).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-4, 4), min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+
+def _minor(m: IntMatrix, rs, cs) -> int:
+    return det(IntMatrix.from_rows([[m.entries[i][j] for j in cs] for i in rs]))
+
+
+def _rank_by_minors(m: IntMatrix) -> int:
+    for k in range(min(m.rows, m.cols), 0, -1):
+        if any(_minor(m, rs, cs)
+               for rs in itertools.combinations(range(m.rows), k)
+               for cs in itertools.combinations(range(m.cols), k)):
+            return k
+    return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices)
+def test_kernel_basis_against_minors_oracle(rows):
+    # no Smith form here: rank and saturation come from Bareiss minors
+    m = IntMatrix.from_rows(rows)
+    ker = kernel_basis(m)
+    for x in ker:
+        assert not any(m.apply(x))
+    assert len(ker) == m.cols - _rank_by_minors(m)
+    if ker:
+        # saturated: the maximal minors of the basis have gcd 1, so the
+        # vectors span every integer point of their rational span
+        basis = IntMatrix.from_cols(ker, rows=m.cols)
+        g = 0
+        for rs in itertools.combinations(range(basis.rows), basis.cols):
+            g = math.gcd(g, _minor(basis, rs, range(basis.cols)))
+        assert g == 1
+
+
+@pytest.mark.parametrize("base", [chain_poset(6), grid_poset(3, 3)],
+                         ids=["chain6", "grid3x3"])
+def test_kernel_entries_stay_small_on_nerve_complexes(base):
+    # guards the Smith transform entries that kernel_basis returns unreduced
+    z = FgAbGroup.free(1)
+    s = validate_absystem(base, {e: z for e in base.elements},
+                          {cov: AbHom(z, z, IntMatrix.identity(1)) for cov in base.covers})
+    bits = max(abs(x).bit_length()
+               for d in nerve_complex(s).diff for vec in kernel_basis(d) for x in vec)
+    assert bits < 32

@@ -254,3 +254,32 @@ def test_fiber_subsystem_empty_fiber():
     level_maps = {"1": {"a": 0}, "2": {"b": 0}}
     with pytest.raises(EmptyFiber):
         fiber_subsystem(e_sys, s_sys, level_maps, Thread.of({"1": 1, "2": 1}))
+
+
+def test_universal_images_non_directed_reaches_fixed_point():
+    # the wedge c < a, c < b: c's two elements are each the image of only
+    # one top, so the intersection at c is empty, and then nothing on top
+    # can map into it; no thread exists
+    s = validate_system(wedge_poset(), {"a": ("a0",), "b": ("b0",), "c": ("c0", "c1")},
+                        {("c", "a"): {"a0": "c0"}, ("c", "b"): {"b0": "c1"}})
+    r, meta = universal_images(s)
+    assert all(r.carriers[e] == () for e in "abc")
+    assert all(meta.values())
+    assert brute_force_threads(s) == []
+    for (lo, hi), bmap in r.cover_bonds.items():
+        assert set(bmap) == set(r.carriers[hi])
+        assert set(bmap.values()) <= set(r.carriers[lo])
+
+
+def test_universal_images_keeps_every_thread_on_forests():
+    # forest bases are rarely directed; the restricted system must still be
+    # a system (bonds into the restricted carriers) with the same threads
+    rng = random.Random(23)
+    for _ in range(60):
+        p = random_forest_poset(rng, max_elements=5)
+        s = random_set_system(rng, p, max_carrier=4)
+        r, _ = universal_images(s)
+        for (lo, hi), bmap in r.cover_bonds.items():
+            assert set(bmap.values()) <= set(r.carriers[lo])
+        want = sorted(t.assignment for t in brute_force_threads(s))
+        assert sorted(t.assignment for t in brute_force_threads(r)) == want

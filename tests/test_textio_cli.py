@@ -199,3 +199,45 @@ def test_cli_exactness(tmp_path, capsys):
     fp.write_text(txt)
     assert main(["exactness", str(fp)]) == 0
     assert "ok: True" in capsys.readouterr().out
+
+
+def _rejected(argv, capsys) -> str:
+    """Run argv, expect exit 2, and return its one-line error."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("header", ["poset P extra", "poset"])
+def test_cli_rejects_poset_header_without_one_name(tmp_path, capsys, header):
+    fp = tmp_path / "bad.poset"
+    fp.write_text(f"{header}\nelements: a\n")
+    assert "expected: poset NAME" in _rejected(["validate", str(fp)], capsys)
+    with pytest.raises(ParseError) as exc:
+        parse_document(f"{header}\nelements: a\n")
+    assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("command", ["ml", "images"])
+def test_cli_rejects_horizon_below_one(files, capsys, command):
+    assert "--horizon" in _rejected([command, "--horizon", "0", files["tower"]], capsys)
+
+
+def test_cli_rejects_unknown_henkin_level(files, capsys):
+    err = _rejected(["henkin", "enumerate", "--poset", files["wedge"],
+                     "--level", "zzz"], capsys)
+    assert "zzz" in err
+
+
+def test_cli_images_on_wedge_with_disjoint_images(tmp_path, capsys):
+    fp = tmp_path / "wedge.system"
+    fp.write_text(WEDGE_TXT + "\nsystem S over W\n"
+                  "set a: { a0 }\nset b: { b0 }\nset c: { c0 c1 }\n"
+                  "map a -> c: a0 -> c0\nmap b -> c: b0 -> c1\n")
+    assert main(["--json", "images", str(fp)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["data"]["carrier_sizes"] == {"a": 0, "b": 0, "c": 0}
+    assert payload["verdicts"]["restricted_bonds_surjective"] is True
