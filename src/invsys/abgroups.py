@@ -114,10 +114,6 @@ def hom_equal(f: AbHom, g: AbHom) -> bool:
     return True
 
 
-def hom_is_zero(h: AbHom) -> bool:
-    return hom_equal(h, AbHom.zero(h.source, h.target))
-
-
 def subquotient(gens: IntMatrix, sub: IntMatrix) -> FgAbGroup:
     """(span of gens columns) / (span of sub columns) as a presented group.
 
@@ -141,8 +137,7 @@ def hom_kernel(h: AbHom) -> FgAbGroup:
 
 def hom_image(h: AbHom) -> FgAbGroup:
     """Image subgroup of the target, presented on the source generators."""
-    rel = relative_kernel(h.matrix, h.target.relation_lattice())
-    return FgAbGroup(h.source.ngens, rel.transpose())
+    return FgAbGroup(h.source.ngens, _kernel_lattice(h).transpose())
 
 
 def hom_cokernel(h: AbHom) -> FgAbGroup:
@@ -160,7 +155,7 @@ def is_surjective_hom(h: AbHom) -> bool:
 
 def composition_is_zero(f: AbHom, g: AbHom) -> bool:
     """Whether g o f is the zero map."""
-    return hom_is_zero(hom_compose(g, f))
+    return hom_equal(hom_compose(g, f), AbHom.zero(f.source, g.target))
 
 
 def is_exact_at(f: AbHom, g: AbHom) -> bool:

@@ -14,8 +14,7 @@ truncation: a sound but truncated decision procedure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 from .errors import LevelMismatch, SupportExceedsBound
 from .intlinalg import IntMatrix, in_lattice

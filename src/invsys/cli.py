@@ -20,7 +20,7 @@ from .abgroups import group_invariants, is_trivial_group
 from .derived import derived_limit, limit_exactness_check, scd_finite
 from .errors import BadOption, BudgetExceeded, InvsysError, ParseError
 from .setsys import (DEFAULT_BUDGET, Tower, is_surjective, limit_threads,
-                     ml_report, universal_images)
+                     ml_report, universal_images, validate_tower)
 from .textio import Document, parse_document
 
 
@@ -50,10 +50,19 @@ class RunReport:
 
 
 def _load(path: str, report: RunReport) -> Document:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(exc.object[:exc.start].count(b"\n") + 1, "not UTF-8 text")
     report.inputs[path] = hashlib.sha256(text.encode()).hexdigest()
     return parse_document(text)
+
+
+def _at_least(option: str, value: int, least: int) -> int:
+    if value < least:
+        raise BadOption(f"{option} must be at least {least}, got {value}")
+    return value
 
 
 def _invariants_str(inv) -> str:
@@ -101,11 +110,8 @@ def cmd_surjective(args, report: RunReport) -> int:
 
 
 def _clip_tower(t: Tower, horizon) -> Tower:
-    if horizon is not None and horizon < 1:
-        raise BadOption(f"--horizon must be at least 1, got {horizon}")
-    if horizon is None or horizon >= t.horizon:
+    if horizon is None or _at_least("--horizon", horizon, 1) >= t.horizon:
         return t
-    from .setsys import validate_tower
     return validate_tower(horizon, list(t.carriers[: horizon + 1]),
                           list(t.steps[:horizon]))
 
@@ -156,7 +162,7 @@ def cmd_derived(args, report: RunReport) -> int:
 def cmd_scd(args, report: RunReport) -> int:
     doc = _load(args.file, report)
     p = doc.sole("posets", args.poset)
-    val = scd_finite(p, trials=args.trials, seed=args.seed)
+    val = scd_finite(p, trials=_at_least("--trials", args.trials, 0), seed=args.seed)
     report.data["scd_lower_bound"] = val
     report.data["trials"] = args.trials
     report.verdicts["zero"] = val == 0
@@ -184,7 +190,8 @@ def cmd_henkin(args, report: RunReport) -> int:
     doc = _load(args.poset_file, report)
     p = doc.sole("posets", None)
     if args.henkin_cmd == "enumerate":
-        members = henkin.enumerate_members(p, args.level, args.maxlen)
+        maxlen = _at_least("--maxlen", args.maxlen, 0)
+        members = henkin.enumerate_members(p, args.level, maxlen)
         report.data["count"] = len(members)
         report.data["members"] = [",".join(t) for t in members[:50]]
         report.verdicts["nonempty"] = bool(members)
@@ -197,7 +204,7 @@ def cmd_henkin(args, report: RunReport) -> int:
 
 
 def cmd_bergman(args, report: RunReport) -> int:
-    checks = bergman.bergman_demo(args.n, seed=args.seed)
+    checks = bergman.bergman_demo(_at_least("--n", args.n, 3), seed=args.seed)
     for name, ok in checks:
         report.verdicts[name] = ok
     all_ok = all(ok for _, ok in checks)
@@ -270,7 +277,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         status = args.fn(args, report)
-    except (ParseError, FileNotFoundError, KeyError, BudgetExceeded) as exc:
+    except (ParseError, OSError, KeyError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvsysError as exc:

@@ -11,80 +11,55 @@ vanish, so the complex is finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
-from .abgroups import (AbHom, FgAbGroup, group_invariants, hom_compose,
-                       hom_equal, hom_is_valid, is_surjective_hom,
+from .abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
+                       hom_compose, hom_equal, hom_is_valid, invariants_embed,
+                       is_exact_at, is_injective, is_surjective_hom,
                        is_trivial_group, subquotient)
-from .errors import BudgetExceeded, FunctorialityViolation, MissingBond
+from .diagram import Diagram
+from .errors import BudgetExceeded, NotLevelwiseExact, SquaresDoNotCommute
 from .intlinalg import IntMatrix, lattice_contains, relative_kernel, solve
 from .poset import Poset
 
 
-class AbSystem:
+class AbSystem(Diagram):
     """Inverse system of finitely generated abelian groups over a poset."""
 
     def __init__(self, base: Poset, groups: dict[str, FgAbGroup],
                  cover_bonds: dict[tuple[str, str], AbHom]):
-        self.base = base
-        self.groups = {e: groups[e] for e in base.elements}
-        self.cover_bonds = dict(cover_bonds)
-        self._composites: dict[tuple[str, str], AbHom] = {}
+        super().__init__(base, {e: groups[e] for e in base.elements}, dict(cover_bonds))
+        self.groups = self.objects
 
     def group(self, e: str) -> FgAbGroup:
         return self.groups[e]
 
-    def bond(self, lower: str, upper: str) -> AbHom:
-        """Composite bond group(upper) -> group(lower)."""
-        if lower == upper:
-            return AbHom.identity(self.groups[lower])
-        key = (lower, upper)
-        if key in self._composites:
-            return self._composites[key]
-        if not self.base.lt(lower, upper):
-            raise ValueError(f"{lower} is not below {upper}")
-        candidates = []
-        for (lo, hi), step in self.cover_bonds.items():
-            if hi == upper and self.base.leq(lower, lo):
-                candidates.append((hom_compose(self.bond(lower, lo), step), lo))
-        if not candidates:
-            raise MissingBond(f"no cover path from {upper} down to {lower}")
-        first, via = candidates[0]
-        for other, via2 in candidates[1:]:
-            if not hom_equal(first, other):
-                raise FunctorialityViolation(lower, via, upper,
-                                             f"paths through {via} and {via2} disagree")
-        self._composites[key] = first
-        return first
+    def check(self, lower: str, upper: str, h: AbHom) -> None:
+        if h.source != self.groups[upper] or h.target != self.groups[lower]:
+            raise ValueError(f"bond {upper} -> {lower} has wrong source/target group")
+        if not hom_is_valid(h):
+            raise ValueError(f"bond {upper} -> {lower} does not respect relations")
+
+    def identity(self, e: str) -> AbHom:
+        return AbHom.identity(self.groups[e])
+
+    def compose(self, g: AbHom, f: AbHom) -> AbHom:
+        return hom_compose(g, f)
+
+    def equal(self, f: AbHom, g: AbHom) -> bool:
+        return hom_equal(f, g)
+
+    def is_onto(self, h: AbHom, lower: str) -> bool:
+        return is_surjective_hom(h)
 
 
 def validate_absystem(base: Poset, groups: dict[str, FgAbGroup],
                       cover_bonds: dict[tuple[str, str], AbHom]) -> AbSystem:
-    for cov in base.covers:
-        if cov not in cover_bonds:
-            raise MissingBond(f"cover {cov[0]} < {cov[1]} has no bond")
-    for (lo, hi), h in cover_bonds.items():
-        if h.source != groups[hi] or h.target != groups[lo]:
-            raise ValueError(f"bond {hi} -> {lo} has wrong source/target group")
-        if not hom_is_valid(h):
-            raise ValueError(f"bond {hi} -> {lo} does not respect relations")
-    sys = AbSystem(base, groups, cover_bonds)
-    for i in base.elements:
-        for j in base.elements:
-            if not base.leq(i, j):
-                continue
-            for k in base.elements:
-                if base.leq(j, k):
-                    composed = hom_compose(sys.bond(i, j), sys.bond(j, k))
-                    if not hom_equal(composed, sys.bond(i, k)):
-                        raise FunctorialityViolation(i, j, k)
-    return sys
+    return AbSystem(base, groups, cover_bonds).validate()
 
 
 def is_surjective_absystem(sys: AbSystem) -> bool:
-    return all(is_surjective_hom(sys.bond(i, j))
-               for i in sys.base.elements for j in sys.base.elements
-               if sys.base.lt(i, j))
+    # composites of onto cover bonds are onto
+    return sys.first_non_onto(sys.base.covers) is None
 
 
 @dataclass
@@ -270,9 +245,6 @@ def limit_exactness_check(a: AbSystem, b: AbSystem, c: AbSystem,
     right-hand limit map can embed into the first derived limit of the
     kernel system.
     """
-    from .abgroups import hom_cokernel, hom_kernel, is_exact_at, is_injective
-    from .errors import NotLevelwiseExact, SquaresDoNotCommute
-
     base = a.base
     for e in base.elements:
         ue, ve = u[e], v[e]
@@ -288,13 +260,10 @@ def limit_exactness_check(a: AbSystem, b: AbSystem, c: AbSystem,
             raise NotLevelwiseExact(f"sequence at {e} is not exact in the middle")
         if not is_trivial_group(hom_cokernel(ve)):
             raise NotLevelwiseExact(f"v at {e} is not surjective")
-    for (lo, hi) in base.covers:
-        if not hom_equal(hom_compose(u[lo], a.cover_bonds[(lo, hi)]),
-                         hom_compose(b.cover_bonds[(lo, hi)], u[hi])):
-            raise SquaresDoNotCommute(f"u-square at cover {lo} < {hi}")
-        if not hom_equal(hom_compose(v[lo], b.cover_bonds[(lo, hi)]),
-                         hom_compose(c.cover_bonds[(lo, hi)], v[hi])):
-            raise SquaresDoNotCommute(f"v-square at cover {lo} < {hi}")
+    for name, src, tgt, maps in (("u", a, b, u), ("v", b, c, v)):
+        cover = src.first_noncommuting_cover(tgt, maps)
+        if cover:
+            raise SquaresDoNotCommute(f"{name}-square at cover {cover[0]} < {cover[1]}")
 
     # one nerve complex per system: H^0 of each, and lim^1 of a from the same complex
     h0_a, h0_b, h0_c = h0_with_basis(a), h0_with_basis(b), h0_with_basis(c)
@@ -302,7 +271,6 @@ def limit_exactness_check(a: AbSystem, b: AbSystem, c: AbSystem,
     lim_v = induced_limit_hom(v, h0_b, h0_c)
     lim1_a = cohomology(h0_a[2], 1)
     coker_v = hom_cokernel(lim_v)
-    from .abgroups import invariants_embed
     report = ExactnessReport(
         lim_a=group_invariants(lim_u.source),
         lim_b=group_invariants(lim_u.target),

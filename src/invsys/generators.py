@@ -11,11 +11,10 @@ systems on any finite poset.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
-from .abgroups import AbHom, FgAbGroup
+from .abgroups import AbHom, FgAbGroup, hom_is_valid
 from .derived import AbSystem, validate_absystem
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, inverse_unimodular
 from .poset import Poset, validate_poset
 from .setsys import SetSystem, Tower, validate_system, validate_tower
 
@@ -63,23 +62,24 @@ def random_set_system(rng: random.Random, base: Poset,
 
 def random_surjective_set_system(rng: random.Random, base: Poset,
                                  max_top: int = 4) -> SetSystem:
-    """Quotients of one seed set by partitions that coarsen downward."""
-    seed = list(range(rng.randint(1, max_top)))
-    order = base.linear_extension()
+    """Quotients of one seed set by partitions that coarsen downward.
+
+    Maximal elements get random partitions; every other element gets the
+    join of the partitions at its upper covers, then random merges.
+    """
+    seed = range(rng.randint(1, max_top))
     block: dict[str, dict[int, int]] = {}  # element -> seed point -> block id
-    for e in reversed(order):
+    for e in reversed(base.linear_extension()):
         uppers = [hi for (lo, hi) in base.covers if lo == e]
-        classes: dict[int, int] = {}
-        keyof = {}
-        for x in seed:
-            key = tuple(block[u][x] for u in uppers)
-            if key not in keyof:
-                keyof[key] = len(keyof)
-            classes[x] = keyof[key]
+        classes = {x: x if uppers else rng.randrange(len(seed)) for x in seed}
+        for u in uppers:  # the join: each block at u falls inside one class here
+            for x in seed:
+                first = next(y for y in seed if block[u][y] == block[u][x])
+                old, new = classes[x], classes[first]
+                classes = {z: new if c == old else c for z, c in classes.items()}
         # random extra merges keep the chain strictly coarsening sometimes
-        nblocks = max(classes.values()) + 1
-        merge = list(range(nblocks))
-        for b in range(nblocks):
+        merge = list(range(len(seed)))
+        for b in range(len(seed)):
             if rng.random() < 0.3:
                 merge[b] = merge[rng.randrange(b + 1)]
         classes = {x: merge[b] for x, b in classes.items()}
@@ -111,7 +111,6 @@ def random_tower(rng: random.Random, horizon: int = 12,
 def random_unimodular(rng: random.Random, n: int,
                       shears: int = 4) -> tuple[IntMatrix, IntMatrix]:
     """(W, W^{-1}) as a short product of elementary shears and swaps."""
-    from .intlinalg import inverse_unimodular
     w = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(shears if n >= 2 else 0):
         i, j = rng.sample(range(n), 2)
@@ -182,8 +181,6 @@ def random_exact_sequence(rng: random.Random, base: Poset,
     coboundary, which keeps functoriality automatic while exercising
     non-diagonal matrices.  Returns (A, B, C, u, v).
     """
-    from .abgroups import hom_is_valid
-
     a = random_surjective_absystem(rng, base, max_gens)
     c = random_surjective_absystem(rng, base, max_gens)
     # one relation-respecting "potential" hom per element drives the twist;

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .errors import (NoStrictUpper, NotCompatible, NotComparable, NotMember,
                      OddLength, UnknownElement)
 from .poset import Poset
-from .setsys import SetSystem
+from .setsys import SetSystem, validate_system
 
 
 def henkin_member(t: Sequence[str], level: str, poset: Poset) -> bool:
@@ -118,7 +118,6 @@ def henkin_system(poset: Poset, maxlen: int) -> SetSystem:
     bonds = {}
     for (lo, hi) in poset.covers:
         bonds[(lo, hi)] = {t: henkin_eps(poset, lo, hi, t) for t in carriers[hi]}
-    from .setsys import validate_system
     return validate_system(poset, carriers, bonds)
 
 

@@ -56,9 +56,6 @@ class IntMatrix:
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.col(j) for j in range(self.cols)]
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
                          tuple(tuple(self.entries[i][j] for i in range(self.rows))
@@ -88,10 +85,6 @@ class IntMatrix:
         if self.cols != other.cols:
             raise ValueError("dimension mismatch")
         return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
-    def neg(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(-v for v in r) for r in self.entries))
 
     def is_zero(self) -> bool:
         return all(v == 0 for r in self.entries for v in r)

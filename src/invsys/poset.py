@@ -9,6 +9,7 @@ maximum", which is the only dichotomy a finite poset can exhibit.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import CycleDetected, UnknownElement
@@ -18,15 +19,31 @@ class Poset:
     """Finite poset on opaque string labels.
 
     Instances are created through :func:`validate_poset`; direct construction
-    assumes the closure has already been computed.
+    assumes distinct labels and acyclic covers over them.
     """
 
-    def __init__(self, elements: Sequence[str], covers: Sequence[tuple[str, str]],
-                 up: dict[str, frozenset[str]]):
+    def __init__(self, elements: Sequence[str], covers: Sequence[tuple[str, str]]):
         self.elements = tuple(elements)
         self.covers = tuple(covers)
-        self._up = up  # label -> set of labels >= label (reflexive)
         self._index = {e: i for i, e in enumerate(self.elements)}
+
+    @cached_property
+    def _up(self) -> dict[str, frozenset[str]]:
+        """label -> set of labels >= label (reflexive), computed on first use."""
+        succ: dict[str, set[str]] = {e: set() for e in self.elements}
+        for lo, hi in self.covers:
+            succ[lo].add(hi)
+        up = {}
+        for e in self.elements:
+            seen = {e}
+            stack = [e]
+            while stack:
+                for n in succ[stack.pop()]:
+                    if n not in seen:
+                        seen.add(n)
+                        stack.append(n)
+            up[e] = frozenset(seen)
+        return up
 
     def __eq__(self, other):
         return (isinstance(other, Poset)
@@ -49,11 +66,12 @@ class Poset:
     def lt(self, a: str, b: str) -> bool:
         return a != b and self.leq(a, b)
 
-    def up_set(self, a: str) -> frozenset[str]:
-        return self._up[a]
-
     def strict_uppers(self, a: str) -> list[str]:
         return [b for b in self.elements if self.lt(a, b)]
+
+    def comparable_pairs(self) -> list[tuple[str, str]]:
+        """Every pair a < b, in element order of a, then of b."""
+        return [(a, b) for a in self.elements for b in self.elements if self.lt(a, b)]
 
     def upper_bounds(self, a: str, b: str) -> list[str]:
         common = self._up[a] & self._up[b]
@@ -155,26 +173,12 @@ def validate_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -
     for lo, hi in covers:
         if lo not in known or hi not in known:
             raise UnknownElement(f"cover {lo} < {hi} references undeclared element")
-
-    succ: dict[str, set[str]] = {e: set() for e in elements}
-    for lo, hi in covers:
-        succ[lo].add(hi)
-
-    up: dict[str, frozenset[str]] = {}
-    for e in elements:
-        seen = {e}
-        stack = [e]
-        while stack:
-            for n in succ[stack.pop()]:
-                if n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        up[e] = frozenset(seen)
+    p = Poset(elements, covers)
     for a in elements:
-        for b in up[a]:
-            if b != a and a in up[b]:
+        for b in p._up[a]:
+            if b != a and a in p._up[b]:
                 raise CycleDetected(f"{a} and {b} lie on a cycle")
-    return Poset(elements, covers, up)
+    return p
 
 
 def chain_poset(n: int, prefix: str = "") -> Poset:

@@ -1,99 +1,68 @@
 """Inverse systems of finite sets over a poset, and horizon-truncated towers.
 
-Bonds are stored on cover pairs only; composites are derived on demand and
-the validator checks that every cover path between two comparable elements
-induces the same composite.  Carrier elements are opaque labels with no
-structure assumed.
+A SetSystem is a Diagram of carriers (tuples of opaque labels) whose bonds
+are dicts from the upper carrier to the lower one; a Tower is a SetSystem
+on the chain 0 < 1 < ... < horizon, indexed by integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Sequence
+from dataclasses import dataclass
+from functools import singledispatch
+from typing import Hashable, Sequence
 
-from .errors import (BudgetExceeded, EmptyFiber, FunctorialityViolation,
-                     MissingBond, NoMaximum, NotCommuting, NotFunction,
-                     NotSurjective, SigmaNotInjective)
+from .diagram import Diagram
+from .errors import (BudgetExceeded, EmptyFiber, NoMaximum, NotCommuting,
+                     NotFunction, NotSurjective, SigmaNotInjective)
 from .poset import Poset
 
-Label = Hashable
 BondMap = dict  # carrier(upper) element -> carrier(lower) element
 
 DEFAULT_BUDGET = 10 ** 6
 
 
-class SetSystem:
-    """Validated inverse system of finite sets over a poset."""
+class SetSystem(Diagram):
+    """Inverse system of finite sets over a poset."""
 
     def __init__(self, base: Poset, carriers: dict[str, tuple],
                  cover_bonds: dict[tuple[str, str], BondMap]):
-        self.base = base
-        self.carriers = {e: tuple(carriers[e]) for e in base.elements}
-        self.cover_bonds = {k: dict(v) for k, v in cover_bonds.items()}
-        self._composites: dict[tuple[str, str], BondMap] = {}
+        super().__init__(base, {e: tuple(carriers[e]) for e in base.elements},
+                         {k: dict(v) for k, v in cover_bonds.items()})
+        self.carriers = self.objects
 
-    def carrier(self, e: str) -> tuple:
-        return self.carriers[e]
+    def check(self, lower: str, upper: str, bmap: BondMap) -> None:
+        if set(bmap) != set(self.carriers[upper]):
+            raise NotFunction(f"bond {upper} -> {lower} is not total on carrier({upper})")
+        target = set(self.carriers[lower])
+        if any(v not in target for v in bmap.values()):
+            raise NotFunction(f"bond {upper} -> {lower} maps outside carrier({lower})")
 
-    def bond(self, lower: str, upper: str) -> BondMap:
-        """Composite bonding map carrier(upper) -> carrier(lower)."""
-        if lower == upper:
-            return {x: x for x in self.carriers[lower]}
-        key = (lower, upper)
-        if key in self._composites:
-            return self._composites[key]
-        if not self.base.lt(lower, upper):
-            raise ValueError(f"{lower} is not below {upper}")
-        candidates = []
-        for (lo, hi) in self.cover_bonds:
-            if hi == upper and self.base.leq(lower, lo):
-                step = self.cover_bonds[(lo, hi)]
-                below = self.bond(lower, lo)
-                candidates.append(({x: below[step[x]] for x in self.carriers[upper]}, lo))
-        if not candidates:
-            raise MissingBond(f"no cover path from {upper} down to {lower}")
-        first, via = candidates[0]
-        for other, via2 in candidates[1:]:
-            if other != first:
-                raise FunctorialityViolation(lower, via, upper,
-                                             f"paths through {via} and {via2} disagree")
-        self._composites[key] = first
-        return first
+    def identity(self, e: str) -> BondMap:
+        return {x: x for x in self.carriers[e]}
+
+    def compose(self, g: BondMap, f: BondMap) -> BondMap:
+        return {x: g[y] for x, y in f.items()}
+
+    def equal(self, f: BondMap, g: BondMap) -> bool:
+        return f == g
+
+    def is_onto(self, bmap: BondMap, lower: str) -> bool:
+        return set(bmap.values()) == set(self.carriers[lower])
+
+    def restrict(self, carriers: dict[str, tuple]) -> "SetSystem":
+        """The subsystem on subsets of the carriers that the bonds map into each other."""
+        return SetSystem(self.base, carriers,
+                         {(lo, hi): {x: bmap[x] for x in carriers[hi]}
+                          for (lo, hi), bmap in self.cover_bonds.items()})
 
 
 def validate_system(base: Poset, carriers: dict[str, Sequence],
                     cover_bonds: dict[tuple[str, str], BondMap]) -> SetSystem:
     """Check totality of the cover bonds and full functoriality.
 
-    Raises MissingBond, NotFunction, or FunctorialityViolation(i, j, k).
+    Raises MissingBond, NotFunction, or FunctorialityViolation.
     """
-    cover_set = set(base.covers)
-    for cov in cover_set:
-        if cov not in cover_bonds:
-            raise MissingBond(f"cover {cov[0]} < {cov[1]} has no bond")
-    for (lo, hi), bmap in cover_bonds.items():
-        if (lo, hi) not in cover_set:
-            raise ValueError(f"bond on non-cover pair ({lo}, {hi})")
-        if set(bmap) != set(carriers[hi]):
-            raise NotFunction(f"bond {hi} -> {lo} is not total on carrier({hi})")
-        if any(v not in set(carriers[lo]) for v in bmap.values()):
-            raise NotFunction(f"bond {hi} -> {lo} maps outside carrier({lo})")
-    sys = SetSystem(base, {e: tuple(carriers[e]) for e in base.elements}, cover_bonds)
-    els = base.elements
-    for i in els:
-        for j in els:
-            if not sys.base.leq(i, j):
-                continue
-            for k in els:
-                if not sys.base.leq(j, k):
-                    continue
-                upper = sys.bond(j, k)
-                lower = sys.bond(i, j)
-                direct = sys.bond(i, k)
-                for x in sys.carriers[k]:
-                    if lower[upper[x]] != direct[x]:
-                        raise FunctorialityViolation(i, j, k)
-    return sys
+    return SetSystem(base, carriers, cover_bonds).validate()
 
 
 @dataclass(frozen=True)
@@ -105,42 +74,32 @@ class Thread:
     def of(mapping: dict) -> "Thread":
         return Thread(tuple(sorted(mapping.items(), key=lambda kv: str(kv[0]))))
 
-    def __getitem__(self, e: str):
-        return dict(self.assignment)[e]
-
     def as_dict(self) -> dict:
         return dict(self.assignment)
 
 
 def is_thread(sys: SetSystem, t: Thread) -> bool:
     m = t.as_dict()
-    for i in sys.base.elements:
-        for j in sys.base.elements:
-            if sys.base.leq(i, j) and sys.bond(i, j)[m[j]] != m[i]:
-                return False
-    return True
+    return all(bmap[m[hi]] == m[lo] for (lo, hi), bmap in sys.cover_bonds.items())
 
 
-def is_surjective(sys: "SetSystem | Tower"):
-    """(verdict, first failing pair or None); checks every comparable pair."""
-    if isinstance(sys, Tower):
-        for n in range(sys.horizon):
-            if set(sys.step(n).values()) != set(sys.carriers[n]):
-                return False, (n, n + 1)
-        return True, None
-    for i in sys.base.elements:
-        for j in sys.base.elements:
-            if sys.base.lt(i, j):
-                if set(sys.bond(i, j).values()) != set(sys.carriers[i]):
-                    return False, (i, j)
-    return True, None
+@singledispatch
+def is_surjective(sys: SetSystem):
+    """(verdict, first failing pair or None).
+
+    The pair is the first comparable pair, in element order, whose bond is
+    not onto; for a tower it is the first step n <- n + 1 that is not onto.
+    """
+    pair = sys.first_non_onto(sys.base.comparable_pairs())
+    return pair is None, pair
 
 
 def limit_threads(sys: SetSystem, budget: int = DEFAULT_BUDGET) -> list[Thread]:
     """All threads, by depth-first propagation over a linear extension.
 
-    Partial assignments are pruned against every bond into an already
-    assigned lower element; the budget counts partial assignments.
+    Partial assignments are pruned against the bonds of the lower covers,
+    which on an assigned prefix of the extension is every bond into it;
+    the budget counts partial assignments.
     """
     order = sys.base.linear_extension()
     out: list[Thread] = []
@@ -156,12 +115,7 @@ def limit_threads(sys: SetSystem, budget: int = DEFAULT_BUDGET) -> list[Thread]:
             spent += 1
             if spent > budget:
                 raise BudgetExceeded(f"limit enumeration passed {budget} nodes")
-            ok = True
-            for d in order[:pos]:
-                if sys.base.leq(d, e) and sys.bond(d, e)[x] != partial[d]:
-                    ok = False
-                    break
-            if ok:
+            if all(sys.cover_bonds[(lo, e)][x] == partial[lo] for lo in sys.lower_covers[e]):
                 partial[e] = x
                 extend(pos + 1, partial)
                 del partial[e]
@@ -170,22 +124,14 @@ def limit_threads(sys: SetSystem, budget: int = DEFAULT_BUDGET) -> list[Thread]:
     return out
 
 
-def thread_from_top(sys: "SetSystem | Tower") -> Thread:
+@singledispatch
+def thread_from_top(sys: SetSystem) -> Thread:
     """A single thread built without enumeration.
 
-    Poset case: requires a maximum; one element there is pushed down along
-    the bonds (no surjectivity needed).  Tower case: requires every step to
-    be surjective; preimages are chosen walking up the chain.
+    Requires a maximum; one element there is pushed down along the bonds
+    (no surjectivity needed).  A tower instead requires every step to be
+    surjective, and preimages are chosen walking up the chain.
     """
-    if isinstance(sys, Tower):
-        ok, pair = is_surjective(sys)
-        if not ok:
-            raise NotSurjective(f"tower step {pair[0]} <- {pair[1]} is not onto")
-        xs = {0: sys.carriers[0][0]}
-        for n in range(sys.horizon):
-            step = sys.step(n)
-            xs[n + 1] = next(y for y in sys.carriers[n + 1] if step[y] == xs[n])
-        return Thread.of({str(n): x for n, x in xs.items()})
     top = sys.base.has_maximum()
     if top is None:
         raise NoMaximum("thread_from_top needs a maximum element")
@@ -197,7 +143,11 @@ def thread_from_top(sys: "SetSystem | Tower") -> Thread:
 
 
 class Tower:
-    """Inverse system over the chain 0 <= 1 <= ... <= horizon."""
+    """Inverse system over the chain 0 <= 1 <= ... <= horizon.
+
+    A thin adapter: the system itself is the SetSystem ``system`` on the
+    chain "0" < "1" < ... < "horizon", and level n is its element str(n).
+    """
 
     def __init__(self, horizon: int, carriers: Sequence[Sequence],
                  steps: Sequence[BondMap]):
@@ -205,9 +155,13 @@ class Tower:
             raise ValueError("horizon must be positive")
         if len(carriers) != horizon + 1 or len(steps) != horizon:
             raise ValueError("carrier/step counts do not match horizon")
+        labels = [str(n) for n in range(horizon + 1)]
+        chain = Poset(labels, list(zip(labels, labels[1:])))
+        self.system = SetSystem(chain, dict(zip(labels, carriers)),
+                                dict(zip(chain.covers, steps)))
         self.horizon = horizon
-        self.carriers = [tuple(c) for c in carriers]
-        self.steps = [dict(s) for s in steps]
+        self.carriers = list(self.system.carriers.values())
+        self.steps = list(self.system.cover_bonds.values())
 
     def step(self, n: int) -> BondMap:
         """Bond carrier(n+1) -> carrier(n)."""
@@ -217,22 +171,31 @@ class Tower:
         """Composite bond carrier(m) -> carrier(n), n <= m."""
         if not 0 <= n <= m <= self.horizon:
             raise ValueError("bad levels")
-        cur = {x: x for x in self.carriers[m]}
-        for lvl in range(m - 1, n - 1, -1):
-            cur = {x: self.steps[lvl][cur[x]] for x in cur}
-        return cur
+        return self.system.bond(str(n), str(m))
 
 
 def validate_tower(horizon: int, carriers: Sequence[Sequence],
                    steps: Sequence[BondMap]) -> Tower:
     t = Tower(horizon, carriers, steps)
-    for n in range(horizon):
-        bmap = t.steps[n]
-        if set(bmap) != set(t.carriers[n + 1]):
-            raise NotFunction(f"step {n + 1} -> {n} is not total")
-        if any(v not in set(t.carriers[n]) for v in bmap.values()):
-            raise NotFunction(f"step {n + 1} -> {n} maps outside carrier({n})")
+    t.system.validate()
     return t
+
+
+@is_surjective.register
+def _(t: Tower):
+    n = next((n for n in range(t.horizon) if not t.system.is_onto(t.steps[n], str(n))), None)
+    return n is None, None if n is None else (n, n + 1)
+
+
+@thread_from_top.register
+def _(t: Tower) -> Thread:
+    ok, pair = is_surjective(t)
+    if not ok:
+        raise NotSurjective(f"tower step {pair[0]} <- {pair[1]} is not onto")
+    xs = {0: t.carriers[0][0]}
+    for n in range(t.horizon):
+        xs[n + 1] = next(y for y in t.carriers[n + 1] if t.steps[n][y] == xs[n])
+    return Thread.of({str(n): x for n, x in xs.items()})
 
 
 @dataclass(frozen=True)
@@ -260,60 +223,37 @@ def ml_report(t: Tower) -> MLReport:
     the horizon (or is the trivial one-term chain at the top); when the
     chain is still moving at the horizon the verdict is honest about the
     truncation rather than claiming a failure of the eventual-stability
-    condition.
+    condition.  The image chains are pushed down one step at a time.
     """
     entries = []
     h = t.horizon
-    for n in range(h + 1):
-        images = [frozenset(t.bond(n, m)[x] for x in t.carriers[m])
-                  for m in range(n, h + 1)]
+    images: list[frozenset] = []  # the image chain of the level above
+    for n in range(h, -1, -1):
+        images = [frozenset(t.carriers[n])] + [frozenset(t.steps[n][x] for x in image)
+                                               for image in images]
         stab = h
-        for m in range(h, n - 1, -1):
-            if images[m - n] == images[h - n]:
-                stab = m
-            else:
-                break
-        if stab < h or n == h:
-            verdict = "stable"
-            sensitive = stab == h
-        else:
-            verdict = "unstable_at_horizon"
-            sensitive = True
-        entries.append(MLEntry(n, tuple(images), stab, verdict, sensitive))
-    return MLReport(h, tuple(entries))
+        while stab > n and images[stab - 1 - n] == images[-1]:
+            stab -= 1
+        verdict = "stable" if stab < h or n == h else "unstable_at_horizon"
+        entries.append(MLEntry(n, tuple(images), stab, verdict, stab == h))
+    return MLReport(h, tuple(reversed(entries)))
 
 
-def universal_images(sys: "SetSystem | Tower"):
+@singledispatch
+def universal_images(sys: SetSystem):
     """Restrict every carrier to the intersection of incoming images.
 
     Over a poset base the carriers then shrink to the largest subsets that
     every cover bond maps into each other, so the result is again a system.
     Returns (restricted system, metadata) where metadata maps each
-    comparable pair to the surjectivity verdict of its restricted bond.
+    comparable pair to the surjectivity verdict of its restricted bond.  A
+    tower is restricted as the system on its chain and comes back as a
+    tower, with levels in its pairs.
     """
-    if isinstance(sys, Tower):
-        prim = []
-        for n in range(sys.horizon + 1):
-            inter = set(sys.carriers[n])
-            for m in range(n, sys.horizon + 1):
-                inter &= {sys.bond(n, m)[x] for x in sys.carriers[m]}
-            prim.append(tuple(x for x in sys.carriers[n] if x in inter))
-        steps = [{x: sys.steps[n][x] for x in prim[n + 1]} for n in range(sys.horizon)]
-        restricted = Tower(sys.horizon, prim, steps)
-        meta = {}
-        for n in range(sys.horizon + 1):
-            for m in range(n + 1, sys.horizon + 1):
-                image = {restricted.bond(n, m)[x] for x in prim[m]}
-                meta[(n, m)] = image == set(prim[n])
-        return restricted, meta
-
-    keep = {}
-    for i in sys.base.elements:
-        inter = set(sys.carriers[i])
-        for j in sys.base.elements:
-            if sys.base.leq(i, j):
-                inter &= {sys.bond(i, j)[x] for x in sys.carriers[j]}
-        keep[i] = inter
+    pairs = sys.base.comparable_pairs()
+    keep = {i: set(sys.carriers[i]) for i in sys.base.elements}
+    for i, j in pairs:
+        keep[i] &= set(sys.bond(i, j).values())
     # Off a directed base a kept element can map to a dropped one; drop it
     # too, upwards, visiting each bond entry at most twice.
     preimages = {}  # (lo, y) -> [(hi, x) : x kept, cover bond (lo, hi) sends x to y]
@@ -326,18 +266,18 @@ def universal_images(sys: "SetSystem | Tower"):
             if x in keep[hi]:
                 keep[hi].discard(x)
                 dropped.append((hi, x))
-    prim = {i: tuple(x for x in sys.carriers[i] if x in keep[i])
-            for i in sys.base.elements}
-    bonds = {(lo, hi): {x: sys.cover_bonds[(lo, hi)][x] for x in prim[hi]}
-             for (lo, hi) in sys.cover_bonds}
-    restricted = SetSystem(sys.base, prim, bonds)
-    meta = {}
-    for i in sys.base.elements:
-        for j in sys.base.elements:
-            if sys.base.lt(i, j):
-                image = {restricted.bond(i, j)[x] for x in prim[j]}
-                meta[(i, j)] = image == set(prim[i])
+    restricted = sys.restrict({i: tuple(x for x in sys.carriers[i] if x in keep[i])
+                               for i in sys.base.elements})
+    meta = {(i, j): restricted.is_onto(restricted.bond(i, j), i) for i, j in pairs}
     return restricted, meta
+
+
+@universal_images.register
+def _(t: Tower):
+    restricted, meta = universal_images(t.system)
+    return (Tower(t.horizon, list(restricted.carriers.values()),
+                  list(restricted.cover_bonds.values())),
+            {(int(i), int(j)): ok for (i, j), ok in meta.items()})
 
 
 def fiber_subsystem(e_sys: SetSystem, s_sys: SetSystem,
@@ -352,27 +292,20 @@ def fiber_subsystem(e_sys: SetSystem, s_sys: SetSystem,
     base = e_sys.base
     if s_sys.base != base:
         raise ValueError("systems must share a base poset")
-    for (lo, hi) in base.covers:
-        eps = e_sys.cover_bonds[(lo, hi)]
-        sig = s_sys.cover_bonds[(lo, hi)]
-        for x in e_sys.carriers[hi]:
-            if level_maps[lo][eps[x]] != sig[level_maps[hi][x]]:
-                raise NotCommuting(f"square at cover {lo} < {hi} does not commute")
-    for i in base.elements:
-        for j in base.elements:
-            if base.lt(i, j):
-                bmap = s_sys.bond(i, j)
-                if len(set(bmap.values())) != len(bmap):
-                    raise SigmaNotInjective(f"target bond {j} -> {i} not injective")
+    cover = e_sys.first_noncommuting_cover(s_sys, level_maps)
+    if cover:
+        raise NotCommuting(f"square at cover {cover[0]} < {cover[1]} does not commute")
+    # composites of injective cover bonds are injective
+    for (lo, hi), bmap in s_sys.cover_bonds.items():
+        if len(set(bmap.values())) != len(bmap):
+            raise SigmaNotInjective(f"target bond {hi} -> {lo} not injective")
     sv = s.as_dict()
     fibers = {}
     for i in base.elements:
         fibers[i] = tuple(x for x in e_sys.carriers[i] if level_maps[i][x] == sv[i])
         if not fibers[i]:
             raise EmptyFiber(f"level map at {i} misses the thread value")
-    bonds = {(lo, hi): {x: e_sys.cover_bonds[(lo, hi)][x] for x in fibers[hi]}
-             for (lo, hi) in e_sys.cover_bonds}
-    sub = SetSystem(base, fibers, bonds)
+    sub = e_sys.restrict(fibers)
     ok, pair = is_surjective(sub)
     assert ok, f"fiber subsystem lost surjectivity at {pair}"
     return sub

@@ -62,6 +62,25 @@ def _check_label(tok: str, lineno: int) -> str:
     return tok
 
 
+def _parse_carrier(body: str, lineno: int) -> tuple[str, ...]:
+    labels = tuple(_check_label(t, lineno) for t in body.split())
+    if len(set(labels)) != len(labels):
+        raise ParseError(lineno, "a carrier lists a label twice")
+    return labels
+
+
+def _parse_rules(body: str, lineno: int) -> dict[str, str]:
+    bmap = {}
+    for rule in body.split(","):
+        m = re.match(rf"^\s*({LABEL})\s*->\s*({LABEL})\s*$", rule)
+        if not m:
+            raise ParseError(lineno, f"bad map rule {rule.strip()!r}")
+        if m.group(1) in bmap:
+            raise ParseError(lineno, f"two rules for {m.group(1)}")
+        bmap[m.group(1)] = m.group(2)
+    return bmap
+
+
 def _parse_matrix(text: str, lineno: int) -> list[list[int]]:
     try:
         value = ast.literal_eval(text.strip())
@@ -92,6 +111,10 @@ def parse_document(text: str) -> Document:
                 doc.posets[name] = validate_poset(block["elements"], block["covers"])
             elif kind == "system":
                 base = doc.posets[block["over"]]
+                unknown = [e for e in block["sets"] if e not in base.elements]
+                if unknown:
+                    raise ParseError(line, f"set for {unknown[0]}, which is not an "
+                                           f"element of {block['over']}")
                 doc.systems[name] = validate_system(base, block["sets"], block["maps"])
             elif kind == "tower":
                 doc.towers[name] = _close_tower(block)
@@ -106,13 +129,11 @@ def parse_document(text: str) -> Document:
             elif kind == "sequence":
                 a, b, c = (doc.absystems[s] for s in block["systems"])
                 u, v = {}, {}
+                ladder = {"u": (a, b, u), "v": (b, c, v)}
                 for tag, elem, rows in block["levelmaps"]:
-                    if tag == "u":
-                        u[elem] = AbHom(a.group(elem), b.group(elem),
-                                        IntMatrix.from_rows(rows, cols=a.group(elem).ngens))
-                    else:
-                        v[elem] = AbHom(b.group(elem), c.group(elem),
-                                        IntMatrix.from_rows(rows, cols=b.group(elem).ngens))
+                    src, tgt, maps = ladder[tag]
+                    maps[elem] = AbHom(src.group(elem), tgt.group(elem),
+                                       IntMatrix.from_rows(rows, cols=src.group(elem).ngens))
                 doc.sequences[name] = SequenceDecl(a.base, block["systems"], u, v)
         except KeyError as exc:
             raise ParseError(line, f"unknown reference {exc}")
@@ -212,20 +233,12 @@ def _parse_block_line(block: dict, line: str, lineno: int):
             m = re.match(rf"^set\s+({LABEL})\s*:\s*\{{(.*)\}}$", line)
             if not m:
                 raise ParseError(lineno, "expected: set ELEM: { x y z }")
-            block["sets"][m.group(1)] = tuple(
-                _check_label(t, lineno) for t in m.group(2).split())
+            block["sets"][m.group(1)] = _parse_carrier(m.group(2), lineno)
         elif line.startswith("map "):
             m = re.match(rf"^map\s+({LABEL})\s*->\s*({LABEL})\s*:\s*(.*)$", line)
             if not m:
                 raise ParseError(lineno, "expected: map UPPER -> LOWER: x -> y, ...")
-            hi, lo = m.group(1), m.group(2)
-            bmap = {}
-            for rule in m.group(3).split(","):
-                mm = re.match(rf"^\s*({LABEL})\s*->\s*({LABEL})\s*$", rule)
-                if not mm:
-                    raise ParseError(lineno, f"bad map rule {rule.strip()!r}")
-                bmap[mm.group(1)] = mm.group(2)
-            block["maps"][(lo, hi)] = bmap
+            block["maps"][(m.group(2), m.group(1))] = _parse_rules(m.group(3), lineno)
         else:
             raise ParseError(lineno, f"unexpected system line {line!r}")
     elif kind == "tower":
@@ -233,8 +246,7 @@ def _parse_block_line(block: dict, line: str, lineno: int):
             m = re.match(rf"^set\s+(all|\d+)\s*:\s*\{{(.*)\}}$", line)
             if not m:
                 raise ParseError(lineno, "expected: set N: { ... } or set all: { ... }")
-            labels = tuple(_check_label(t, lineno) for t in m.group(2).split())
-            block["sets"][m.group(1)] = labels
+            block["sets"][m.group(1)] = _parse_carrier(m.group(2), lineno)
         elif line.startswith("map "):
             m = re.match(r"^map\s+all\s*:\s*clipdec$", line)
             if m:
@@ -247,13 +259,7 @@ def _parse_block_line(block: dict, line: str, lineno: int):
             hi, lo = int(m.group(1)), int(m.group(2))
             if hi != lo + 1:
                 raise ParseError(lineno, "tower maps go from n+1 to n")
-            bmap = {}
-            for rule in m.group(3).split(","):
-                mm = re.match(rf"^\s*({LABEL})\s*->\s*({LABEL})\s*$", rule)
-                if not mm:
-                    raise ParseError(lineno, f"bad map rule {rule.strip()!r}")
-                bmap[mm.group(1)] = mm.group(2)
-            block["maps"][lo] = bmap
+            block["maps"][lo] = _parse_rules(m.group(3), lineno)
         else:
             raise ParseError(lineno, f"unexpected tower line {line!r}")
     elif kind == "absystem":

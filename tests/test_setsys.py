@@ -283,3 +283,16 @@ def test_universal_images_keeps_every_thread_on_forests():
             assert set(bmap.values()) <= set(r.carriers[lo])
         want = sorted(t.assignment for t in brute_force_threads(s))
         assert sorted(t.assignment for t in brute_force_threads(r)) == want
+
+
+def test_surjective_generator_makes_nontrivial_instances():
+    # the instances of acceptance criterion 2: same seed, same calls
+    rng = random.Random(102)
+    nontrivial = 0
+    for _ in range(200):
+        p = random_poset(rng, max_elements=5, ensure_maximum=True)
+        s = random_surjective_set_system(rng, p)
+        if (max(len(c) for c in s.carriers.values()) >= 2
+                and len(brute_force_threads(s)) > 1):
+            nontrivial += 1
+    assert nontrivial > 0

@@ -241,3 +241,48 @@ def test_cli_images_on_wedge_with_disjoint_images(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["data"]["carrier_sizes"] == {"a": 0, "b": 0, "c": 0}
     assert payload["verdicts"]["restricted_bonds_surjective"] is True
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--trials", ["scd", "--trials", "-1", "{wedge}"]),
+    ("--maxlen", ["henkin", "enumerate", "--poset", "{wedge}", "--level", "c",
+                  "--maxlen", "-1"]),
+    ("--n", ["bergman", "demo", "--n", "2"]),
+], ids=["scd-trials", "henkin-maxlen", "bergman-n"])
+def test_cli_rejects_counts_out_of_range(files, capsys, option, argv):
+    err = _rejected([a.format(wedge=files["wedge"]) for a in argv], capsys)
+    assert f"BadOption: {option} must be at least" in err
+
+
+WEDGE_SYSTEM = WEDGE_TXT + """
+system S over W
+set a: { x }
+set b: { y }
+set c: { z w }
+map a -> c: x -> z
+map b -> c: y -> z
+"""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("set a: { x }", "set a: { x x }", "twice"),
+    ("set b: { y }", "set b: { y }\nset zz: { q }", "zz"),
+    ("map a -> c: x -> z", "map a -> c: x -> z, x -> w", "two rules for x"),
+], ids=["duplicate-label", "undeclared-element", "duplicate-rule"])
+def test_cli_rejects_malformed_system(tmp_path, capsys, old, new, message):
+    assert WEDGE_SYSTEM.count(old) == 1
+    fp = tmp_path / "bad.system"
+    fp.write_text(WEDGE_SYSTEM.replace(old, new))
+    assert message in _rejected(["limit", str(fp)], capsys)
+    with pytest.raises(ParseError):
+        parse_document(WEDGE_SYSTEM.replace(old, new))
+
+
+def test_cli_rejects_non_utf8_file(tmp_path, capsys):
+    fp = tmp_path / "latin1.poset"
+    fp.write_bytes(WEDGE_TXT.encode() + "# café\n".encode("latin-1"))
+    assert "line 4: not UTF-8 text" in _rejected(["validate", str(fp)], capsys)
+
+
+def test_cli_rejects_directory(tmp_path, capsys):
+    assert "directory" in _rejected(["validate", str(tmp_path)], capsys)
