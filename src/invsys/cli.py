@@ -100,7 +100,7 @@ def cmd_surjective(args, report: RunReport) -> int:
     if target is None:
         try:
             target = doc.sole("systems", args.system)
-        except KeyError:
+        except BadOption:
             target = doc.sole("towers", args.system)
     ok, pair = is_surjective(target)
     report.verdicts["surjective"] = ok

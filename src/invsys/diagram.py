@@ -22,9 +22,6 @@ class Diagram:
         self.base = base
         self.objects = objects
         self.cover_bonds = cover_bonds
-        self.lower_covers: dict[str, list[str]] = {e: [] for e in base.elements}
-        for lo, hi in base.covers:
-            self.lower_covers[hi].append(lo)
         self._composites: dict = {}
 
     def bond(self, lower: str, upper: str):
@@ -38,7 +35,7 @@ class Diagram:
         wanted = [upper]  # a stack, not recursion: cover paths can be long
         while wanted:
             top = wanted[-1]
-            below = [lo for lo in self.lower_covers[top] if self.base.leq(lower, lo)]
+            below = [lo for lo in self.base.lower_covers[top] if self.base.leq(lower, lo)]
             missing = [lo for lo in below
                        if lo != lower and (lower, lo) not in self._composites]
             if missing:
@@ -71,7 +68,7 @@ class Diagram:
             if (lo, hi) not in covers:
                 raise ValueError(f"bond on non-cover pair ({lo}, {hi})")
             self.check(lo, hi, arrow)
-        splits = {j for j, lows in self.lower_covers.items() if len(lows) > 1}
+        splits = {j for j, lows in self.base.lower_covers.items() if len(lows) > 1}
         for j in (self.base.linear_extension() if splits else ()):
             if j in splits:
                 for i in self.base.elements:

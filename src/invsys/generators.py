@@ -70,7 +70,7 @@ def random_surjective_set_system(rng: random.Random, base: Poset,
     seed = range(rng.randint(1, max_top))
     block: dict[str, dict[int, int]] = {}  # element -> seed point -> block id
     for e in reversed(base.linear_extension()):
-        uppers = [hi for (lo, hi) in base.covers if lo == e]
+        uppers = base.upper_covers[e]
         classes = {x: x if uppers else rng.randrange(len(seed)) for x in seed}
         for u in uppers:  # the join: each block at u falls inside one class here
             for x in seed:
@@ -143,10 +143,7 @@ def random_surjective_absystem(rng: random.Random, base: Poset,
     order = base.linear_extension()
     lattices: dict[str, list[tuple[int, ...]]] = {}
     for e in reversed(order):
-        cols: list[tuple[int, ...]] = []
-        for (lo, hi) in base.covers:
-            if lo == e:
-                cols.extend(lattices[hi])
+        cols = [col for hi in base.upper_covers[e] for col in lattices[hi]]
         extra = rng.randint(0, g)
         for _ in range(extra):
             i = rng.randrange(g)

@@ -45,6 +45,22 @@ class Poset:
             up[e] = frozenset(seen)
         return up
 
+    @cached_property
+    def lower_covers(self) -> dict[str, list[str]]:
+        """label -> the labels it covers, in cover order."""
+        lowers: dict[str, list[str]] = {e: [] for e in self.elements}
+        for lo, hi in self.covers:
+            lowers[hi].append(lo)
+        return lowers
+
+    @cached_property
+    def upper_covers(self) -> dict[str, list[str]]:
+        """label -> the labels that cover it, in cover order."""
+        uppers: dict[str, list[str]] = {e: [] for e in self.elements}
+        for lo, hi in self.covers:
+            uppers[lo].append(hi)
+        return uppers
+
     def __eq__(self, other):
         return (isinstance(other, Poset)
                 and self.elements == other.elements
@@ -104,12 +120,9 @@ class Poset:
         if top is None:
             return None
         chain = [top]
-        lowers = {u: [] for u in self.elements}
-        for lo, hi in self.covers:
-            lowers[hi].append(lo)
         cur = top
-        while lowers[cur]:
-            cur = min(lowers[cur], key=self._index.__getitem__)
+        while self.lower_covers[cur]:
+            cur = min(self.lower_covers[cur], key=self._index.__getitem__)
             chain.append(cur)
         chain.reverse()
         return chain

@@ -115,7 +115,7 @@ def limit_threads(sys: SetSystem, budget: int = DEFAULT_BUDGET) -> list[Thread]:
             spent += 1
             if spent > budget:
                 raise BudgetExceeded(f"limit enumeration passed {budget} nodes")
-            if all(sys.cover_bonds[(lo, e)][x] == partial[lo] for lo in sys.lower_covers[e]):
+            if all(sys.cover_bonds[(lo, e)][x] == partial[lo] for lo in sys.base.lower_covers[e]):
                 partial[e] = x
                 extend(pos + 1, partial)
                 del partial[e]
@@ -142,6 +142,12 @@ def thread_from_top(sys: SetSystem) -> Thread:
 # -- towers ---------------------------------------------------------------
 
 
+def tower_chain(horizon: int) -> Poset:
+    """The levels of a tower as a poset: the chain "0" < "1" < ... < str(horizon)."""
+    labels = [str(n) for n in range(horizon + 1)]
+    return Poset(labels, list(zip(labels, labels[1:])))
+
+
 class Tower:
     """Inverse system over the chain 0 <= 1 <= ... <= horizon.
 
@@ -155,9 +161,8 @@ class Tower:
             raise ValueError("horizon must be positive")
         if len(carriers) != horizon + 1 or len(steps) != horizon:
             raise ValueError("carrier/step counts do not match horizon")
-        labels = [str(n) for n in range(horizon + 1)]
-        chain = Poset(labels, list(zip(labels, labels[1:])))
-        self.system = SetSystem(chain, dict(zip(labels, carriers)),
+        chain = tower_chain(horizon)
+        self.system = SetSystem(chain, dict(zip(chain.elements, carriers)),
                                 dict(zip(chain.covers, steps)))
         self.horizon = horizon
         self.carriers = list(self.system.carriers.values())

@@ -1,10 +1,12 @@
 """Line-oriented text formats for posets, systems, towers, and sequences.
 
 One declaration per line, '#' starts a comment, labels match
-[A-Za-z0-9_()]+.
-A file is a sequence of blocks; each block opens with a header line
-(poset / system / tower / absystem / sequence / group / hom) and owns the
-indented-or-not declaration lines that follow until the next header.
+[A-Za-z0-9_()]+.  Top-level `group` lines come first; then each block opens
+with a header line (poset / system / tower / absystem / sequence) and owns
+the lines up to the next header.  The diagram blocks (system, tower and
+absystem; a tower's base is the chain "0" < ... < "H") are read by one path:
+one object line per element and one `map` line per cover, each declared
+once.  A sequence has one `map u at E` and one `map v at E` per element.
 """
 
 from __future__ import annotations
@@ -16,13 +18,44 @@ from typing import Optional
 
 from .abgroups import AbHom, FgAbGroup
 from .derived import AbSystem, validate_absystem
-from .errors import ParseError
+from .diagram import Diagram
+from .errors import BadOption, ParseError
 from .intlinalg import IntMatrix
 from .poset import Poset, validate_poset
-from .setsys import SetSystem, Tower, validate_system, validate_tower
+from .setsys import SetSystem, Tower, tower_chain, validate_system, validate_tower
 
 LABEL = r"[A-Za-z0-9_()]+"
 _LABEL_RE = re.compile(rf"^{LABEL}$")
+
+
+def _header(usage: str) -> tuple[str, re.Pattern]:
+    """A header's usage and pattern: upper-case words are labels, H a horizon."""
+    words = (r"(\d+)" if w == "H" else f"({LABEL})" if w.isupper() else w
+             for w in usage.split())
+    return usage, re.compile("^" + r"\s+".join(words) + "$")
+
+
+_HEADERS = {usage.split()[0]: _header(usage) for usage in (
+    "poset NAME", "system NAME over POSET", "tower NAME horizon H",
+    "absystem NAME over POSET", "sequence NAME over POSET systems A B C")}
+
+_GROUP_BODY = r"gens\s+(\d+)\s+relations\s+(.*)"
+_GROUP_LINE = re.compile(rf"^group\s+({LABEL})\s+{_GROUP_BODY}$")  # a top-level group
+_WORDS = {"system": "set", "tower": "set", "absystem": "group"}  # object line keyword
+# object and arrow lines of the diagrams of sets and of groups, and their usage
+_OBJECT_LINES = {
+    "set": (re.compile(rf"^set\s+({LABEL})\s*:\s*\{{(.*)\}}$"), "set ELEM: { x y z }"),
+    "group": (re.compile(rf"^group\s+({LABEL})\s*:\s*{_GROUP_BODY}$"),
+              "group ELEM: gens K relations [[..]]")}
+_ARROW_LINES = {
+    "set": (re.compile(rf"^map\s+({LABEL})\s*->\s*({LABEL})\s*:\s*(.*)$"),
+            "map UPPER -> LOWER: x -> y, ..."),
+    "group": (re.compile(rf"^map\s+({LABEL})\s*->\s*({LABEL})\s*:\s*matrix\s+(.*)$"),
+              "map UPPER -> LOWER: matrix [[..]]")}
+_CLIPDEC_LINE = re.compile(r"^map\s+all\s*:\s*clipdec$")
+_LEVEL_MAP_LINE = re.compile(rf"^map\s+(u|v)\s+at\s+({LABEL})\s*:\s*matrix\s+(.*)$")
+_COVER = re.compile(rf"^\s*({LABEL})\s*<\s*({LABEL})\s*$")
+_RULE = re.compile(rf"^\s*({LABEL})\s*->\s*({LABEL})\s*$")
 
 
 @dataclass
@@ -40,7 +73,6 @@ class Document:
     systems: dict[str, SetSystem] = field(default_factory=dict)
     towers: dict[str, Tower] = field(default_factory=dict)
     groups: dict[str, FgAbGroup] = field(default_factory=dict)
-    homs: dict[str, AbHom] = field(default_factory=dict)
     absystems: dict[str, AbSystem] = field(default_factory=dict)
     sequences: dict[str, SequenceDecl] = field(default_factory=dict)
 
@@ -48,12 +80,33 @@ class Document:
         table = getattr(self, kind)
         if name is not None:
             if name not in table:
-                raise KeyError(f"no {kind[:-1]} named {name}")
+                raise BadOption(f"no {kind[:-1]} named {name}")
             return table[name]
         if len(table) != 1:
-            raise KeyError(f"file must contain exactly one {kind[:-1]} "
-                           f"(found {len(table)}); pass a name")
+            raise BadOption(f"file must contain exactly one {kind[:-1]} "
+                            f"(found {len(table)}); pass a name")
         return next(iter(table.values()))
+
+
+@dataclass
+class _Block:
+    """One block of a file: its header, its objects keyed by element, its
+    arrows keyed by (lower, upper) (a sequence: by (u or v, element)), and
+    the line number and text of each declaration."""
+    kind: str
+    name: str
+    line: int
+    args: tuple  # the rest of the header: POSET, H, or POSET A B C
+    objects: dict = field(default_factory=dict)
+    arrows: dict = field(default_factory=dict)
+    lines: dict = field(default_factory=dict)  # (table, key) -> (line number, declaration)
+
+    def declare(self, table: str, key, value, lineno: int, what: str):
+        if (table, key) in self.lines:
+            first = self.lines[(table, key)][0]
+            raise ParseError(lineno, f"{what} is already declared at line {first}")
+        getattr(self, table)[key] = value
+        self.lines[(table, key)] = lineno, what
 
 
 def _check_label(tok: str, lineno: int) -> str:
@@ -62,17 +115,25 @@ def _check_label(tok: str, lineno: int) -> str:
     return tok
 
 
-def _parse_carrier(body: str, lineno: int) -> tuple[str, ...]:
-    labels = tuple(_check_label(t, lineno) for t in body.split())
-    if len(set(labels)) != len(labels):
-        raise ParseError(lineno, "a carrier lists a label twice")
-    return labels
+def _parse_object(word: str, m: re.Match, lineno: int):
+    """The object of a line matched by _OBJECT_LINES[word] or _GROUP_LINE: a
+    carrier tuple for `set`, an FgAbGroup for `group`."""
+    if word == "set":
+        labels = tuple(_check_label(t, lineno) for t in m[2].split())
+        if len(set(labels)) != len(labels):
+            raise ParseError(lineno, "a carrier lists a label twice")
+        return labels
+    rows = _parse_matrix(m[3], lineno)
+    try:
+        return FgAbGroup(int(m[2]), IntMatrix.from_rows(rows, cols=int(m[2])))
+    except ValueError as exc:  # ragged rows, or rows not as wide as the generators
+        raise ParseError(lineno, str(exc))
 
 
 def _parse_rules(body: str, lineno: int) -> dict[str, str]:
     bmap = {}
     for rule in body.split(","):
-        m = re.match(rf"^\s*({LABEL})\s*->\s*({LABEL})\s*$", rule)
+        m = _RULE.match(rule)
         if not m:
             raise ParseError(lineno, f"bad map rule {rule.strip()!r}")
         if m.group(1) in bmap:
@@ -86,8 +147,6 @@ def _parse_matrix(text: str, lineno: int) -> list[list[int]]:
         value = ast.literal_eval(text.strip())
     except (ValueError, SyntaxError):
         raise ParseError(lineno, f"bad matrix literal {text.strip()!r}")
-    if value == []:
-        return []
     if (not isinstance(value, list)
             or not all(isinstance(r, list) and all(isinstance(x, int) for x in r)
                        for r in value)):
@@ -95,219 +154,143 @@ def _parse_matrix(text: str, lineno: int) -> list[list[int]]:
     return value
 
 
+def _hom(source: FgAbGroup, target: FgAbGroup, rows: list[list[int]]) -> AbHom:
+    return AbHom(source, target, IntMatrix.from_rows(rows, cols=source.ngens))
+
+
 def parse_document(text: str) -> Document:
     doc = Document()
-    block: Optional[dict] = None
-
-    def close_block():
-        nonlocal block
-        if block is None:
-            return
-        kind = block["kind"]
-        line = block["line"]
-        name = block["name"]
-        try:
-            if kind == "poset":
-                doc.posets[name] = validate_poset(block["elements"], block["covers"])
-            elif kind == "system":
-                base = doc.posets[block["over"]]
-                unknown = [e for e in block["sets"] if e not in base.elements]
-                if unknown:
-                    raise ParseError(line, f"set for {unknown[0]}, which is not an "
-                                           f"element of {block['over']}")
-                doc.systems[name] = validate_system(base, block["sets"], block["maps"])
-            elif kind == "tower":
-                doc.towers[name] = _close_tower(block)
-            elif kind == "absystem":
-                base = doc.posets[block["over"]]
-                groups = block["groups"]
-                bonds = {}
-                for (lo, hi), rows in block["maps"].items():
-                    mat = IntMatrix.from_rows(rows, cols=groups[hi].ngens)
-                    bonds[(lo, hi)] = AbHom(groups[hi], groups[lo], mat)
-                doc.absystems[name] = validate_absystem(base, groups, bonds)
-            elif kind == "sequence":
-                a, b, c = (doc.absystems[s] for s in block["systems"])
-                u, v = {}, {}
-                ladder = {"u": (a, b, u), "v": (b, c, v)}
-                for tag, elem, rows in block["levelmaps"]:
-                    src, tgt, maps = ladder[tag]
-                    maps[elem] = AbHom(src.group(elem), tgt.group(elem),
-                                       IntMatrix.from_rows(rows, cols=src.group(elem).ngens))
-                doc.sequences[name] = SequenceDecl(a.base, block["systems"], u, v)
-        except KeyError as exc:
-            raise ParseError(line, f"unknown reference {exc}")
-        except ValueError as exc:
-            raise ParseError(line, str(exc))
-        block = None
-
+    block: Optional[_Block] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head = line.split()[0]
-        if head == "poset":
-            close_block()
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(lineno, "expected: poset NAME")
-            block = {"kind": "poset", "name": _check_label(parts[1], lineno),
-                     "line": lineno, "elements": [], "covers": []}
-        elif head == "system":
-            close_block()
-            m = re.match(rf"^system\s+({LABEL})\s+over\s+({LABEL})$", line)
+        if head in _HEADERS:
+            _close_block(block, doc)
+            usage, pattern = _HEADERS[head]
+            m = pattern.match(line)
             if not m:
-                raise ParseError(lineno, "expected: system NAME over POSET")
-            block = {"kind": "system", "name": m.group(1), "over": m.group(2),
-                     "line": lineno, "sets": {}, "maps": {}}
-        elif head == "tower":
-            close_block()
-            m = re.match(rf"^tower\s+({LABEL})\s+horizon\s+(\d+)$", line)
-            if not m:
-                raise ParseError(lineno, "expected: tower NAME horizon H")
-            block = {"kind": "tower", "name": m.group(1),
-                     "horizon": int(m.group(2)), "line": lineno,
-                     "sets": {}, "maps": {}, "rule": None}
-        elif head == "absystem":
-            close_block()
-            m = re.match(rf"^absystem\s+({LABEL})\s+over\s+({LABEL})$", line)
-            if not m:
-                raise ParseError(lineno, "expected: absystem NAME over POSET")
-            block = {"kind": "absystem", "name": m.group(1), "over": m.group(2),
-                     "line": lineno, "groups": {}, "maps": {}}
-        elif head == "sequence":
-            close_block()
-            m = re.match(rf"^sequence\s+({LABEL})\s+over\s+({LABEL})\s+systems"
-                         rf"\s+({LABEL})\s+({LABEL})\s+({LABEL})$", line)
-            if not m:
-                raise ParseError(lineno,
-                                 "expected: sequence NAME over POSET systems A B C")
-            block = {"kind": "sequence", "name": m.group(1), "over": m.group(2),
-                     "systems": (m.group(3), m.group(4), m.group(5)),
-                     "line": lineno, "levelmaps": []}
+                raise ParseError(lineno, f"expected: {usage}")
+            block = _Block(head, m[1], lineno, m.groups()[1:])
         elif head == "group" and block is None:
-            m = re.match(rf"^group\s+({LABEL})\s+gens\s+(\d+)\s+relations\s+(.*)$", line)
+            m = _GROUP_LINE.match(line)
             if not m:
                 raise ParseError(lineno, "expected: group NAME gens K relations [[..]]")
-            rows = _parse_matrix(m.group(3), lineno)
-            doc.groups[m.group(1)] = FgAbGroup(
-                int(m.group(2)), IntMatrix.from_rows(rows, cols=int(m.group(2))))
-        elif head == "hom" and block is None:
-            m = re.match(rf"^hom\s+({LABEL})\s+({LABEL})\s*->\s*({LABEL})"
-                         rf"\s+matrix\s+(.*)$", line)
-            if not m:
-                raise ParseError(lineno, "expected: hom NAME SRC -> TGT matrix [[..]]")
-            try:
-                src, tgt = doc.groups[m.group(2)], doc.groups[m.group(3)]
-            except KeyError as exc:
-                raise ParseError(lineno, f"unknown group {exc}")
-            rows = _parse_matrix(m.group(4), lineno)
-            doc.homs[m.group(1)] = AbHom(src, tgt,
-                                         IntMatrix.from_rows(rows, cols=src.ngens))
+            doc.groups[m[1]] = _parse_object("group", m, lineno)
         elif block is not None:
             _parse_block_line(block, line, lineno)
         else:
             raise ParseError(lineno, f"unexpected declaration {line!r}")
-    close_block()
+    _close_block(block, doc)
     return doc
 
 
-def _parse_block_line(block: dict, line: str, lineno: int):
-    kind = block["kind"]
-    if kind == "poset":
-        if line.startswith("elements:"):
-            for tok in line[len("elements:"):].split():
-                block["elements"].append(_check_label(tok, lineno))
-        elif line.startswith("covers:"):
-            body = line[len("covers:"):].strip()
-            if body:
-                for pair in body.split(","):
-                    m = re.match(rf"^\s*({LABEL})\s*<\s*({LABEL})\s*$", pair)
-                    if not m:
-                        raise ParseError(lineno, f"bad cover {pair.strip()!r}")
-                    block["covers"].append((m.group(1), m.group(2)))
-        else:
+def _parse_block_line(b: _Block, line: str, lineno: int):
+    word = _WORDS.get(b.kind)  # None in a poset or a sequence
+    if b.kind == "poset":
+        m = re.match(r"^(elements|covers):(.*)$", line)
+        if not m:
             raise ParseError(lineno, f"unexpected poset line {line!r}")
-    elif kind == "system":
-        if line.startswith("set "):
-            m = re.match(rf"^set\s+({LABEL})\s*:\s*\{{(.*)\}}$", line)
-            if not m:
-                raise ParseError(lineno, "expected: set ELEM: { x y z }")
-            block["sets"][m.group(1)] = _parse_carrier(m.group(2), lineno)
-        elif line.startswith("map "):
-            m = re.match(rf"^map\s+({LABEL})\s*->\s*({LABEL})\s*:\s*(.*)$", line)
-            if not m:
-                raise ParseError(lineno, "expected: map UPPER -> LOWER: x -> y, ...")
-            block["maps"][(m.group(2), m.group(1))] = _parse_rules(m.group(3), lineno)
-        else:
-            raise ParseError(lineno, f"unexpected system line {line!r}")
-    elif kind == "tower":
-        if line.startswith("set "):
-            m = re.match(rf"^set\s+(all|\d+)\s*:\s*\{{(.*)\}}$", line)
-            if not m:
-                raise ParseError(lineno, "expected: set N: { ... } or set all: { ... }")
-            block["sets"][m.group(1)] = _parse_carrier(m.group(2), lineno)
-        elif line.startswith("map "):
-            m = re.match(r"^map\s+all\s*:\s*clipdec$", line)
-            if m:
-                block["rule"] = "clipdec"
-                return
-            m = re.match(rf"^map\s+(\d+)\s*->\s*(\d+)\s*:\s*(.*)$", line)
-            if not m:
-                raise ParseError(lineno,
-                                 "expected: map N+1 -> N: x -> y, ... or map all: clipdec")
-            hi, lo = int(m.group(1)), int(m.group(2))
-            if hi != lo + 1:
-                raise ParseError(lineno, "tower maps go from n+1 to n")
-            block["maps"][lo] = _parse_rules(m.group(3), lineno)
-        else:
-            raise ParseError(lineno, f"unexpected tower line {line!r}")
-    elif kind == "absystem":
-        if line.startswith("group "):
-            m = re.match(rf"^group\s+({LABEL})\s*:\s*gens\s+(\d+)\s+relations\s+(.*)$",
-                         line)
-            if not m:
-                raise ParseError(lineno, "expected: group ELEM: gens K relations [[..]]")
-            rows = _parse_matrix(m.group(3), lineno)
-            block["groups"][m.group(1)] = FgAbGroup(
-                int(m.group(2)), IntMatrix.from_rows(rows, cols=int(m.group(2))))
-        elif line.startswith("map "):
-            m = re.match(rf"^map\s+({LABEL})\s*->\s*({LABEL})\s*:\s*matrix\s+(.*)$",
-                         line)
-            if not m:
-                raise ParseError(lineno, "expected: map UPPER -> LOWER: matrix [[..]]")
-            block["maps"][(m.group(2), m.group(1))] = _parse_matrix(m.group(3), lineno)
-        else:
-            raise ParseError(lineno, f"unexpected absystem line {line!r}")
-    elif kind == "sequence":
-        m = re.match(rf"^map\s+(u|v)\s+at\s+({LABEL})\s*:\s*matrix\s+(.*)$", line)
+        for tok in (m[2].split() if m[1] == "elements" else ()):
+            b.declare("objects", _check_label(tok, lineno), None, lineno, f"element {tok}")
+        for pair in (m[2].split(",") if m[1] == "covers" and m[2].strip() else ()):
+            c = _COVER.match(pair)
+            if not c:
+                raise ParseError(lineno, f"bad cover {pair.strip()!r}")
+            b.declare("arrows", (c[1], c[2]), None, lineno, f"cover {c[1]} < {c[2]}")
+    elif b.kind == "sequence":
+        m = _LEVEL_MAP_LINE.match(line)
         if not m:
             raise ParseError(lineno, "expected: map u at ELEM: matrix [[..]]")
-        block["levelmaps"].append((m.group(1), m.group(2),
-                                   _parse_matrix(m.group(3), lineno)))
+        b.declare("arrows", (m[1], m[2]), _parse_matrix(m[3], lineno), lineno,
+                  f"map {m[1]} at {m[2]}")
+    elif line.startswith(word + " "):
+        pattern, usage = _OBJECT_LINES[word]
+        m = pattern.match(line)
+        if not m:
+            raise ParseError(lineno, f"expected: {usage}")
+        b.declare("objects", m[1], _parse_object(word, m, lineno), lineno, f"{word} {m[1]}")
+    elif b.kind == "tower" and _CLIPDEC_LINE.match(line):
+        b.declare("arrows", "all", "clipdec", lineno, "map all")
+    elif line.startswith("map "):
+        pattern, usage = _ARROW_LINES[word]
+        m = pattern.match(line)
+        if not m:
+            raise ParseError(lineno, f"expected: {usage}")
+        body = (_parse_rules if word == "set" else _parse_matrix)(m[3], lineno)
+        b.declare("arrows", (m[2], m[1]), body, lineno, f"map {m[1]} -> {m[2]}")
+    else:
+        raise ParseError(lineno, f"unexpected {b.kind} line {line!r}")
 
 
-def _close_tower(block: dict) -> Tower:
-    h = block["horizon"]
-    carriers = []
-    for n in range(h + 1):
-        key = str(n) if str(n) in block["sets"] else "all"
-        if key not in block["sets"]:
-            raise ParseError(block["line"], f"tower level {n} has no carrier")
-        carriers.append(block["sets"][key])
-    steps = []
-    for n in range(h):
-        if block["rule"] == "clipdec" and n not in block["maps"]:
-            floor = min(int(x) for x in carriers[n])
-            step = {}
-            for x in carriers[n + 1]:
-                step[x] = str(max(int(x) - 1, floor))
-            steps.append(step)
-        elif n in block["maps"]:
-            steps.append(block["maps"][n])
+def _close_block(b: Optional[_Block], doc: Document):
+    if b is None:
+        return
+    try:
+        if b.kind == "poset":
+            doc.posets[b.name] = validate_poset(b.objects, b.arrows)
+            return
+        if b.kind == "tower":
+            base, over = tower_chain(int(b.args[0])), f"the chain 0 < ... < {b.args[0]}"
+            _tower_defaults(b, base)
         else:
-            raise ParseError(block["line"], f"tower step {n + 1} -> {n} missing")
-    return validate_tower(h, carriers, steps)
+            base, over = doc.posets[b.args[0]], b.args[0]
+        _check_tables(b, base, over)
+        if b.kind == "system":
+            doc.systems[b.name] = validate_system(base, b.objects, b.arrows)
+        elif b.kind == "tower":
+            doc.towers[b.name] = validate_tower(int(b.args[0]),
+                                                [b.objects[e] for e in base.elements],
+                                                [b.arrows[c] for c in base.covers])
+        elif b.kind == "absystem":
+            doc.absystems[b.name] = validate_absystem(base, b.objects, {
+                (lo, hi): _hom(b.objects[hi], b.objects[lo], rows)
+                for (lo, hi), rows in b.arrows.items()})
+        else:
+            x, y, z = (doc.absystems[s] for s in b.args[1:])
+            if not x.base == y.base == z.base == base:
+                raise ParseError(b.line, f"systems of {b.name} are not all over {over}")
+            u = {e: _hom(x.group(e), y.group(e), b.arrows[("u", e)]) for e in base.elements}
+            v = {e: _hom(y.group(e), z.group(e), b.arrows[("v", e)]) for e in base.elements}
+            doc.sequences[b.name] = SequenceDecl(base, b.args[1:], u, v)
+    except KeyError as exc:
+        raise ParseError(b.line, f"unknown reference {exc}")
+    except ValueError as exc:
+        raise ParseError(b.line, str(exc))
+
+
+def _tower_defaults(b: _Block, chain: Poset):
+    """Fill the levels without a `set N` line from `set all`, and the steps
+    without a `map N+1 -> N` line from `map all: clipdec`."""
+    every = b.objects.pop("all", None)
+    for e in chain.elements if every is not None else ():
+        b.objects.setdefault(e, every)
+    for lo, hi in chain.covers if b.arrows.pop("all", None) else ():
+        if (lo, hi) not in b.arrows and lo in b.objects and hi in b.objects:
+            floor = min(int(x) for x in b.objects[lo])
+            b.arrows[(lo, hi)] = {x: str(max(int(x) - 1, floor)) for x in b.objects[hi]}
+
+
+def _check_tables(b: _Block, base: Poset, over: str):
+    """Every object on an element of the base and every arrow on a cover (a
+    sequence: on an element), each at its own line; none of them missing."""
+    if b.kind == "sequence":  # table -> (wanted keys in order, name of a key)
+        wanted = {"arrows": ([(t, e) for t in "uv" for e in base.elements],
+                             lambda key: f"map {key[0]} at {key[1]}")}
+    else:
+        wanted = {"objects": (base.elements, lambda e: f"{_WORDS[b.kind]} {e}"),
+                  "arrows": (base.covers, lambda key: f"map {key[1]} -> {key[0]}")}
+    for table, (keys, name) in wanted.items():
+        declared, allowed = getattr(b, table), set(keys)
+        noun = "cover" if table == "arrows" and b.kind != "sequence" else "element"
+        for key in declared:
+            if key not in allowed:
+                lineno, what = b.lines[(table, key)]
+                raise ParseError(lineno, f"{what}: no such {noun} in {over}")
+        if len(declared) < len(allowed):  # declared keys are distinct and allowed
+            missing = next(key for key in keys if key not in declared)
+            raise ParseError(b.line, f"{b.kind} {b.name} has no {name(missing)} line")
 
 
 # -- serialization --------------------------------------------------------
@@ -320,24 +303,40 @@ def poset_to_text(name: str, p: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def system_to_text(name: str, over: str, s: SetSystem) -> str:
-    lines = [f"system {name} over {over}"]
-    for e in s.base.elements:
-        lines.append(f"set {e}: {{ " + " ".join(str(x) for x in s.carriers[e]) + " }")
-    for (lo, hi) in s.base.covers:
-        rules = ", ".join(f"{x} -> {y}" for x, y in s.cover_bonds[(lo, hi)].items())
-        lines.append(f"map {hi} -> {lo}: {rules}")
+def _rows(m: IntMatrix) -> str:
+    return str([list(r) for r in m.entries])
+
+
+def _object_text(e: str, obj) -> str:
+    if isinstance(obj, FgAbGroup):
+        return f"group {e}: gens {obj.ngens} relations {_rows(obj.relations)}"
+    return f"set {e}: {{ " + " ".join(str(x) for x in obj) + " }"
+
+
+def _arrow_text(arrow) -> str:
+    if isinstance(arrow, AbHom):
+        return f"matrix {_rows(arrow.matrix)}"
+    return ", ".join(f"{x} -> {y}" for x, y in arrow.items())
+
+
+def _diagram_to_text(header: str, d: Diagram) -> str:
+    """The header, one object line per element, one map line per cover."""
+    lines = [header] + [_object_text(e, d.objects[e]) for e in d.base.elements]
+    lines += [f"map {hi} -> {lo}: {_arrow_text(d.cover_bonds[(lo, hi)])}"
+              for lo, hi in d.base.covers]
     return "\n".join(lines) + "\n"
+
+
+def system_to_text(name: str, over: str, s: SetSystem) -> str:
+    return _diagram_to_text(f"system {name} over {over}", s)
 
 
 def tower_to_text(name: str, t: Tower) -> str:
-    lines = [f"tower {name} horizon {t.horizon}"]
-    for n in range(t.horizon + 1):
-        lines.append(f"set {n}: {{ " + " ".join(str(x) for x in t.carriers[n]) + " }")
-    for n in range(t.horizon):
-        rules = ", ".join(f"{x} -> {y}" for x, y in t.steps[n].items())
-        lines.append(f"map {n + 1} -> {n}: {rules}")
-    return "\n".join(lines) + "\n"
+    return _diagram_to_text(f"tower {name} horizon {t.horizon}", t.system)
+
+
+def absystem_to_text(name: str, over: str, s: AbSystem) -> str:
+    return _diagram_to_text(f"absystem {name} over {over}", s)
 
 
 def sequence_to_text(name: str, over: str, systems: tuple[str, str, str],
@@ -345,18 +344,5 @@ def sequence_to_text(name: str, over: str, systems: tuple[str, str, str],
     lines = [f"sequence {name} over {over} systems " + " ".join(systems)]
     for tag, table in (("u", u), ("v", v)):
         for e, h in table.items():
-            mat = [list(r) for r in h.matrix.entries]
-            lines.append(f"map {tag} at {e}: matrix {mat}")
-    return "\n".join(lines) + "\n"
-
-
-def absystem_to_text(name: str, over: str, s: AbSystem) -> str:
-    lines = [f"absystem {name} over {over}"]
-    for e in s.base.elements:
-        g = s.group(e)
-        rel = [list(r) for r in g.relations.entries]
-        lines.append(f"group {e}: gens {g.ngens} relations {rel}")
-    for (lo, hi) in s.base.covers:
-        mat = [list(r) for r in s.cover_bonds[(lo, hi)].matrix.entries]
-        lines.append(f"map {hi} -> {lo}: matrix {mat}")
+            lines.append(f"map {tag} at {e}: matrix {_rows(h.matrix)}")
     return "\n".join(lines) + "\n"

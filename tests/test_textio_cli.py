@@ -286,3 +286,87 @@ def test_cli_rejects_non_utf8_file(tmp_path, capsys):
 
 def test_cli_rejects_directory(tmp_path, capsys):
     assert "directory" in _rejected(["validate", str(tmp_path)], capsys)
+
+
+WEDGE_ABSYSTEM = WEDGE_TXT + """
+absystem A over W
+group a: gens 0 relations []
+group b: gens 0 relations []
+group c: gens 1 relations []
+map a -> c: matrix [[]]
+map b -> c: matrix [[]]
+"""
+
+CLIPDEC_TOWER = """\
+tower T horizon 2
+set all: { 0 1 }
+map all: clipdec
+"""
+
+WEDGE_SEQUENCE = WEDGE_ABSYSTEM + """
+sequence Q over W systems A A A
+map u at a: matrix []
+map v at a: matrix []
+map u at b: matrix []
+map v at b: matrix []
+map u at c: matrix [[1]]
+map v at c: matrix [[1]]
+"""
+
+
+@pytest.mark.parametrize("text, old, new, message", [
+    (WEDGE_SYSTEM, "set b: { y }", "set b: { y }\nset a: { x }",
+     "line 8: set a is already declared at line 6"),
+    (WEDGE_SYSTEM, "map b -> c: y -> z", "map b -> c: y -> z\nmap a -> c: x -> w",
+     "line 11: map a -> c is already declared at line 9"),
+    (WEDGE_SYSTEM, "map a -> c: x -> z", "map a -> b: x -> y",
+     "line 9: map a -> b: no such cover in W"),
+    (WEDGE_SYSTEM, "set c: { z w }\n", "", "line 5: system S has no set c line"),
+    (CLIPDEC_TOWER, "set all: { 0 1 }", "set 1: { 0 1 }\nset 1: { 0 }",
+     "line 3: set 1 is already declared at line 2"),
+    (CLIPDEC_TOWER, "map all: clipdec", "map 1 -> 0: 0 -> 0\nmap 1 -> 0: 0 -> 0",
+     "line 4: map 1 -> 0 is already declared at line 3"),
+    (CLIPDEC_TOWER, "map all: clipdec", "map all: clipdec\nset 7: { 0 }",
+     "line 4: set 7: no such element in the chain 0 < ... < 2"),
+    (CLIPDEC_TOWER, "map all: clipdec", "map 2 -> 0: 0 -> 0, 1 -> 0",
+     "line 3: map 2 -> 0: no such cover in the chain 0 < ... < 2"),
+    (WEDGE_ABSYSTEM, "group c: gens 1 relations []",
+     "group c: gens 1 relations []\ngroup b: gens 0 relations []",
+     "line 9: group b is already declared at line 7"),
+    (WEDGE_ABSYSTEM, "map b -> c: matrix [[]]", "map b -> c: matrix [[]]\nmap b -> c: matrix [[]]",
+     "line 11: map b -> c is already declared at line 10"),
+    (WEDGE_ABSYSTEM, "map b -> c: matrix [[]]", "map b -> c: matrix [[]]\ngroup zz: gens 1 relations []",
+     "line 11: group zz: no such element in W"),
+    (WEDGE_ABSYSTEM, "group c: gens 1 relations []", "group c: gens 1 relations [[1, 2]]",
+     "line 8: relation width must equal generator count"),
+    ("", "", "group G gens 1 relations [[1], [1, 2]]\n", "line 1: ragged rows"),
+    (WEDGE_SEQUENCE, "map v at b: matrix []\n", "", "line 12: sequence Q has no map v at b line"),
+    (WEDGE_SEQUENCE, "map u at b: matrix []", "map u at a: matrix []",
+     "line 15: map u at a is already declared at line 13"),
+    (WEDGE_SEQUENCE, "map u at c: matrix [[1]]", "map u at c: matrix [[1]]\nmap u at zz: matrix []",
+     "line 18: map u at zz: no such element in W"),
+    (WEDGE_SEQUENCE, "sequence Q over W", "poset V\nelements: a b c\n\nsequence Q over V",
+     "line 15: systems of Q are not all over V"),
+], ids=["system-set-twice", "system-map-twice", "system-map-off-cover", "system-set-missing",
+        "tower-set-twice", "tower-map-twice", "tower-set-beyond-horizon",
+        "tower-map-off-cover", "absystem-group-twice", "absystem-map-twice",
+        "absystem-undeclared-element", "absystem-relations-too-wide",
+        "top-level-group-ragged", "sequence-map-missing", "sequence-map-twice",
+        "sequence-undeclared-element", "sequence-systems-off-base"])
+def test_cli_rejects_bad_declaration_with_its_line(tmp_path, capsys, text, old, new, message):
+    assert text.count(old) == 1
+    fp = tmp_path / "bad.txt"
+    fp.write_text(text.replace(old, new))
+    assert _rejected(["validate", str(fp)], capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--system", "Q", "{system}"],
+    ["surjective", "--system", "Q", "{system}"],
+    ["ml", "--tower", "Q", "{tower}"],
+    ["exactness", "--sequence", "Q", "{system}"],
+    ["ml", "{system}"],
+], ids=["system-name", "surjective-name", "tower-name", "sequence-name", "no-tower"])
+def test_cli_block_lookup_error_is_one_plain_line(files, capsys, argv):
+    err = _rejected([a.format(**files) for a in argv], capsys)
+    assert err.startswith("error: BadOption: ") and "'" not in err
