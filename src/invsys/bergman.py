@@ -158,13 +158,12 @@ def translate(c: CosetElement, by: FreeAbElement) -> CosetElement:
     return CosetElement(c.level, c.rep.add(by))
 
 
-def random_h_combination(rng: random.Random, alpha: int, n: int,
-                         terms: int = 3, coeff: int = 3) -> FreeAbElement:
-    """Random integer combination of in-range triangle relators."""
+def random_h_combination(rng: random.Random, alpha: int, n: int) -> FreeAbElement:
+    """Random combination of three in-range triangle relators, coefficients in [-3, 3]."""
     rels = h_relators(alpha, n)
     out = FreeAbElement.zero()
-    for _ in range(terms):
-        out = out.add(rng.choice(rels).scale(rng.randint(-coeff, coeff)))
+    for _ in range(3):
+        out = out.add(rng.choice(rels).scale(rng.randint(-3, 3)))
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -284,7 +285,10 @@ def main(argv=None) -> int:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 2
     report.elapsed = time.monotonic() - start
-    print(report.to_json() if args.json else report.to_text())
+    try:
+        print(report.to_json() if args.json else report.to_text(), flush=True)
+    except BrokenPipeError:  # the reader left early; the rest of the output goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

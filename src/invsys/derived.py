@@ -83,12 +83,14 @@ class CochainComplex:
 DEFAULT_FLAG_BUDGET = 20000
 
 
-def nerve_complex(sys: AbSystem, budget: int = DEFAULT_FLAG_BUDGET) -> CochainComplex:
+def nerve_complex(sys: AbSystem) -> CochainComplex:
     base = sys.base
     top = base.longest_chain()
-    flags = [base.chains(n + 1) for n in range(top)]
-    if sum(len(f) for f in flags) > budget:
-        raise BudgetExceeded("nerve flag count exceeds budget")
+    flags: list[list[tuple[str, ...]]] = []
+    for n in range(top):  # checked per length: a base far over budget stops early
+        flags.append(base.chains(n + 1))
+        if sum(map(len, flags)) > DEFAULT_FLAG_BUDGET:
+            raise BudgetExceeded("nerve flag count exceeds budget")
 
     offsets: list[dict[tuple[str, ...], int]] = []
     dims: list[int] = []
@@ -139,11 +141,8 @@ def nerve_complex(sys: AbSystem, budget: int = DEFAULT_FLAG_BUDGET) -> CochainCo
 
 def _cocycles(cx: CochainComplex, n: int) -> IntMatrix:
     """Columns generating {x in C(n) : d x lies in the degree-(n+1) relations}."""
-    d_n = cx.diff[n]
     lat_next = cx.lattices[n + 1] if n + 1 <= cx.top_degree else IntMatrix.zeros(0, 0)
-    if d_n.rows == 0:
-        return IntMatrix.identity(cx.dims[n])
-    return relative_kernel(d_n, lat_next)
+    return relative_kernel(cx.diff[n], lat_next)
 
 
 def cohomology(cx: CochainComplex, n: int) -> FgAbGroup:
@@ -158,9 +157,8 @@ def cohomology(cx: CochainComplex, n: int) -> FgAbGroup:
     return subquotient(z, sub)
 
 
-def derived_limit(sys: AbSystem, n: int,
-                  budget: int = DEFAULT_FLAG_BUDGET) -> FgAbGroup:
-    return cohomology(nerve_complex(sys, budget), n)
+def derived_limit(sys: AbSystem, n: int) -> FgAbGroup:
+    return cohomology(nerve_complex(sys), n)
 
 
 def h0_with_basis(sys: AbSystem) -> tuple[FgAbGroup, IntMatrix, CochainComplex]:
@@ -305,8 +303,7 @@ def scd_witness_system(base: Poset) -> AbSystem:
     return validate_absystem(base, groups, bonds)
 
 
-def scd_finite(base: Poset, trials: int, seed: int,
-               generator=None) -> int:
+def scd_finite(base: Poset, trials: int, seed: int) -> int:
     """Sampled lower bound for the surjective cohomological dimension.
 
     Runs `trials` randomly generated surjective systems plus the
@@ -316,12 +313,11 @@ def scd_finite(base: Poset, trials: int, seed: int,
     import random
 
     from .generators import random_surjective_absystem
-    gen = generator or random_surjective_absystem
     rng = random.Random(seed)
     best = 0
     top = base.longest_chain()
     systems = [scd_witness_system(base)]
-    systems += [gen(rng, base) for _ in range(trials)]
+    systems += [random_surjective_absystem(rng, base) for _ in range(trials)]
     for sys in systems:
         for n in range(top - 1, 0, -1):
             if n <= best:

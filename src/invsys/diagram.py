@@ -3,7 +3,7 @@ systems, towers and abelian-group systems."""
 
 from __future__ import annotations
 
-from .errors import FunctorialityViolation, MissingBond
+from .errors import FunctorialityViolation, InvsysError, MissingBond
 from .poset import Poset
 
 
@@ -57,8 +57,10 @@ class Diagram:
     def validate(self) -> "Diagram":
         """Check every cover bond, then full functoriality; returns self.
 
-        Two cover paths can only part at an element with two or more lower
-        covers, so the composites down from those elements check every path.
+        An error from ``check`` carries the failing cover as its ``cover``
+        attribute.  Two cover paths can only part at an element with two or
+        more lower covers, so the composites down from those elements check
+        every path.
         """
         covers = set(self.base.covers)
         for cov in self.base.covers:
@@ -67,7 +69,11 @@ class Diagram:
         for (lo, hi), arrow in self.cover_bonds.items():
             if (lo, hi) not in covers:
                 raise ValueError(f"bond on non-cover pair ({lo}, {hi})")
-            self.check(lo, hi, arrow)
+            try:
+                self.check(lo, hi, arrow)
+            except (ValueError, InvsysError) as exc:
+                exc.cover = lo, hi
+                raise
         splits = {j for j, lows in self.base.lower_covers.items() if len(lows) > 1}
         for j in (self.base.linear_extension() if splits else ()):
             if j in splits:

@@ -108,11 +108,10 @@ def random_tower(rng: random.Random, horizon: int = 12,
     return validate_tower(horizon, carriers, steps)
 
 
-def random_unimodular(rng: random.Random, n: int,
-                      shears: int = 4) -> tuple[IntMatrix, IntMatrix]:
-    """(W, W^{-1}) as a short product of elementary shears and swaps."""
+def random_unimodular(rng: random.Random, n: int) -> tuple[IntMatrix, IntMatrix]:
+    """(W, W^{-1}) as a product of four elementary shears and swaps."""
     w = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(shears if n >= 2 else 0):
+    for _ in range(4 if n >= 2 else 0):
         i, j = rng.sample(range(n), 2)
         if rng.random() < 0.3:
             for row in w:

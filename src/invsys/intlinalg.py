@@ -3,8 +3,13 @@
 All entries are Python ints, so intermediate blow-up during elimination is
 harmless.  The Smith routine returns the full transform pair (U, D, V) with
 U*m*V = D, both transforms unimodular, and the diagonal in a divisibility
-chain; pivots are chosen by smallest nonzero absolute value with row-major
-tie-breaking, which keeps the run deterministic and the entries tame.
+chain.  It is one pivot loop (Cohen, A Course in Computational Algebraic
+Number Theory, Alg. 2.4.14): each round moves the smallest nonzero entry of
+the trailing submatrix, ties broken in row-major order, to the diagonal and
+divides its row and column by it; a remainder, or an entry the pivot does
+not divide, starts another round, so the pivot shrinks until it divides
+everything after it.  The choice keeps the run deterministic and the
+entries tame.
 """
 
 from __future__ import annotations
@@ -133,81 +138,42 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     u = [[int(i == j) for j in range(r)] for i in range(r)]
     v = [[int(i == j) for j in range(c)] for i in range(c)]
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_addmul(i, j, q):  # row_i += q * row_j
+    def row_op(i, j, q):  # row_i += q * row_j, in a and in u
         a[i] = [x + q * y for x, y in zip(a[i], a[j])]
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
 
-    def col_addmul(i, j, q):  # col_i += q * col_j
-        for row in a:
-            row[i] += q * row[j]
-        for row in v:
+    def col_op(i, j, q):  # col_i += q * col_j, in a and in v
+        for row in a + v:
             row[i] += q * row[j]
 
     t = 0
     while t < min(r, c):
-        # smallest nonzero absolute value, ties in row-major position
-        pivot = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if a[i][j] != 0 and (pivot is None
-                                     or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+        # one round: the smallest nonzero entry, ties in row-major order,
+        # moves to (t, t) and divides its row and column with remainder
+        pivot = min(((abs(x), i, j) for i in range(t, r)
+                     for j, x in enumerate(a[i][t:], t) if x), default=None)
         if pivot is None:
             break
-        if pivot[0] != t:
-            swap_rows(pivot[0], t)
-        if pivot[1] != t:
-            swap_cols(pivot[1], t)
-        while True:
-            p = a[t][t]
-            restart = False
-            for i in range(t + 1, r):
-                if a[i][t] % p != 0:
-                    row_addmul(i, t, -(a[i][t] // p))
-                    swap_rows(i, t)  # remainder is a strictly smaller pivot
-                    restart = True
-                    break
-            if restart:
+        _, i, j = pivot
+        a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+        for row in a + v:
+            row[t], row[j] = row[j], row[t]
+        p = a[t][t]
+        for i in range(t + 1, r):
+            if a[i][t]:
+                row_op(i, t, -(a[i][t] // p))
+        for j in range(t + 1, c):
+            if a[t][j]:
+                col_op(j, t, -(a[t][j] // p))
+        if any(a[i][t] for i in range(t + 1, r)) or any(a[t][t + 1:]):
+            continue  # a remainder is left, smaller than the pivot
+        if abs(p) > 1:  # a unit divides every entry
+            k = next((i for i in range(t + 1, r) if any(x % p for x in a[i][t + 1:])), None)
+            if k is not None:
+                row_op(t, k, 1)  # an entry that p does not divide moves into row t
                 continue
-            for i in range(t + 1, r):
-                if a[i][t] != 0:
-                    row_addmul(i, t, -(a[i][t] // p))
-            for j in range(t + 1, c):
-                if a[t][j] % p != 0:
-                    col_addmul(j, t, -(a[t][j] // p))
-                    swap_cols(j, t)
-                    restart = True
-                    break
-            if restart:
-                continue
-            for j in range(t + 1, c):
-                if a[t][j] != 0:
-                    col_addmul(j, t, -(a[t][j] // p))
-            if any(a[i][t] != 0 for i in range(t + 1, r)):
-                continue  # column ops re-dirtied the pivot column
-            if any(a[t][j] != 0 for j in range(t + 1, c)):
-                continue
-            offender = None
-            for i in range(t + 1, r):
-                if any(a[i][j] % p != 0 for j in range(t + 1, c)):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            row_addmul(t, offender, 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+        if p < 0:
+            row_op(t, t, -2)  # negates row t
         t += 1
     return (IntMatrix.from_rows(u, cols=r),
             IntMatrix.from_rows(a, cols=c),
@@ -260,11 +226,6 @@ def relative_kernel(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
 
     lat must have the same row count as m; the result has m.cols rows.
     """
-    if lat.cols == 0:
-        ker = kernel_basis(m)
-        return IntMatrix.from_cols(ker, rows=m.cols)
-    if m.rows != lat.rows:
-        raise ValueError("dimension mismatch")
     combined = m.hstack(lat)
     projected = [k[: m.cols] for k in kernel_basis(combined)]
     cols = [p for p in projected if any(p)]
@@ -284,14 +245,9 @@ def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a unimodular matrix."""
+    """Exact integer inverse of a unimodular matrix: its Smith form is the
+    identity, so U*m*V = 1 and the inverse is V*U."""
     if not is_unimodular(m):
         raise ValueError("matrix is not unimodular")
-    cols = []
-    n = m.rows
-    for j in range(n):
-        e = [int(i == j) for i in range(n)]
-        x = solve(m, e)
-        assert x is not None
-        cols.append(x)
-    return IntMatrix.from_cols(cols, rows=n)
+    u, _, v = smith_normal_form(m)
+    return v.mul(u)

@@ -194,9 +194,9 @@ def validate_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -
     return p
 
 
-def chain_poset(n: int, prefix: str = "") -> Poset:
+def chain_poset(n: int) -> Poset:
     """The chain 1 <= 2 <= ... <= n."""
-    labels = [f"{prefix}{i}" for i in range(1, n + 1)]
+    labels = [str(i) for i in range(1, n + 1)]
     covers = [(labels[i], labels[i + 1]) for i in range(n - 1)]
     return validate_poset(labels, covers)
 

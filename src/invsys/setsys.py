@@ -255,25 +255,20 @@ def universal_images(sys: SetSystem):
     tower is restricted as the system on its chain and comes back as a
     tower, with levels in its pairs.
     """
-    pairs = sys.base.comparable_pairs()
-    keep = {i: set(sys.carriers[i]) for i in sys.base.elements}
-    for i, j in pairs:
-        keep[i] &= set(sys.bond(i, j).values())
-    # Off a directed base a kept element can map to a dropped one; drop it
-    # too, upwards, visiting each bond entry at most twice.
-    preimages = {}  # (lo, y) -> [(hi, x) : x kept, cover bond (lo, hi) sends x to y]
-    for (lo, hi), bmap in sys.cover_bonds.items():
-        for x in keep[hi]:
-            preimages.setdefault((lo, bmap[x]), []).append((hi, x))
-    dropped = [(lo, y) for (lo, y) in preimages if y not in keep[lo]]
-    while dropped:
-        for hi, x in preimages.get(dropped.pop(), ()):
-            if x in keep[hi]:
-                keep[hi].discard(x)
-                dropped.append((hi, x))
+    base = sys.base
+    tops = base.maximal_elements()
+    keep = {}
+    for j in base.linear_extension():
+        # An image in j from an element contains the image from every element
+        # above it, so the maximal elements give the whole intersection; off a
+        # directed base x must also map to kept elements at the lower covers.
+        images = (set(sys.bond(j, m).values()) for m in tops if base.leq(j, m))
+        keep[j] = {x for x in set.intersection(*images)
+                   if all(sys.cover_bonds[(lo, j)][x] in keep[lo] for lo in base.lower_covers[j])}
     restricted = sys.restrict({i: tuple(x for x in sys.carriers[i] if x in keep[i])
-                               for i in sys.base.elements})
-    meta = {(i, j): restricted.is_onto(restricted.bond(i, j), i) for i, j in pairs}
+                               for i in base.elements})
+    meta = {(i, j): restricted.is_onto(restricted.bond(i, j), i)
+            for i, j in base.comparable_pairs()}
     return restricted, meta
 
 

@@ -16,10 +16,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .abgroups import AbHom, FgAbGroup
+from .abgroups import AbHom, FgAbGroup, hom_is_valid
 from .derived import AbSystem, validate_absystem
 from .diagram import Diagram
-from .errors import BadOption, ParseError
+from .errors import BadOption, NotFunction, ParseError
 from .intlinalg import IntMatrix
 from .poset import Poset, validate_poset
 from .setsys import SetSystem, Tower, tower_chain, validate_system, validate_tower
@@ -154,8 +154,17 @@ def _parse_matrix(text: str, lineno: int) -> list[list[int]]:
     return value
 
 
-def _hom(source: FgAbGroup, target: FgAbGroup, rows: list[list[int]]) -> AbHom:
-    return AbHom(source, target, IntMatrix.from_rows(rows, cols=source.ngens))
+def _hom(b: _Block, key, source: FgAbGroup, target: FgAbGroup, valid: bool = False) -> AbHom:
+    """The arrow of b at key as a hom, checked to respect relations when
+    valid; a failure is a ParseError at the arrow's line."""
+    try:
+        h = AbHom(source, target, IntMatrix.from_rows(b.arrows[key], cols=source.ngens))
+        if valid and not hom_is_valid(h):
+            raise ValueError("does not respect relations")
+        return h
+    except ValueError as exc:
+        lineno, what = b.lines[("arrows", key)]
+        raise ParseError(lineno, f"{what}: {exc}")
 
 
 def parse_document(text: str) -> Document:
@@ -245,19 +254,20 @@ def _close_block(b: Optional[_Block], doc: Document):
                                                 [b.arrows[c] for c in base.covers])
         elif b.kind == "absystem":
             doc.absystems[b.name] = validate_absystem(base, b.objects, {
-                (lo, hi): _hom(b.objects[hi], b.objects[lo], rows)
-                for (lo, hi), rows in b.arrows.items()})
+                (lo, hi): _hom(b, (lo, hi), b.objects[hi], b.objects[lo])
+                for lo, hi in b.arrows})
         else:
             x, y, z = (doc.absystems[s] for s in b.args[1:])
             if not x.base == y.base == z.base == base:
                 raise ParseError(b.line, f"systems of {b.name} are not all over {over}")
-            u = {e: _hom(x.group(e), y.group(e), b.arrows[("u", e)]) for e in base.elements}
-            v = {e: _hom(y.group(e), z.group(e), b.arrows[("v", e)]) for e in base.elements}
+            u = {e: _hom(b, ("u", e), x.group(e), y.group(e), True) for e in base.elements}
+            v = {e: _hom(b, ("v", e), y.group(e), z.group(e), True) for e in base.elements}
             doc.sequences[b.name] = SequenceDecl(base, b.args[1:], u, v)
     except KeyError as exc:
         raise ParseError(b.line, f"unknown reference {exc}")
-    except ValueError as exc:
-        raise ParseError(b.line, str(exc))
+    except (ValueError, NotFunction) as exc:  # Diagram.validate names a failing cover
+        cover = getattr(exc, "cover", None)
+        raise ParseError(b.lines.get(("arrows", cover), (b.line,))[0], str(exc))
 
 
 def _tower_defaults(b: _Block, chain: Poset):

@@ -18,6 +18,8 @@ from invsys.intlinalg import IntMatrix
 from invsys.poset import chain_poset, validate_poset, wedge_poset
 from invsys.setsys import limit_threads, validate_system
 
+from conftest import minors_gcd_invariants
+
 
 def test_differential_squares_to_zero():
     rng = random.Random(30)
@@ -143,6 +145,40 @@ def test_cohomology_vanishes_above_top_degree():
     cx = nerve_complex(s)
     assert cx.top_degree == 1
     assert is_trivial_group(derived_limit(s, 5))
+
+
+def _by_minors(g: FgAbGroup):
+    """Invariants of a presented group from the gcds of its relation minors."""
+    factors = minors_gcd_invariants(g.relations)
+    return g.ngens - len(factors), [f for f in factors if f != 1]
+
+
+def test_cohomology_at_the_top_degree():
+    # constant Z on the circle model (two minima below two maxima):
+    # H^0 = H^1 = Z, and degree 1 is the top, where d_1 has no rows
+    p = validate_poset(["x", "y", "a", "b"], [("x", "a"), ("x", "b"), ("y", "a"), ("y", "b")])
+    z = FgAbGroup.free(1)
+    s = validate_absystem(p, {e: z for e in p.elements},
+                          {cov: AbHom(z, z, IntMatrix.identity(1)) for cov in p.covers})
+    cx = nerve_complex(s)
+    assert cx.top_degree == 1 and cx.diff[1].rows == 0
+    for n in (0, 1):
+        h = cohomology(cx, n)
+        assert group_invariants(h) == _by_minors(h) == (1, [])
+
+
+def test_cohomology_where_the_next_degree_has_no_generators():
+    # 0 <- Z over the chain 1 < 2: the one flag of C(1) starts at 1, which has
+    # no generators, so d_0 has no rows although degree 0 is not the top
+    p = chain_poset(2)
+    z, zero = FgAbGroup.free(1), FgAbGroup.trivial()
+    s = validate_absystem(p, {"1": zero, "2": z}, {("1", "2"): AbHom.zero(z, zero)})
+    cx = nerve_complex(s)
+    assert cx.top_degree == 1 and cx.dims[1] == 0 and cx.diff[0].rows == 0
+    expected = {0: (1, []), 1: (0, [])}
+    for n in (0, 1):
+        h = cohomology(cx, n)
+        assert group_invariants(h) == _by_minors(h) == expected[n]
 
 
 def test_h0_basis_consistency():

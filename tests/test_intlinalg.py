@@ -62,6 +62,31 @@ def test_snf_handles_big_entries():
     assert diag[0] == 1
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0, 0)], ids=["3x0", "0x4", "0x0"])
+def test_snf_on_matrices_without_entries(shape):
+    m = IntMatrix.zeros(*shape)
+    u, d, v = smith_normal_form(m)
+    assert snf_checks(m) == minors_gcd_invariants(m) == []
+    assert u == IntMatrix.identity(m.rows) and v == IntMatrix.identity(m.cols)
+    assert kernel_basis(m) == list(IntMatrix.identity(m.cols).entries)
+    assert relative_kernel(m, IntMatrix.zeros(m.rows, 0)) == IntMatrix.identity(m.cols)
+
+
+@pytest.mark.parametrize("rows, diag", [
+    ([[2, 0], [0, 3]], [1, 6]),            # needs the divisibility round
+    ([[-4]], [4]),                         # a lone negative pivot
+    ([[0, 0, 0], [0, -7, 0]], [7, 0]),     # the same, off the diagonal
+    ([[6, 4]], [2]),                       # a remainder left in the pivot row
+    ([[6], [4]], [2]),                     # a remainder left in the pivot column
+    ([[4, 6], [6, 9], [2, 3]], [1, 0]),
+], ids=["divisibility", "negative", "negative-off-diagonal", "row-remainder",
+        "column-remainder", "rank-one"])
+def test_snf_cases(rows, diag):
+    m = IntMatrix.from_rows(rows)
+    assert snf_checks(m) == diag
+    assert [x for x in diag if x] == minors_gcd_invariants(m)
+
+
 def test_solve_roundtrip():
     rng = random.Random(5)
     for _ in range(60):
@@ -155,7 +180,21 @@ def _rank_by_minors(m: IntMatrix) -> int:
 def test_kernel_basis_against_minors_oracle(rows):
     # no Smith form here: rank and saturation come from Bareiss minors
     m = IntMatrix.from_rows(rows)
-    ker = kernel_basis(m)
+    _check_kernel_lattice(m, kernel_basis(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices)
+def test_relative_kernel_without_lattice_is_the_kernel(rows):
+    # a lattice with no columns: the relative kernel is the plain kernel
+    m = IntMatrix.from_rows(rows)
+    gens = relative_kernel(m, IntMatrix.zeros(m.rows, 0))
+    assert gens.rows == m.cols
+    _check_kernel_lattice(m, [gens.col(j) for j in range(gens.cols)])
+
+
+def _check_kernel_lattice(m: IntMatrix, ker):
+    """ker is a basis of the integer kernel of m, by Bareiss minors only."""
     for x in ker:
         assert not any(m.apply(x))
     assert len(ker) == m.cols - _rank_by_minors(m)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +13,7 @@ from invsys.errors import ParseError
 from invsys.generators import (random_exact_sequence, random_poset,
                                random_surjective_absystem,
                                random_surjective_set_system, random_tower)
-from invsys.poset import chain_poset, wedge_poset
+from invsys.poset import Poset, chain_poset, wedge_poset
 from invsys.textio import (absystem_to_text, parse_document, poset_to_text,
                            sequence_to_text, system_to_text, tower_to_text)
 
@@ -347,12 +350,17 @@ map v at c: matrix [[1]]
      "line 18: map u at zz: no such element in W"),
     (WEDGE_SEQUENCE, "sequence Q over W", "poset V\nelements: a b c\n\nsequence Q over V",
      "line 15: systems of Q are not all over V"),
+    (CLIPDEC_TOWER, "map all: clipdec", "map 1 -> 0: 0 -> 0\nmap 2 -> 1: 0 -> 0, 1 -> 0",
+     "line 3: bond 1 -> 0 is not total on carrier(1)"),
+    (WEDGE_ABSYSTEM, "map a -> c: matrix [[]]", "map a -> c: matrix [[1], [1, 2]]",
+     "line 9: map a -> c: ragged rows"),
 ], ids=["system-set-twice", "system-map-twice", "system-map-off-cover", "system-set-missing",
         "tower-set-twice", "tower-map-twice", "tower-set-beyond-horizon",
         "tower-map-off-cover", "absystem-group-twice", "absystem-map-twice",
         "absystem-undeclared-element", "absystem-relations-too-wide",
         "top-level-group-ragged", "sequence-map-missing", "sequence-map-twice",
-        "sequence-undeclared-element", "sequence-systems-off-base"])
+        "sequence-undeclared-element", "sequence-systems-off-base",
+        "tower-bond-not-total", "absystem-map-ragged"])
 def test_cli_rejects_bad_declaration_with_its_line(tmp_path, capsys, text, old, new, message):
     assert text.count(old) == 1
     fp = tmp_path / "bad.txt"
@@ -370,3 +378,55 @@ def test_cli_rejects_bad_declaration_with_its_line(tmp_path, capsys, text, old, 
 def test_cli_block_lookup_error_is_one_plain_line(files, capsys, argv):
     err = _rejected([a.format(**files) for a in argv], capsys)
     assert err.startswith("error: BadOption: ") and "'" not in err
+
+
+def test_cli_rejects_sequence_map_that_is_not_a_hom(tmp_path, capsys):
+    # u at a sends the generator of Z/2 to 1 in Z, where 2 * 1 is not 0
+    fp = tmp_path / "seq.txt"
+    fp.write_text("poset P\nelements: a b\ncovers: a < b\n"
+                  "absystem A over P\ngroup a: gens 1 relations [[2]]\n"
+                  "group b: gens 1 relations [[2]]\nmap b -> a: matrix [[1]]\n"
+                  "absystem B over P\ngroup a: gens 1 relations []\n"
+                  "group b: gens 1 relations []\nmap b -> a: matrix [[1]]\n"
+                  "sequence Q over P systems A B B\n"
+                  "map u at a: matrix [[1]]\nmap v at a: matrix [[1]]\n"
+                  "map u at b: matrix [[0]]\nmap v at b: matrix [[1]]\n")
+    for command in ("validate", "exactness"):
+        assert _rejected([command, str(fp)], capsys) == \
+            "error: line 13: map u at a: does not respect relations\n"
+
+
+def test_cli_stops_quietly_when_the_reader_leaves(tmp_path):
+    fp = tmp_path / "t.tower"
+    fp.write_text("tower T horizon 40\nset all: { 0 1 2 }\nmap all: clipdec\n")
+    argv = [sys.executable, "-m", "invsys.cli", "ml", str(fp)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    status = subprocess.run(argv, env=env, capture_output=True).returncode
+    # the reader closes the pipe before the report is written
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (status, b"")
+    assert status in (0, 1)
+
+
+def test_cli_nerve_budget_is_checked_after_each_flag_length(tmp_path, capsys, monkeypatch):
+    # constant Z on an 18-element chain has 2^18 - 1 = 262,143 flags; the
+    # budget of 20,000 is passed by the 6-element flags, at 31,179 in all
+    p = chain_poset(18)
+    lines = [f"group {e}: gens 1 relations []" for e in p.elements]
+    lines += [f"map {hi} -> {lo}: matrix [[1]]" for lo, hi in p.covers]
+    fp = tmp_path / "chain.txt"
+    fp.write_text(poset_to_text("C", p) + "absystem Z over C\n" + "\n".join(lines) + "\n")
+    enumerated = []
+    chains = Poset.chains
+
+    def counting(self, length):
+        flags = chains(self, length)
+        enumerated.append(len(flags))
+        return flags
+
+    monkeypatch.setattr(Poset, "chains", counting)
+    assert _rejected(["derived", "--n", "1", str(fp)], capsys) == \
+        "error: nerve flag count exceeds budget\n"
+    assert sum(enumerated) <= 31179
