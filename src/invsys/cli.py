@@ -1,5 +1,12 @@
 """Command-line front end.
 
+The command line is read against one table, COMMANDS: `invsys [--json]
+[--seed N] COMMAND [options] FILE`, where the options and FILE come in any
+order, each at most once, as `--opt value` or `--opt=value`, spelled out
+in full.  `-h` or `--help` anywhere prints the table as usage and exits 0.
+A bad command line exits 2 with one `error:` line, like any other input
+error.
+
 Exit status: 0 for success / verdict-true, 1 for verdict-false, 2 for
 input errors.  `--json` switches to a machine format that is byte-identical
 across runs for identical inputs and seed (elapsed time is reported only in
@@ -8,13 +15,13 @@ the human format for exactly that reason).
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
 import sys
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from . import bergman, henkin
 from .abgroups import group_invariants, is_trivial_group
@@ -213,70 +220,124 @@ def cmd_bergman(args, report: RunReport) -> int:
     return 0 if all_ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="invsys",
-                                 description="inverse systems over finite posets")
-    ap.add_argument("--json", action="store_true", help="machine-readable output")
-    ap.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+REQUIRED = object()  # the default of an option that has to be given
 
-    p = sub.add_parser("validate");        p.add_argument("file")
-    p.set_defaults(fn=cmd_validate)
-    p = sub.add_parser("limit");           p.add_argument("file")
-    p.add_argument("--system", default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(fn=cmd_limit)
-    p = sub.add_parser("surjective");      p.add_argument("file")
-    p.add_argument("--system", default=None)
-    p.set_defaults(fn=cmd_surjective)
-    p = sub.add_parser("ml");              p.add_argument("file")
-    p.add_argument("--tower", default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.set_defaults(fn=cmd_ml)
-    p = sub.add_parser("images");          p.add_argument("file")
-    p.add_argument("--system", default=None)
-    p.add_argument("--tower", default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.set_defaults(fn=cmd_images)
-    p = sub.add_parser("derived");         p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--system", default=None)
-    p.set_defaults(fn=cmd_derived)
-    p = sub.add_parser("scd");             p.add_argument("file")
-    p.add_argument("--poset", default=None)
-    p.add_argument("--trials", type=int, default=20)
-    p.set_defaults(fn=cmd_scd)
-    p = sub.add_parser("exactness");       p.add_argument("file")
-    p.add_argument("--sequence", default=None)
-    p.set_defaults(fn=cmd_exactness)
+# option -> (attribute, type, default); the key FILE is the one positional
+# word, and `bool` marks a flag that takes no value
+GLOBAL_OPTIONS = {"--json": ("json", bool, False), "--seed": ("seed", int, 0)}
+_FILE = {"FILE": ("file", str, REQUIRED)}
 
-    p = sub.add_parser("henkin")
-    hs = p.add_subparsers(dest="henkin_cmd", required=True)
-    pe = hs.add_parser("enumerate")
-    pe.add_argument("--poset", dest="poset_file", required=True)
-    pe.add_argument("--level", required=True)
-    pe.add_argument("--maxlen", type=int, default=6)
-    pe.set_defaults(fn=cmd_henkin)
-    pp = hs.add_parser("eps")
-    pp.add_argument("--poset", dest="poset_file", required=True)
-    pp.add_argument("--alpha", required=True)
-    pp.add_argument("--beta", required=True)
-    pp.add_argument("--tuple", required=True)
-    pp.set_defaults(fn=cmd_henkin)
+# command -> (handler, options); a two-word command is read as `cmd` and
+# `<cmd>_cmd` (henkin enumerate: args.cmd "henkin", args.henkin_cmd "enumerate")
+COMMANDS = {
+    "validate": (cmd_validate, _FILE),
+    "limit": (cmd_limit, {"--system": ("system", str, None),
+                          "--budget": ("budget", int, DEFAULT_BUDGET), **_FILE}),
+    "surjective": (cmd_surjective, {"--system": ("system", str, None), **_FILE}),
+    "ml": (cmd_ml, {"--tower": ("tower", str, None),
+                    "--horizon": ("horizon", int, None), **_FILE}),
+    "images": (cmd_images, {"--system": ("system", str, None),
+                            "--tower": ("tower", str, None),
+                            "--horizon": ("horizon", int, None), **_FILE}),
+    "derived": (cmd_derived, {"--n": ("n", int, REQUIRED),
+                              "--system": ("system", str, None), **_FILE}),
+    "scd": (cmd_scd, {"--poset": ("poset", str, None),
+                      "--trials": ("trials", int, 20), **_FILE}),
+    "exactness": (cmd_exactness, {"--sequence": ("sequence", str, None), **_FILE}),
+    "henkin enumerate": (cmd_henkin, {"--poset": ("poset_file", str, REQUIRED),
+                                      "--level": ("level", str, REQUIRED),
+                                      "--maxlen": ("maxlen", int, 6)}),
+    "henkin eps": (cmd_henkin, {"--poset": ("poset_file", str, REQUIRED),
+                                "--alpha": ("alpha", str, REQUIRED),
+                                "--beta": ("beta", str, REQUIRED),
+                                "--tuple": ("tuple", str, REQUIRED)}),
+    "bergman demo": (cmd_bergman, {"--n": ("n", int, 5)}),
+}
 
-    p = sub.add_parser("bergman")
-    bs = p.add_subparsers(dest="bergman_cmd", required=True)
-    bd = bs.add_parser("demo")
-    bd.add_argument("--n", type=int, default=5)
-    bd.set_defaults(fn=cmd_bergman)
-    return ap
+
+def parse_args(argv) -> SimpleNamespace | None:
+    """argv read against COMMANDS as the module docstring says, or None when
+    it asks for help; a bad command line raises BadOption."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    name, given, tokens = "", {}, iter(argv)
+    for tok in tokens:
+        if not tok.startswith("-"):
+            name = f"{name} {tok}".lstrip()
+            if name in COMMANDS:
+                break
+            if not any(c.startswith(name + " ") for c in COMMANDS):
+                raise BadOption(f"unknown command {name!r} (see invsys -h)")
+        elif name:  # an option between a command and its subcommand
+            break
+        else:
+            _read_option(tok, tokens, GLOBAL_OPTIONS, given, "invsys")
+    if name not in COMMANDS:
+        subs = [c.split()[1] for c in COMMANDS if c.startswith(name + " ")]
+        raise BadOption(f"{name} needs a subcommand: {', '.join(subs)}" if name
+                        else "no command given (see invsys -h)")
+    fn, options = COMMANDS[name]
+    for tok in tokens:
+        if tok.startswith("-"):
+            _read_option(tok, tokens, options, given, name)
+        elif "FILE" in options and "FILE" not in given:
+            given["FILE"] = tok
+        else:
+            raise BadOption(f"{name}: unexpected word {tok!r}")
+    cmd, _, sub = name.partition(" ")
+    args = SimpleNamespace(cmd=cmd, fn=fn, **({f"{cmd}_cmd": sub} if sub else {}))
+    for flag, (attr, _, default) in {**GLOBAL_OPTIONS, **options}.items():
+        if flag not in given and default is REQUIRED:
+            raise BadOption(f"{name} needs {flag}")
+        setattr(args, attr, given.get(flag, default))
+    return args
+
+
+def _read_option(tok: str, tokens, options: dict, given: dict, where: str):
+    """Put the value of option tok (its own `=value` or the next token) in given."""
+    flag, has_value, value = tok.partition("=")
+    if flag not in options:
+        raise BadOption(f"{where} has no option {flag}")
+    if flag in given:
+        raise BadOption(f"{flag} is given twice")
+    kind = options[flag][1]
+    if kind is bool:
+        if has_value:
+            raise BadOption(f"{flag} takes no value")
+        given[flag] = True
+        return
+    if not has_value:
+        value = next(tokens, None)
+        if value is None:
+            raise BadOption(f"{flag} needs a value")
+    try:
+        given[flag] = kind(value)
+    except ValueError:
+        raise BadOption(f"{flag}: invalid {kind.__name__} value {value!r}")
+
+
+def usage() -> str:
+    """The command lines that COMMANDS accepts, one command a line."""
+    def words(options: dict) -> str:
+        out = []
+        for flag, (_, kind, default) in options.items():
+            word = (flag if kind is bool or flag == "FILE"
+                    else f"{flag} {'N' if kind is int else flag[2:].upper()}")
+            out.append(word if default is REQUIRED else f"[{word}]")
+        return " ".join(out)
+    lines = [f"usage: invsys {words(GLOBAL_OPTIONS)} COMMAND ...", "commands:"]
+    lines += [f"  {name} {words(options)}" for name, (_, options) in COMMANDS.items()]
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    report = RunReport(command=args.cmd, seed=args.seed)
-    start = time.monotonic()
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(usage())
+            return 0
+        report = RunReport(command=args.cmd, seed=args.seed)
+        start = time.monotonic()
         status = args.fn(args, report)
     except (ParseError, OSError, KeyError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

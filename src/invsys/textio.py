@@ -54,6 +54,7 @@ _ARROW_LINES = {
               "map UPPER -> LOWER: matrix [[..]]")}
 _CLIPDEC_LINE = re.compile(r"^map\s+all\s*:\s*clipdec$")
 _LEVEL_MAP_LINE = re.compile(rf"^map\s+(u|v)\s+at\s+({LABEL})\s*:\s*matrix\s+(.*)$")
+_POSET_LINE = re.compile(r"^(elements|covers):(.*)$")
 _COVER = re.compile(rf"^\s*({LABEL})\s*<\s*({LABEL})\s*$")
 _RULE = re.compile(rf"^\s*({LABEL})\s*->\s*({LABEL})\s*$")
 
@@ -198,7 +199,7 @@ def parse_document(text: str) -> Document:
 def _parse_block_line(b: _Block, line: str, lineno: int):
     word = _WORDS.get(b.kind)  # None in a poset or a sequence
     if b.kind == "poset":
-        m = re.match(r"^(elements|covers):(.*)$", line)
+        m = _POSET_LINE.match(line)
         if not m:
             raise ParseError(lineno, f"unexpected poset line {line!r}")
         for tok in (m[2].split() if m[1] == "elements" else ()):
@@ -272,14 +273,23 @@ def _close_block(b: Optional[_Block], doc: Document):
 
 def _tower_defaults(b: _Block, chain: Poset):
     """Fill the levels without a `set N` line from `set all`, and the steps
-    without a `map N+1 -> N` line from `map all: clipdec`."""
+    without a `map N+1 -> N` line from `map all: clipdec`, which needs
+    integer carriers; a filled step is reported at the `map all` line."""
     every = b.objects.pop("all", None)
     for e in chain.elements if every is not None else ():
         b.objects.setdefault(e, every)
-    for lo, hi in chain.covers if b.arrows.pop("all", None) else ():
-        if (lo, hi) not in b.arrows and lo in b.objects and hi in b.objects:
-            floor = min(int(x) for x in b.objects[lo])
-            b.arrows[(lo, hi)] = {x: str(max(int(x) - 1, floor)) for x in b.objects[hi]}
+    if b.arrows.pop("all", None) is None:
+        return
+    line = b.lines[("arrows", "all")]
+    for lo, hi in chain.covers:
+        if (lo, hi) in b.arrows or lo not in b.objects or hi not in b.objects:
+            continue
+        bad = next((x for x in b.objects[lo] + b.objects[hi] if not x.isdigit()), None)
+        if bad is not None:
+            raise ParseError(line[0], f"map all: clipdec needs integer carriers, got {bad!r}")
+        floor = min((int(x) for x in b.objects[lo]), default=0)
+        b.arrows[(lo, hi)] = {x: str(max(int(x) - 1, floor)) for x in b.objects[hi]}
+        b.lines[("arrows", (lo, hi))] = line
 
 
 def _check_tables(b: _Block, base: Poset, over: str):

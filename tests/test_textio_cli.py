@@ -3,12 +3,14 @@ from __future__ import annotations
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from invsys.cli import main
+from invsys.cli import COMMANDS, main, parse_args
 from invsys.errors import ParseError
 from invsys.generators import (random_exact_sequence, random_poset,
                                random_surjective_absystem,
@@ -354,13 +356,18 @@ map v at c: matrix [[1]]
      "line 3: bond 1 -> 0 is not total on carrier(1)"),
     (WEDGE_ABSYSTEM, "map a -> c: matrix [[]]", "map a -> c: matrix [[1], [1, 2]]",
      "line 9: map a -> c: ragged rows"),
+    (CLIPDEC_TOWER, "set all: { 0 1 }", "set all: { a b }",
+     "line 3: map all: clipdec needs integer carriers, got 'a'"),
+    (CLIPDEC_TOWER, "horizon 2\nset all: { 0 1 }", "horizon 1\nset 0: { 0 }\nset 1: { 5 }",
+     "line 4: bond 1 -> 0 maps outside carrier(0)"),
 ], ids=["system-set-twice", "system-map-twice", "system-map-off-cover", "system-set-missing",
         "tower-set-twice", "tower-map-twice", "tower-set-beyond-horizon",
         "tower-map-off-cover", "absystem-group-twice", "absystem-map-twice",
         "absystem-undeclared-element", "absystem-relations-too-wide",
         "top-level-group-ragged", "sequence-map-missing", "sequence-map-twice",
         "sequence-undeclared-element", "sequence-systems-off-base",
-        "tower-bond-not-total", "absystem-map-ragged"])
+        "tower-bond-not-total", "absystem-map-ragged", "tower-clipdec-not-integer",
+        "tower-clipdec-outside-lower-carrier"])
 def test_cli_rejects_bad_declaration_with_its_line(tmp_path, capsys, text, old, new, message):
     assert text.count(old) == 1
     fp = tmp_path / "bad.txt"
@@ -430,3 +437,56 @@ def test_cli_nerve_budget_is_checked_after_each_flag_length(tmp_path, capsys, mo
     assert _rejected(["derived", "--n", "1", str(fp)], capsys) == \
         "error: nerve flag count exceeds budget\n"
     assert sum(enumerated) <= 31179
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "no command given (see invsys -h)"),
+    (["frob", "{wedge}"], "unknown command 'frob' (see invsys -h)"),
+    (["henkin"], "henkin needs a subcommand: enumerate, eps"),
+    (["derived", "{wedge}"], "derived needs --n"),
+    (["derived", "--n", "abc", "{wedge}"], "--n: invalid int value 'abc'"),
+    (["derived", "--n"], "--n needs a value"),
+    (["derived", "--n", "1", "--frob", "1", "{wedge}"], "derived has no option --frob"),
+    (["derived", "--n", "1", "{wedge}", "{wedge}"], "derived: unexpected word '{wedge}'"),
+    (["derived", "--n", "1", "--n", "2", "{wedge}"], "--n is given twice"),
+    (["scd", "--trials", "-1", "{wedge}"], "--trials must be at least 0, got -1"),
+], ids=["no-command", "unknown-command", "no-subcommand", "missing-required", "not-an-int",
+        "no-value", "unknown-option", "second-file", "repeated-option", "negative-value"])
+def test_cli_bad_command_line_is_one_error_line(files, capsys, argv, message):
+    argv = [a.format(**files) for a in argv]
+    assert _rejected(argv, capsys) == f"error: BadOption: {message.format(**files)}\n"
+
+
+def test_cli_option_forms(tmp_path, capsys):
+    fp = tmp_path / "a.absystem"
+    fp.write_text(WEDGE_ABSYSTEM)
+    assert main(["--json", "derived", "--n", "1", str(fp)]) == 0
+    spaced = capsys.readouterr()
+    assert main(["--json", "derived", str(fp), "--n=1"]) == 0
+    assert capsys.readouterr() == spaced
+    for argv in (["-h"], ["derived", "--help"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: invsys [--json] [--seed N] COMMAND")
+        assert "  derived --n N [--system SYSTEM] FILE\n" in out
+
+
+def test_cli_imports_no_argparse(files):
+    code = ("import sys; from invsys.cli import main; "
+            f"main(['--json', 'validate', {files['wedge']!r}]); "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n#", 1)[0]
+    documented = set()
+    for line in (line for line in section.splitlines() if line.startswith("invsys ")):
+        args = parse_args(shlex.split(line, comments=True)[1:])
+        assert args is not None, line
+        documented.add(" ".join(filter(None, [args.cmd, getattr(args, f"{args.cmd}_cmd", "")])))
+    assert documented == set(COMMANDS)
