@@ -91,9 +91,10 @@ def cmd_validate(args, report: RunReport) -> int:
 
 
 def cmd_limit(args, report: RunReport) -> int:
+    budget = _at_least("--budget", args.budget, 1)
     doc = _load(args.file, report)
     sys_ = doc.sole("systems", args.system)
-    threads = limit_threads(sys_, budget=args.budget)
+    threads = limit_threads(sys_, budget=budget)
     report.data["threads"] = len(threads)
     if len(threads) <= 20:
         report.data["thread_list"] = [
@@ -158,11 +159,12 @@ def cmd_images(args, report: RunReport) -> int:
 
 
 def cmd_derived(args, report: RunReport) -> int:
+    n = _at_least("--n", args.n, 0)
     doc = _load(args.file, report)
     sys_ = doc.sole("absystems", args.system)
-    g = derived_limit(sys_, args.n)
+    g = derived_limit(sys_, n)
     inv = group_invariants(g)
-    report.data[f"lim^{args.n} invariants"] = _invariants_str(inv)
+    report.data[f"lim^{n} invariants"] = _invariants_str(inv)
     report.verdicts["nonzero"] = not is_trivial_group(g)
     return 0
 

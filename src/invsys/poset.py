@@ -127,6 +127,39 @@ class Poset:
         chain.reverse()
         return chain
 
+    def cofinal_core(self) -> list[str]:
+        """The elements left after deleting each x whose strict up-set, among
+        the elements still left, has a maximum or a minimum; the walk goes in
+        declared order and repeats until no element qualifies.
+
+        Such an up-set is a cone, hence contractible, so by homotopy
+        cofinality (Bousfield-Kan 1972, XI.9) an inverse system over this
+        poset and its restriction to the core have the same limit in every
+        degree.  The dual rule on down-sets is not safe for general
+        coefficients: it deletes both tops of the wedge and loses its lim^1.
+        """
+        kept = dict.fromkeys(self.elements)  # an ordered set
+        shrank = True
+        while shrank:
+            shrank = False
+            for x in list(kept):
+                above = [y for y in kept if y != x and y in self._up[x]]
+                if any(all(m in self._up[y] for y in above)  # m is the maximum
+                       or self._up[m].issuperset(above)  # m is the minimum
+                       for m in above):
+                    del kept[x]
+                    shrank = True
+        return list(kept)
+
+    def induced(self, keep: Sequence[str]) -> "Poset":
+        """The subposet on keep, in keep's order, with the induced order's covers."""
+        covers = []
+        for lo in keep:
+            above = [hi for hi in keep if hi != lo and hi in self._up[lo]]
+            covers += [(lo, hi) for hi in above
+                       if not any(mid != hi and hi in self._up[mid] for mid in above)]
+        return Poset(keep, covers)
+
     # -- structural helpers ----------------------------------------------
 
     def linear_extension(self) -> list[str]:

@@ -13,7 +13,7 @@ import math
 import random
 
 from invsys.intlinalg import IntMatrix
-from invsys.poset import Poset
+from invsys.poset import Poset, validate_poset
 from invsys.setsys import SetSystem, Thread
 
 
@@ -89,3 +89,13 @@ def random_int_matrix(rng: random.Random, rows: int, cols: int,
                       lo: int = -9, hi: int = 9) -> IntMatrix:
     return IntMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+def sphere_model(n: int) -> Poset:
+    """McCord's minimal finite model of the n-sphere: levels 0..n of two
+    incomparable points each, every point below both points of the next
+    level.  Its nerve is the n-sphere, so constant Z on it has H^0 = H^n = Z
+    and no other cohomology for n >= 1 (McCord 1966)."""
+    levels = [(f"a{k}", f"b{k}") for k in range(n + 1)]
+    covers = [(lo, hi) for k in range(n) for lo in levels[k] for hi in levels[k + 1]]
+    return validate_poset([e for level in levels for e in level], covers)

@@ -6,8 +6,10 @@ import pytest
 
 from invsys.abgroups import (AbHom, FgAbGroup, finite_elements,
                              apply_hom_canon, group_invariants, group_order,
-                             is_trivial_group)
-from invsys.derived import (cohomology, derived_limit, h0_with_basis,
+                             hom_cokernel, invariants_embed, is_exact_at,
+                             is_injective, is_trivial_group)
+from invsys.derived import (ExactnessReport, cohomology, derived_limit,
+                            h0_with_basis, induced_limit_hom,
                             is_surjective_absystem, limit_exactness_check,
                             nerve_complex, scd_finite, scd_witness_system,
                             validate_absystem)
@@ -15,10 +17,10 @@ from invsys.errors import SquaresDoNotCommute
 from invsys.generators import (random_exact_sequence, random_poset,
                                random_surjective_absystem)
 from invsys.intlinalg import IntMatrix
-from invsys.poset import chain_poset, validate_poset, wedge_poset
+from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
 from invsys.setsys import limit_threads, validate_system
 
-from conftest import minors_gcd_invariants
+from conftest import minors_gcd_invariants, sphere_model
 
 
 def test_differential_squares_to_zero():
@@ -242,3 +244,87 @@ def test_exactness_check_builds_one_nerve_complex_per_system(monkeypatch):
     derived.limit_exactness_check(a, b, c, u, v)
     assert len(built) == 3
     assert {id(s) for s in built} == {id(a), id(b), id(c)}
+
+
+def _constant_z(p):
+    z = FgAbGroup.free(1)
+    return validate_absystem(p, {e: z for e in p.elements},
+                             {cov: AbHom(z, z, IntMatrix.identity(1)) for cov in p.covers})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_constant_z_on_sphere_models(n):
+    # the nerve of the minimal model is the n-sphere (McCord 1966)
+    s = _constant_z(sphere_model(n))
+    for k in range(n + 2):
+        expected = (1, []) if k in (0, n) else (0, [])
+        assert group_invariants(derived_limit(s, k)) == expected
+
+
+def test_cofinal_core_keeps_minimal_bases_and_shrinks_cones():
+    for p in [sphere_model(n) for n in range(5)] + [wedge_poset()]:
+        assert p.cofinal_core() == list(p.elements)
+    for k in (1, 2, 5, 18):
+        assert chain_poset(k).cofinal_core() == [str(k)]
+    for r, c in ((1, 1), (2, 3), (4, 4)):
+        assert grid_poset(r, c).cofinal_core() == [f"({r}_{c})"]
+
+
+def test_cofinal_core_deletes_below_a_maximum_or_a_minimum():
+    # x < a, b < y: x's strict up-set {a, b, y} has the maximum y only
+    p = validate_poset(["x", "a", "b", "y"],
+                       [("x", "a"), ("x", "b"), ("a", "y"), ("b", "y")])
+    assert p.cofinal_core() == ["y"]
+    # x < m < a, b: x's strict up-set {m, a, b} has the minimum m only, and
+    # m's strict up-set {a, b} is no cone
+    q = validate_poset(["x", "m", "a", "b"], [("x", "m"), ("m", "a"), ("m", "b")])
+    assert q.cofinal_core() == ["m", "a", "b"]
+    assert q.induced(q.cofinal_core()) == validate_poset(["m", "a", "b"],
+                                                         [("m", "a"), ("m", "b")])
+
+
+def test_derived_limit_matches_the_full_nerve_in_every_degree():
+    # the cofinal core must not change any degree, on surjective systems and
+    # on the non-surjective witness alike
+    rng = random.Random(36)
+    shrank = 0
+    trials = 90
+    for i in range(trials):
+        p = random_poset(rng, max_elements=7)
+        s = scd_witness_system(p) if i % 3 == 0 else random_surjective_absystem(rng, p)
+        shrank += len(p.cofinal_core()) < len(p.elements)
+        cx = nerve_complex(s)
+        for n in range(cx.top_degree + 2):
+            assert group_invariants(derived_limit(s, n)) == \
+                group_invariants(cohomology(cx, n)), (p, i, n)
+    assert trials // 4 <= shrank < trials
+
+
+def _full_base_report(a, b, c, u, v):
+    """The exactness report built from full-base H^0 bases and cohomology."""
+    h0_a, h0_b, h0_c = h0_with_basis(a), h0_with_basis(b), h0_with_basis(c)
+    lim_u = induced_limit_hom(u, h0_a, h0_b)
+    lim_v = induced_limit_hom(v, h0_b, h0_c)
+    lim1_a = group_invariants(cohomology(h0_a[2], 1))
+    coker_v = hom_cokernel(lim_v)
+    return ExactnessReport(
+        lim_a=group_invariants(h0_a[0]), lim_b=group_invariants(h0_b[0]),
+        lim_c=group_invariants(h0_c[0]), lim1_a=lim1_a,
+        u_injective=is_injective(lim_u), exact_at_middle=is_exact_at(lim_u, lim_v),
+        v_surjective=is_trivial_group(coker_v), coker_v=group_invariants(coker_v),
+        coker_embeds_in_lim1=invariants_embed(group_invariants(coker_v), lim1_a),
+        a_surjective=is_surjective_absystem(a),
+        base_has_maximum=a.base.has_maximum() is not None)
+
+
+@pytest.mark.parametrize("ensure_maximum", [True, False])
+def test_exactness_report_matches_the_full_base(ensure_maximum):
+    rng = random.Random(37)
+    shrank = 0
+    for _ in range(12):
+        p = random_poset(rng, max_elements=6, ensure_maximum=ensure_maximum)
+        shrank += len(p.cofinal_core()) < len(p.elements)
+        seq = random_exact_sequence(rng, p)
+        assert limit_exactness_check(*seq) == _full_base_report(*seq)
+    assert shrank
+    assert limit_exactness_check(*_wedge_sequence()) == _full_base_report(*_wedge_sequence())

@@ -19,6 +19,8 @@ from invsys.poset import Poset, chain_poset, wedge_poset
 from invsys.textio import (absystem_to_text, parse_document, poset_to_text,
                            sequence_to_text, system_to_text, tower_to_text)
 
+from conftest import sphere_model
+
 WEDGE_TXT = """\
 poset W
 elements: a b c
@@ -417,14 +419,19 @@ def test_cli_stops_quietly_when_the_reader_leaves(tmp_path):
     assert status in (0, 1)
 
 
-def test_cli_nerve_budget_is_checked_after_each_flag_length(tmp_path, capsys, monkeypatch):
-    # constant Z on an 18-element chain has 2^18 - 1 = 262,143 flags; the
-    # budget of 20,000 is passed by the 6-element flags, at 31,179 in all
-    p = chain_poset(18)
+def _constant_z_file(tmp_path, p: Poset) -> str:
     lines = [f"group {e}: gens 1 relations []" for e in p.elements]
     lines += [f"map {hi} -> {lo}: matrix [[1]]" for lo, hi in p.covers]
-    fp = tmp_path / "chain.txt"
-    fp.write_text(poset_to_text("C", p) + "absystem Z over C\n" + "\n".join(lines) + "\n")
+    fp = tmp_path / "z.txt"
+    fp.write_text(poset_to_text("P", p) + "absystem Z over P\n" + "\n".join(lines) + "\n")
+    return str(fp)
+
+
+def test_cli_nerve_budget_is_checked_after_each_flag_length(tmp_path, capsys, monkeypatch):
+    # the minimal model of the 11-sphere has no element the cofinal core can
+    # delete; its 24 points carry 3^12 - 1 = 531,440 flags, and the budget of
+    # 20,000 is passed by the 5-element flags, at 35,312 in all
+    fp = _constant_z_file(tmp_path, sphere_model(11))
     enumerated = []
     chains = Poset.chains
 
@@ -434,9 +441,17 @@ def test_cli_nerve_budget_is_checked_after_each_flag_length(tmp_path, capsys, mo
         return flags
 
     monkeypatch.setattr(Poset, "chains", counting)
-    assert _rejected(["derived", "--n", "1", str(fp)], capsys) == \
+    assert _rejected(["derived", "--n", "1", fp], capsys) == \
         "error: nerve flag count exceeds budget\n"
-    assert sum(enumerated) <= 31179
+    assert sum(enumerated) == 35312
+
+
+def test_cli_derived_limit_over_a_long_chain_is_within_budget(tmp_path, capsys):
+    # constant Z on an 18-element chain has 2^18 - 1 = 262,143 flags, but its
+    # cofinal core is the top element alone
+    fp = _constant_z_file(tmp_path, chain_poset(18))
+    assert main(["derived", "--n", "1", fp]) == 0
+    assert "lim^1 invariants: free rank 0, torsion []\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -450,8 +465,12 @@ def test_cli_nerve_budget_is_checked_after_each_flag_length(tmp_path, capsys, mo
     (["derived", "--n", "1", "{wedge}", "{wedge}"], "derived: unexpected word '{wedge}'"),
     (["derived", "--n", "1", "--n", "2", "{wedge}"], "--n is given twice"),
     (["scd", "--trials", "-1", "{wedge}"], "--trials must be at least 0, got -1"),
+    (["derived", "--n", "-1", "{wedge}"], "--n must be at least 0, got -1"),
+    (["limit", "--budget", "0", "{system}"], "--budget must be at least 1, got 0"),
+    (["limit", "--budget", "-5", "{system}"], "--budget must be at least 1, got -5"),
 ], ids=["no-command", "unknown-command", "no-subcommand", "missing-required", "not-an-int",
-        "no-value", "unknown-option", "second-file", "repeated-option", "negative-value"])
+        "no-value", "unknown-option", "second-file", "repeated-option", "negative-value",
+        "negative-degree", "zero-budget", "negative-budget"])
 def test_cli_bad_command_line_is_one_error_line(files, capsys, argv, message):
     argv = [a.format(**files) for a in argv]
     assert _rejected(argv, capsys) == f"error: BadOption: {message.format(**files)}\n"
