@@ -86,8 +86,12 @@ class AbHom:
         return AbHom(source, target, IntMatrix.zeros(target.ngens, source.ngens))
 
 
+@lru_cache(maxsize=4096)
 def hom_is_valid(h: AbHom) -> bool:
-    """Every source relator must land in the target relation lattice."""
+    """Every source relator must land in the target relation lattice.
+
+    Cached, as AbHom is hashable: a level map of a sequence is checked when
+    the file is read and again by `limit_exactness_check`."""
     lat = h.target.relation_lattice()
     for row in h.source.relations.entries:
         if not in_lattice(lat, h.matrix.apply(row)):

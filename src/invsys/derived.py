@@ -10,6 +10,25 @@ vanish, so the complex is finite.
 `derived_limit` and `limit_exactness_check` build that complex over the
 cofinal core of the base (`Poset.cofinal_core`), which has the same limits
 in every degree; `nerve_complex` and `h0_with_basis` keep the full base.
+
+Write L(k) for the block relation lattice of C(k) (columns: the relators of
+each flag's group) and d for the differentials, stored sparse by column.
+`cohomology` presents H^n by invariant factors alone, for any coefficient
+groups:
+
+    H^n = ker D / im A,   D = [d_n | -L(n+1)],
+    A = [[d_(n-1) | L(n) | 0], [Y | Z | N]],
+
+where L(n+1) Y = d_n d_(n-1) and L(n+1) Z = d_n L(n) are solved one flag
+block of C(n+1) at a time, each against one group's small relation
+lattice, and N spans the kernel of each block's relation columns.  Then
+D A = 0, ker D is saturated, the free rank of H^n is
+dim C(n) + #L(n+1) - rank D - rank A and its torsion is the invariant
+factors of A other than 1.  Both come from `sparse_invariant_factors`
+(unit pivots, then the Smith pivot loop on the residual, no transforms).
+The block solves are the check that coboundaries are cocycles.  Smith
+transforms are still used by `solve`, kernel bases and the H^0 bases of
+`h0_with_basis`, which the exactness report needs as maps.
 """
 
 from __future__ import annotations
@@ -22,7 +41,8 @@ from .abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
                        is_trivial_group, subquotient)
 from .diagram import Diagram
 from .errors import BudgetExceeded, NotLevelwiseExact, SquaresDoNotCommute
-from .intlinalg import IntMatrix, lattice_contains, relative_kernel, solve
+from .intlinalg import (IntMatrix, SparseMatrix, kernel_basis, relative_kernel,
+                        solve, sparse_invariant_factors)
 from .poset import Poset
 
 
@@ -70,18 +90,29 @@ def is_surjective_absystem(sys: AbSystem) -> bool:
 class CochainComplex:
     """Normalized nerve complex of an AbSystem, stored as block data.
 
-    flags[n] lists the degree-n flags; dims[n] is the total generator count
-    of C(n); diff[n] maps C(n) -> C(n+1); lattices[n] has the block relation
-    lattice of C(n) as columns.
+    flags[n] lists the degree-n flags; blocks[n] has, for each of them in
+    order, the offset of its generators in C(n) and its group; dims[n] is
+    the total generator count of C(n); diff[n] maps C(n) -> C(n+1).
     """
     flags: list[list[tuple[str, ...]]]
+    blocks: list[list[tuple[int, FgAbGroup]]]
     dims: list[int]
-    diff: list[IntMatrix]
-    lattices: list[IntMatrix]
+    diff: list[SparseMatrix]
 
     @property
     def top_degree(self) -> int:
         return len(self.flags) - 1
+
+    def relations(self, n: int) -> list[dict[int, int]]:
+        """The relation lattice L(n) of C(n), block by block, as sparse columns."""
+        return [{off + a: x for a, x in enumerate(row) if x}
+                for off, g in self.blocks[n] for row in g.relations.entries]
+
+    def lattice(self, n: int) -> IntMatrix:
+        """L(n) as a dense matrix of columns; no rows above the top degree."""
+        if n > self.top_degree:
+            return IntMatrix.zeros(0, 0)
+        return SparseMatrix(self.dims[n], tuple(self.relations(n))).dense()
 
 
 DEFAULT_FLAG_BUDGET = 20000
@@ -97,68 +128,91 @@ def nerve_complex(sys: AbSystem) -> CochainComplex:
             raise BudgetExceeded("nerve flag count exceeds budget")
 
     offsets: list[dict[tuple[str, ...], int]] = []
+    blocks: list[list[tuple[int, FgAbGroup]]] = []
     dims: list[int] = []
     for n in range(top):
-        off, total = {}, 0
+        off, layout, total = {}, [], 0
         for fl in flags[n]:
             off[fl] = total
+            layout.append((total, sys.group(fl[0])))
             total += sys.group(fl[0]).ngens
         offsets.append(off)
+        blocks.append(layout)
         dims.append(total)
-
-    lattices = []
-    for n in range(top):
-        cols = []
-        for fl in flags[n]:
-            g = sys.group(fl[0])
-            for row in g.relations.entries:
-                col = [0] * dims[n]
-                col[offsets[n][fl]: offsets[n][fl] + g.ngens] = list(row)
-                cols.append(col)
-        lattices.append(IntMatrix.from_cols(cols, rows=dims[n]))
 
     diffs = []
     for n in range(top):
-        tgt_dim = dims[n + 1] if n + 1 < top else 0
-        rows = [[0] * dims[n] for _ in range(tgt_dim)]
-        if n + 1 < top:
-            for gfl in flags[n + 1]:
-                g0 = sys.group(gfl[0])
-                r0 = offsets[n + 1][gfl]
-                # bond term: source flag drops the smallest element
-                src = gfl[1:]
-                mat = sys.bond(gfl[0], gfl[1]).matrix
-                c0 = offsets[n][src]
-                for a in range(g0.ngens):
-                    for b in range(mat.cols):
-                        rows[r0 + a][c0 + b] += mat.entries[a][b]
-                # face terms: drop an inner element, keep the coefficient group
-                for k in range(1, n + 2):
-                    src = gfl[:k] + gfl[k + 1:]
-                    sign = -1 if k % 2 else 1
-                    c0 = offsets[n][src]
-                    for a in range(g0.ngens):
-                        rows[r0 + a][c0 + a] += sign
-        diffs.append(IntMatrix.from_rows(rows, cols=dims[n]))
-    return CochainComplex(flags, dims, diffs, lattices)
-
-
-def _cocycles(cx: CochainComplex, n: int) -> IntMatrix:
-    """Columns generating {x in C(n) : d x lies in the degree-(n+1) relations}."""
-    lat_next = cx.lattices[n + 1] if n + 1 <= cx.top_degree else IntMatrix.zeros(0, 0)
-    return relative_kernel(cx.diff[n], lat_next)
+        cols: list[dict[int, int]] = [{} for _ in range(dims[n])]
+        for gfl in (flags[n + 1] if n + 1 < top else ()):
+            r0 = offsets[n + 1][gfl]
+            # bond term: source flag drops the smallest element
+            c0 = offsets[n][gfl[1:]]
+            for a, row in enumerate(sys.bond(gfl[0], gfl[1]).matrix.entries):
+                for b, x in enumerate(row):
+                    if x:
+                        cols[c0 + b][r0 + a] = x
+            # face terms: drop an inner element, keep the coefficient group;
+            # every term has its own source flag, so none of them cancel
+            for k in range(1, n + 2):
+                sign = -1 if k % 2 else 1
+                c0 = offsets[n][gfl[:k] + gfl[k + 1:]]
+                for a in range(sys.group(gfl[0]).ngens):
+                    cols[c0 + a][r0 + a] = sign
+        diffs.append(SparseMatrix(dims[n + 1] if n + 1 < top else 0, tuple(cols)))
+    return CochainComplex(flags, blocks, dims, diffs)
 
 
 def cohomology(cx: CochainComplex, n: int) -> FgAbGroup:
-    """H^n = (cocycles mod relations) / (coboundaries), as a presented group."""
+    """H^n = ker D / im A (module docstring), presented in Smith form.
+
+    Lifting the coboundaries into L(n+1) block by block is the check that
+    they are cocycles: a block with no solution fails the assertion.
+    """
     if n < 0 or n > cx.top_degree:
         return FgAbGroup.trivial()
-    z = _cocycles(cx, n)
-    sub = cx.lattices[n]
-    if n > 0:
-        sub = sub.hstack(cx.diff[n - 1])
-    assert lattice_contains(z, sub), "coboundaries must be cocycles"
-    return subquotient(z, sub)
+    dim, d = cx.dims[n], cx.diff[n]
+    next_blocks = cx.blocks[n + 1] if n < cx.top_degree else []
+    rel_next = cx.relations(n + 1) if next_blocks else []
+    rank_d = len(sparse_invariant_factors(
+        list(d.columns) + [{i: -x for i, x in col.items()} for col in rel_next]))
+
+    # the block of each row of C(n+1), and where its relations start in L(n+1)
+    owner, starts, at = [], [], dim
+    for k, (_, g) in enumerate(next_blocks):
+        owner += [k] * g.ngens
+        starts.append(at)
+        at += g.relations.rows
+    lattices: dict[FgAbGroup, tuple[IntMatrix, list]] = {}
+    for _, g in next_blocks:
+        if g.relations.rows and g not in lattices:
+            lat = g.relation_lattice()
+            lattices[g] = lat, kernel_basis(lat)
+
+    def lift(x: dict[int, int]) -> dict[int, int]:
+        """x and below it the y with L(n+1) y = d x, block by block."""
+        by_block: dict[int, dict[int, int]] = {}
+        for i, v in d.apply(x).items():
+            by_block.setdefault(owner[i], {})[i] = v
+        out = dict(x)
+        for k, part in by_block.items():
+            off, g = next_blocks[k]
+            rhs = [part.get(off + a, 0) for a in range(g.ngens)]
+            sol = solve(lattices[g][0], rhs) if g in lattices else None
+            assert sol is not None, "coboundaries must be cocycles"
+            out.update((starts[k] + j, y) for j, y in enumerate(sol) if y)
+        return out
+
+    boundaries = (list(cx.diff[n - 1].columns) if n else []) + cx.relations(n)
+    a = [lift(x) for x in boundaries]
+    a += [{starts[k] + j: y for j, y in enumerate(vec) if y}
+          for k, (_, g) in enumerate(next_blocks) if g in lattices
+          for vec in lattices[g][1]]
+    factors = sparse_invariant_factors(a)
+    free = dim + len(rel_next) - rank_d - len(factors)
+    torsion = [f for f in factors if f != 1]
+    ngens = free + len(torsion)
+    return FgAbGroup(ngens, IntMatrix.from_rows(
+        [[f if j == i else 0 for j in range(ngens)] for i, f in enumerate(torsion)], cols=ngens))
 
 
 def _on_core(sys: AbSystem) -> AbSystem:
@@ -185,8 +239,8 @@ def derived_limit(sys: AbSystem, n: int) -> FgAbGroup:
 def h0_with_basis(sys: AbSystem) -> tuple[FgAbGroup, IntMatrix, CochainComplex]:
     """H^0 together with its generating columns inside C(0)."""
     cx = nerve_complex(sys)
-    z = _cocycles(cx, 0)
-    return subquotient(z, cx.lattices[0]), z, cx
+    z = relative_kernel(cx.diff[0].dense(), cx.lattice(1))  # the 0-cocycles
+    return subquotient(z, cx.lattice(0)), z, cx
 
 
 def induced_limit_hom(level_maps: dict[str, AbHom],
@@ -210,7 +264,7 @@ def induced_limit_hom(level_maps: dict[str, AbHom],
         co += m.cols
     big = IntMatrix.from_rows(rows, cols=cx_s.dims[0])
     cols = []
-    aug = z_t.hstack(cx_t.lattices[0])
+    aug = z_t.hstack(cx_t.lattice(0))
     for j in range(z_s.cols):
         image = big.apply(z_s.col(j))
         sol = solve(aug, image)

@@ -58,6 +58,10 @@ _POSET_LINE = re.compile(r"^(elements|covers):(.*)$")
 _COVER = re.compile(rf"^\s*({LABEL})\s*<\s*({LABEL})\s*$")
 _RULE = re.compile(rf"^\s*({LABEL})\s*->\s*({LABEL})\s*$")
 
+# the largest tower horizon read: every level is built before any check, so
+# memory grows with the horizon, not with the size of the file
+DEFAULT_HORIZON_BUDGET = 10000
+
 
 @dataclass
 class SequenceDecl:
@@ -242,6 +246,9 @@ def _close_block(b: Optional[_Block], doc: Document):
             doc.posets[b.name] = validate_poset(b.objects, b.arrows)
             return
         if b.kind == "tower":
+            if int(b.args[0]) > DEFAULT_HORIZON_BUDGET:
+                raise ParseError(b.line, f"horizon {b.args[0]} exceeds the budget "
+                                         f"of {DEFAULT_HORIZON_BUDGET}")
             base, over = tower_chain(int(b.args[0])), f"the chain 0 < ... < {b.args[0]}"
             _tower_defaults(b, base)
         else:

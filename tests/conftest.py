@@ -2,7 +2,9 @@
 
 The oracles here are deliberately naive re-derivations: product filtering
 for limits, minors-gcd for invariant factors, permutation expansion for
-determinants.  They exist so the library code is checked against an
+determinants, counting cochains for the order of a derived limit, and the
+presented subquotient of cocycles by coboundaries that `derived.cohomology`
+replaced.  They exist so the library code is checked against an
 independent computation, not against itself.
 """
 
@@ -12,7 +14,9 @@ import itertools
 import math
 import random
 
-from invsys.intlinalg import IntMatrix
+from invsys.abgroups import FgAbGroup, subquotient
+from invsys.derived import AbSystem, CochainComplex
+from invsys.intlinalg import IntMatrix, lattice_contains, relative_kernel
 from invsys.poset import Poset, validate_poset
 from invsys.setsys import SetSystem, Thread
 
@@ -99,3 +103,50 @@ def sphere_model(n: int) -> Poset:
     levels = [(f"a{k}", f"b{k}") for k in range(n + 1)]
     covers = [(lo, hi) for k in range(n) for lo in levels[k] for hi in levels[k + 1]]
     return validate_poset([e for level in levels for e in level], covers)
+
+
+def presented_cohomology(cx: CochainComplex, n: int) -> FgAbGroup:
+    """H^n as (cocycles modulo the relations) / (coboundaries), presented on
+    the generators of the cocycle lattice: the full-transform Smith path."""
+    if n < 0 or n > cx.top_degree:
+        return FgAbGroup.trivial()
+    z = relative_kernel(cx.diff[n].dense(), cx.lattice(n + 1))
+    sub = cx.lattice(n)
+    if n > 0:
+        sub = sub.hstack(cx.diff[n - 1].dense())
+    assert lattice_contains(z, sub), "coboundaries must be cocycles"
+    return subquotient(z, sub)
+
+
+def cochain_count_order(sys: AbSystem, m: int, n: int) -> int:
+    """|H^n| of a system whose every group is Z/m, by counting cochains.
+
+    Builds the normalized nerve complex with its own flag list and plain
+    arithmetic mod m: (dx)(i0 < ... < ik) is the bond i1 -> i0 applied to
+    x(i1 < ... < ik) plus the alternating sum of the inner faces.  Then
+    |H^n| = |ker d_n| * |ker d_(n-1)| / m^(number of n-element flags), each
+    kernel counted by running through every cochain.
+    """
+    base = sys.base
+    elems = list(base.elements)
+    flags = [[()]]  # flags[k] lists the flags of k elements, up to an empty list
+    while flags[-1]:
+        flags.append([(e,) + fl for fl in flags[-1] for e in elems
+                      if not fl or base.lt(e, fl[0])])
+    mult = {(lo, hi): sys.bond(lo, hi).matrix.entries[0][0] % m
+            for lo in elems for hi in elems if base.lt(lo, hi)}
+
+    def kernel_size(k: int) -> int:  # cochains on (k + 1)-element flags killed by d
+        src, tgt = flags[k + 1], flags[k + 2] if k + 2 < len(flags) else []
+        index = {fl: i for i, fl in enumerate(src)}
+        terms = [[(index[fl[1:]], mult[(fl[0], fl[1])])]
+                 + [(index[fl[:j] + fl[j + 1:]], (-1) ** j) for j in range(1, len(fl))]
+                 for fl in tgt]
+        return sum(all(sum(c * x[i] for i, c in row) % m == 0 for row in terms)
+                   for x in itertools.product(range(m), repeat=len(src)))
+
+    if n < 0 or n + 1 >= len(flags) or not flags[n + 1]:
+        return 1
+    if n == 0:
+        return kernel_size(0)
+    return kernel_size(n) * kernel_size(n - 1) // m ** len(flags[n])

@@ -6,6 +6,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,9 @@ from invsys.generators import (random_exact_sequence, random_poset,
                                random_surjective_absystem,
                                random_surjective_set_system, random_tower)
 from invsys.poset import Poset, chain_poset, wedge_poset
-from invsys.textio import (absystem_to_text, parse_document, poset_to_text,
-                           sequence_to_text, system_to_text, tower_to_text)
+from invsys.textio import (DEFAULT_HORIZON_BUDGET, absystem_to_text, parse_document,
+                           poset_to_text, sequence_to_text, system_to_text,
+                           tower_to_text)
 
 from conftest import sphere_model
 
@@ -208,6 +210,69 @@ def test_cli_exactness(tmp_path, capsys):
     assert "ok: True" in capsys.readouterr().out
 
 
+TORSION_SEQUENCE = """\
+poset W
+elements: a b c
+covers: c < a, c < b
+absystem A over W
+group a: gens 2 relations [[-2, 2], [-4, 4]]
+group b: gens 2 relations [[0, -2]]
+group c: gens 2 relations [[0, 2], [-2, 4], [-4, 8], [-8, 16]]
+map a -> c: matrix [[0, -1], [1, 3]]
+map b -> c: matrix [[-1, 0], [2, -1]]
+absystem B over W
+group a: gens 4 relations [[-2, 2, 0, 0], [-4, 4, 0, 0], [0, 0, -6, 4], [0, 0, -2, 2]]
+group b: gens 4 relations [[0, -2, 0, 0], [0, 0, 2, 2], [0, 0, 8, 8]]
+group c: gens 4 relations [[0, 2, 0, 0], [-2, 4, 0, 0], [-4, 8, 0, 0], [-8, 16, 0, 0], \
+[0, 0, 2, 4], [0, 0, 8, 16], [0, 0, -2, -2], [0, 0, -8, -8]]
+map a -> c: matrix [[0, -1, -4, -5], [1, 3, -2, -3], [0, 0, -3, -4], [0, 0, -4, -5]]
+map b -> c: matrix [[-1, 0, 3, -2], [2, -1, 1, 2], [0, 0, 2, -1], [0, 0, 3, -1]]
+absystem C over W
+group a: gens 2 relations [[-6, 4], [-2, 2]]
+group b: gens 2 relations [[2, 2], [8, 8]]
+group c: gens 2 relations [[2, 4], [8, 16], [-2, -2], [-8, -8]]
+map a -> c: matrix [[-3, -4], [-4, -5]]
+map b -> c: matrix [[2, -1], [3, -1]]
+sequence Q over W systems A B C
+map u at a: matrix [[1, 0], [0, 1], [0, 0], [0, 0]]
+map u at b: matrix [[1, 0], [0, 1], [0, 0], [0, 0]]
+map u at c: matrix [[1, 0], [0, 1], [0, 0], [0, 0]]
+map v at a: matrix [[0, 0, 1, 0], [0, 0, 0, 1]]
+map v at b: matrix [[0, 0, 1, 0], [0, 0, 0, 1]]
+map v at c: matrix [[0, 0, 1, 0], [0, 0, 0, 1]]
+"""
+
+
+def test_cli_exactness_checks_each_level_map_once(tmp_path, capsys, monkeypatch):
+    # the reader and limit_exactness_check both ask whether each level map
+    # respects relations; the second asking is a cache hit and solves nothing
+    import invsys.derived
+    import invsys.intlinalg
+    from invsys.abgroups import hom_is_valid
+    calls = []
+
+    def counting(m, b, _solve=invsys.intlinalg.solve):
+        calls.append(m)
+        return _solve(m, b)
+
+    for module in (invsys.intlinalg, invsys.derived):
+        monkeypatch.setattr(module, "solve", counting)
+    hom_is_valid.cache_clear()
+    fp = tmp_path / "wedge.sequence"
+    fp.write_text(TORSION_SEQUENCE)
+    assert main(["exactness", str(fp)]) == 0
+    assert "ok: True" in capsys.readouterr().out
+    # a second check of the 12 level maps would add one solve per source
+    # relator: 7 for the u maps and 15 for the v maps
+    assert len(calls) == 202
+    seq = parse_document(TORSION_SEQUENCE).sequences["Q"]
+    maps = [*seq.u.values(), *seq.v.values()]
+    before = hom_is_valid.cache_info()
+    del calls[:]
+    assert all(hom_is_valid(h) for h in maps) and not calls
+    assert hom_is_valid.cache_info().hits == before.hits + len(maps)
+
+
 def _rejected(argv, capsys) -> str:
     """Run argv, expect exit 2, and return its one-line error."""
     assert main(argv) == 2
@@ -226,6 +291,17 @@ def test_cli_rejects_poset_header_without_one_name(tmp_path, capsys, header):
     with pytest.raises(ParseError) as exc:
         parse_document(f"{header}\nelements: a\n")
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("horizon", [DEFAULT_HORIZON_BUDGET + 1, 10 ** 8])
+def test_cli_rejects_a_tower_horizon_over_budget_before_building_it(tmp_path, capsys, horizon):
+    fp = tmp_path / "deep.tower"
+    fp.write_text(f"# one level per line would be too many\ntower T horizon {horizon}\n"
+                  "set all: { 0 1 2 }\nmap all: clipdec\n")
+    start = time.monotonic()
+    assert _rejected(["validate", str(fp)], capsys) == \
+        f"error: line 2: horizon {horizon} exceeds the budget of {DEFAULT_HORIZON_BUDGET}\n"
+    assert time.monotonic() - start < 2
 
 
 @pytest.mark.parametrize("command", ["ml", "images"])
