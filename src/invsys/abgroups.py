@@ -2,15 +2,16 @@
 
 A group is Z^ngens modulo the row lattice of a relation matrix; a
 homomorphism is an integer matrix on generators that must carry every
-source relator into the target's relation lattice.  Kernels, images,
-cokernels and exactness all reduce to Smith-normal-form computations on
-the relevant lattices.
+source relator into the target's relation lattice.  Membership, kernels,
+images and exactness reduce to the cached column echelon forms of the
+relevant lattices; group invariants to transform-free invariant factors.
+Only `FiniteGroupElements` needs the Smith basis with its transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
@@ -42,6 +43,10 @@ class FgAbGroup:
 
     def relation_lattice(self) -> IntMatrix:
         """Relators as columns in Z^ngens."""
+        return self._lattice
+
+    @cached_property
+    def _lattice(self) -> IntMatrix:  # transposed once per group
         return self.relations.transpose()
 
 
@@ -150,7 +155,8 @@ def hom_cokernel(h: AbHom) -> FgAbGroup:
 
 
 def is_injective(h: AbHom) -> bool:
-    return is_trivial_group(hom_kernel(h))
+    """The kernel lattice of h lies in the source relation lattice."""
+    return lattice_contains(h.source.relation_lattice(), _kernel_lattice(h))
 
 
 def is_surjective_hom(h: AbHom) -> bool:

@@ -26,14 +26,15 @@ D A = 0, ker D is saturated, the free rank of H^n is
 dim C(n) + #L(n+1) - rank D - rank A and its torsion is the invariant
 factors of A other than 1.  Both come from `sparse_invariant_factors`
 (unit pivots, then the Smith pivot loop on the residual, no transforms).
-The block solves are the check that coboundaries are cocycles.  Smith
-transforms are still used by `solve`, kernel bases and the H^0 bases of
-`h0_with_basis`, which the exactness report needs as maps.
+The block solves are the check that coboundaries are cocycles.  They, the
+kernel bases and the H^0 bases of `h0_with_basis`, which the exactness
+report needs as maps, come from cached column echelon forms
+(`intlinalg.echelon_form`); no Smith transform is computed here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
                        hom_compose, hom_equal, hom_is_valid, invariants_embed,
@@ -98,6 +99,8 @@ class CochainComplex:
     blocks: list[list[tuple[int, FgAbGroup]]]
     dims: list[int]
     diff: list[SparseMatrix]
+    _lattices: dict[int, IntMatrix] = field(default_factory=dict, init=False, repr=False,
+                                            compare=False)
 
     @property
     def top_degree(self) -> int:
@@ -109,10 +112,13 @@ class CochainComplex:
                 for off, g in self.blocks[n] for row in g.relations.entries]
 
     def lattice(self, n: int) -> IntMatrix:
-        """L(n) as a dense matrix of columns; no rows above the top degree."""
+        """L(n) as a dense matrix of columns, built once; no rows above the
+        top degree."""
         if n > self.top_degree:
             return IntMatrix.zeros(0, 0)
-        return SparseMatrix(self.dims[n], tuple(self.relations(n))).dense()
+        if n not in self._lattices:
+            self._lattices[n] = SparseMatrix(self.dims[n], tuple(self.relations(n))).dense()
+        return self._lattices[n]
 
 
 DEFAULT_FLAG_BUDGET = 20000

@@ -1,7 +1,16 @@
-"""Exact integer linear algebra: matrices, Smith normal form, lattices.
+"""Exact integer linear algebra: matrices, echelon and Smith forms, lattices.
 
 All entries are Python ints, so intermediate blow-up during elimination is
-harmless.  The Smith routine returns the full transform pair (U, D, V) with
+harmless.
+
+Lattice work goes through one cached column echelon form per matrix
+(`echelon_form`): m T = [E | 0] with T unimodular, built by column
+operations only.  `in_lattice` (so `lattice_contains`) is forward
+substitution against E, `solve` maps that solution back through T, and
+`kernel_basis` (so `relative_kernel`) is the columns of T after the
+pivots.
+
+The Smith routine returns the full transform pair (U, D, V) with
 U*m*V = D, both transforms unimodular, and the diagonal in a divisibility
 chain.  It is one pivot loop (Cohen, A Course in Computational Algebraic
 Number Theory, Alg. 2.4.14): each round moves the smallest nonzero entry of
@@ -9,18 +18,18 @@ the trailing submatrix, ties broken in row-major order, to the diagonal and
 divides its row and column by it; a remainder, or an entry the pivot does
 not divide, starts another round, so the pivot shrinks until it divides
 everything after it.  The choice keeps the run deterministic and the
-entries tame.
+entries tame.  Only a diagonal basis needs the transforms:
+`inverse_unimodular` and the canonical forms of finite groups.
 
 `sparse_invariant_factors` (and `invariant_factors`, `rank`) give the
 diagonal alone: unit pivots are eliminated on sparse rows first, and the
-same loop runs on what is left without recording transforms.  `solve`,
-`kernel_basis` and `inverse_unimodular` need U or V and use the full form.
+same loop runs on what is left without recording transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 
@@ -120,6 +129,11 @@ class SparseMatrix:
         return {i: z for i, z in out.items() if z}
 
     def dense(self) -> IntMatrix:
+        """The same matrix as an IntMatrix, built once."""
+        return self._dense
+
+    @cached_property
+    def _dense(self) -> IntMatrix:
         return IntMatrix.from_cols([[col.get(i, 0) for i in range(self.rows)]
                                     for col in self.columns], rows=self.rows)
 
@@ -282,42 +296,118 @@ def sparse_invariant_factors(vectors: Iterable[dict[int, int]]) -> list[int]:
 
 def invariant_factors(m: IntMatrix) -> list[int]:
     """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    return sparse_invariant_factors({j: x for j, x in enumerate(row) if x}
-                                    for row in m.entries)
+    return list(_invariant_factors(m))
+
+
+@lru_cache(maxsize=8192)
+def _invariant_factors(m: IntMatrix) -> tuple[int, ...]:
+    return tuple(sparse_invariant_factors({j: x for j, x in enumerate(row) if x}
+                                          for row in m.entries))
 
 
 def rank(m: IntMatrix) -> int:
     return len(invariant_factors(m))
 
 
+@dataclass(frozen=True)
+class Echelon:
+    """A column echelon form m T = [E | 0] of an r x c matrix m.
+
+    T is unimodular, stored by columns in `transform`; m takes its first
+    len(pivots) columns to the columns of E, kept in `columns`, and the
+    rest to zero, so those are a basis of the kernel lattice of m.  Column
+    j of E is zero above row pivots[j] and positive there, and the pivot
+    rows increase, so E y = b is solved by forward substitution.
+    """
+    pivots: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
+    transform: tuple[tuple[int, ...], ...]
+
+    def substitute(self, b: Sequence[int]) -> Optional[list[int]]:
+        """The y with E y = b, or None when there is none."""
+        res = list(b)
+        y, top = [], 0
+        for i, col in zip(self.pivots, self.columns):
+            if any(res[top:i]):  # rows no column from here on reaches
+                return None
+            q, rem = divmod(res[i], col[i])
+            if rem:
+                return None
+            if q:
+                res[i:] = [x - q * e for x, e in zip(res[i:], col[i:])]
+            y.append(q)
+            top = i + 1
+        return None if any(res[top:]) else y
+
+
+@lru_cache(maxsize=8192)
+def echelon_form(m: IntMatrix) -> Echelon:
+    """The column echelon form of m (see Echelon), by column operations only.
+
+    Rows are taken top to bottom.  In each, among the columns without a
+    pivot yet, the entry of least absolute value (the leftmost of equals)
+    divides the others of the row with remainder, its column taken from
+    theirs, until one nonzero entry is left; that column, made positive,
+    is the next pivot (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4.2-2.4.3).  Cached like `smith_normal_form`.
+    """
+    r, c = m.rows, m.cols
+    a = [list(col) for col in zip(*m.entries)] if r else [[] for _ in range(c)]
+    t = [[int(i == j) for i in range(c)] for j in range(c)]
+    pivots: list[int] = []
+    k = 0
+    for i in range(r):
+        if k == c:
+            break
+        while True:
+            live = [(abs(a[j][i]), j) for j in range(k, c) if a[j][i]]
+            if not live:
+                break
+            _, j = min(live)
+            a[k], a[j] = a[j], a[k]
+            t[k], t[j] = t[j], t[k]
+            p = a[k][i]
+            if len(live) == 1:
+                if p < 0:
+                    a[k] = [-x for x in a[k]]
+                    t[k] = [-x for x in t[k]]
+                pivots.append(i)
+                k += 1
+                break
+            for j in range(k + 1, c):
+                q = a[j][i] // p
+                if q:
+                    a[j][i:] = [x - q * y for x, y in zip(a[j][i:], a[k][i:])]
+                    t[j] = [x - q * y for x, y in zip(t[j], t[k])]
+    return Echelon(tuple(pivots), tuple(tuple(col) for col in a[:k]),
+                   tuple(tuple(col) for col in t))
+
+
 def solve(m: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """One integer solution x of m x = b, or None."""
+    """One integer solution x of m x = b, or None: E y = b by forward
+    substitution, then x = T y."""
     if len(b) != m.rows:
         raise ValueError("dimension mismatch")
-    u, d, v = smith_normal_form(m)
-    c = u.apply(b)
-    y = [0] * m.cols
-    for i in range(m.rows):
-        di = d.entries[i][i] if i < m.cols else 0
-        if di != 0:
-            if c[i] % di != 0:
-                return None
-            y[i] = c[i] // di
-        elif c[i] != 0:
-            return None
-    return v.apply(y)
+    ech = echelon_form(m)
+    y = ech.substitute(b)
+    if y is None:
+        return None
+    x = [0] * m.cols
+    for q, col in zip(y, ech.transform):
+        if q:
+            x = [a + q * v for a, v in zip(x, col)]
+    return tuple(x)
 
 
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the integer kernel lattice {x : m x = 0}.
 
-    The columns of the Smith transform V whose diagonal entry is zero, in
-    column order: V is unimodular, so they are a basis of the kernel lattice
-    and not merely of a finite-index sublattice.
+    The columns of the echelon transform T after the pivots, in order: T is
+    unimodular, so they are a basis of the kernel lattice and not merely of
+    a finite-index sublattice.
     """
-    _, d, v = smith_normal_form(m)
-    return [v.col(j) for j in range(m.cols)
-            if j >= m.rows or d.entries[j][j] == 0]
+    ech = echelon_form(m)
+    return list(ech.transform[len(ech.pivots):])
 
 
 def relative_kernel(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
@@ -333,14 +423,17 @@ def relative_kernel(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
 
 def in_lattice(lat: IntMatrix, vec: Sequence[int]) -> bool:
     """Whether vec lies in the column span of lat over the integers."""
-    if lat.cols == 0:
-        return not any(vec)
-    return solve(lat, vec) is not None
+    if len(vec) != lat.rows:
+        raise ValueError("dimension mismatch")
+    return echelon_form(lat).substitute(vec) is not None
 
 
 def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
     """Column span of inner is a sublattice of the column span of outer."""
-    return all(in_lattice(outer, inner.col(j)) for j in range(inner.cols))
+    if inner.rows != outer.rows:
+        raise ValueError("dimension mismatch")
+    ech = echelon_form(outer)
+    return all(ech.substitute(col) is not None for col in zip(*inner.entries))
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:

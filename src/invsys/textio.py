@@ -11,7 +11,6 @@ once.  A sequence has one `map u at E` and one `map v at E` per element.
 
 from __future__ import annotations
 
-import ast
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,6 +56,12 @@ _LEVEL_MAP_LINE = re.compile(rf"^map\s+(u|v)\s+at\s+({LABEL})\s*:\s*matrix\s+(.*
 _POSET_LINE = re.compile(r"^(elements|covers):(.*)$")
 _COVER = re.compile(rf"^\s*({LABEL})\s*<\s*({LABEL})\s*$")
 _RULE = re.compile(rf"^\s*({LABEL})\s*->\s*({LABEL})\s*$")
+# a matrix literal: bracketed rows of signed decimal integers, nothing else
+_INT = r"[+-]?(?:0|[1-9][0-9]*)"  # no leading zeros
+_ROW = rf"\[\s*(?:{_INT}(?:\s*,\s*{_INT})*)?\s*\]"
+_MATRIX = re.compile(rf"\[\s*(?:{_ROW}(?:\s*,\s*{_ROW})*)?\s*\]", re.ASCII)
+_MATRIX_ROW = re.compile(r"\[([^][]*)\]")
+_SHOWN = 60  # characters of a bad literal quoted in its error
 
 # the largest tower horizon read: every level is built before any check, so
 # memory grows with the horizon, not with the size of the file
@@ -148,15 +153,16 @@ def _parse_rules(body: str, lineno: int) -> dict[str, str]:
 
 
 def _parse_matrix(text: str, lineno: int) -> list[list[int]]:
-    try:
-        value = ast.literal_eval(text.strip())
-    except (ValueError, SyntaxError):
-        raise ParseError(lineno, f"bad matrix literal {text.strip()!r}")
-    if (not isinstance(value, list)
-            or not all(isinstance(r, list) and all(isinstance(x, int) for x in r)
-                       for r in value)):
-        raise ParseError(lineno, "matrix must be a list of integer rows")
-    return value
+    text = text.strip()
+    if _MATRIX.fullmatch(text):
+        try:
+            return [[int(x) for x in row.split(",")] if row.strip() else []
+                    for row in _MATRIX_ROW.findall(text[1:-1])]
+        except ValueError:  # an integer longer than int() reads
+            pass
+    shown = text if len(text) <= _SHOWN else text[:_SHOWN - 3] + "..."
+    raise ParseError(lineno, f"bad matrix literal {shown!r}: expected a list of "
+                             "rows of decimal integers, as in [[1, -2], [0, 3]]")
 
 
 def _hom(b: _Block, key, source: FgAbGroup, target: FgAbGroup, valid: bool = False) -> AbHom:

@@ -2,10 +2,11 @@
 
 The oracles here are deliberately naive re-derivations: product filtering
 for limits, minors-gcd for invariant factors, permutation expansion for
-determinants, counting cochains for the order of a derived limit, and the
+determinants, counting cochains for the order of a derived limit, the
 presented subquotient of cocycles by coboundaries that `derived.cohomology`
-replaced.  They exist so the library code is checked against an
-independent computation, not against itself.
+replaced, and the Smith-form solve that the echelon form replaced.  They
+exist so the library code is checked against an independent computation,
+not against itself.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import random
 
 from invsys.abgroups import FgAbGroup, subquotient
 from invsys.derived import AbSystem, CochainComplex
-from invsys.intlinalg import IntMatrix, lattice_contains, relative_kernel
+from invsys.intlinalg import (IntMatrix, lattice_contains, relative_kernel,
+                              smith_normal_form)
 from invsys.poset import Poset, validate_poset
 from invsys.setsys import SetSystem, Thread
 
@@ -74,6 +76,23 @@ def _det_perm(rows: list[list[int]]) -> int:
             prod *= rows[i][perm[i]]
         total += sign * prod
     return total
+
+
+def smith_solve(m: IntMatrix, b) -> "tuple[int, ...] | None":
+    """One integer solution x of m x = b, or None, through the Smith form
+    U m V = D: D y = U b is solved entry by entry and x = V y."""
+    u, d, v = smith_normal_form(m)
+    c = u.apply(b)
+    y = [0] * m.cols
+    for i in range(m.rows):
+        di = d.entries[i][i] if i < m.cols else 0
+        if di:
+            if c[i] % di:
+                return None
+            y[i] = c[i] // di
+        elif c[i]:
+            return None
+    return v.apply(y)
 
 
 def floyd_warshall_leq(elements, covers):

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invsys.abgroups import (AbHom, FgAbGroup, apply_hom_canon,
                              composition_is_zero, finite_elements,
@@ -78,6 +80,38 @@ def test_kernel_of_projection_to_quotient():
     assert group_invariants(hom_kernel(proj)) == (1, [])
     assert is_surjective_hom(proj)
     assert group_invariants(hom_cokernel(proj)) == (0, [])
+
+
+# a hom between two presented groups, valid by construction: the images of
+# the source relators are among the target relators
+homs = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda dims: st.tuples(
+        st.lists(st.lists(st.integers(-6, 6), min_size=dims[0], max_size=dims[0]), max_size=3),
+        st.lists(st.lists(st.integers(-6, 6), min_size=dims[1], max_size=dims[1]), max_size=3),
+        st.lists(st.lists(st.integers(-3, 3), min_size=dims[0], max_size=dims[0]),
+                 min_size=dims[1], max_size=dims[1]),
+        st.just(dims)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(homs)
+def test_is_injective_agrees_with_the_kernel_group(case):
+    src_rels, tgt_rels, rows, (s, t) = case
+    m = IntMatrix.from_rows(rows, cols=s)
+    source = FgAbGroup(s, IntMatrix.from_rows(src_rels, cols=s))
+    images = [list(m.apply(r)) for r in src_rels]
+    target = FgAbGroup(t, IntMatrix.from_rows(tgt_rels + images, cols=t))
+    h = AbHom(source, target, m)
+    assert hom_is_valid(h)
+    assert is_injective(h) == is_trivial_group(hom_kernel(h))
+
+
+def test_is_injective_on_torsion():
+    z, z2, z4 = FgAbGroup.free(1), FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
+    assert is_injective(AbHom(z2, z4, IntMatrix.from_rows([[2]])))
+    assert not is_injective(AbHom(z4, z2, IntMatrix.from_rows([[1]])))
+    assert not is_injective(AbHom(z, z2, IntMatrix.from_rows([[1]])))
+    assert is_injective(AbHom(z, z, IntMatrix.from_rows([[-3]])))
 
 
 def test_hom_equal_mod_target_relations():

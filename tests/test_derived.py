@@ -247,6 +247,28 @@ def test_exactness_check_builds_one_nerve_complex_per_system(monkeypatch):
     assert {id(s) for s in built} == {id(a), id(b), id(c)}
 
 
+def test_exactness_check_computes_no_smith_form(monkeypatch):
+    # membership, solves and kernels all go through the echelon form; the
+    # Smith transforms serve only finite-group canonical forms and inverses
+    import invsys
+    import invsys.abgroups
+    import invsys.intlinalg
+    calls = []
+
+    def counting(m, _smith=invsys.intlinalg.smith_normal_form):
+        calls.append(m)
+        return _smith(m)
+
+    for module in (invsys, invsys.intlinalg, invsys.abgroups):
+        monkeypatch.setattr(module, "smith_normal_form", counting)
+    rep = limit_exactness_check(*_wedge_sequence())
+    assert rep.ok and not calls
+    # the counter is live: a finite group's canonical form does call it
+    finite_elements.cache_clear()
+    finite_elements(FgAbGroup.cyclic(6))
+    assert calls
+
+
 def _constant_z(p):
     z = FgAbGroup.free(1)
     return validate_absystem(p, {e: z for e in p.elements},

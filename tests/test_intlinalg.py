@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,13 @@ from hypothesis import strategies as st
 
 from invsys.abgroups import AbHom, FgAbGroup
 from invsys.derived import nerve_complex, validate_absystem
-from invsys.intlinalg import (IntMatrix, det, in_lattice, invariant_factors,
-                              inverse_unimodular, is_unimodular, kernel_basis,
-                              lattice_contains, rank, relative_kernel,
+from invsys.intlinalg import (IntMatrix, det, echelon_form, in_lattice,
+                              invariant_factors, inverse_unimodular, is_unimodular,
+                              kernel_basis, lattice_contains, rank, relative_kernel,
                               smith_normal_form, solve)
 from invsys.poset import chain_poset, grid_poset
 
-from conftest import minors_gcd_invariants, random_int_matrix
+from conftest import minors_gcd_invariants, random_int_matrix, smith_solve
 
 matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -171,13 +172,20 @@ def _minor(m: IntMatrix, rs, cs) -> int:
     return det(IntMatrix.from_rows([[m.entries[i][j] for j in cs] for i in rs]))
 
 
-def _rank_by_minors(m: IntMatrix) -> int:
-    for k in range(min(m.rows, m.cols), 0, -1):
-        if any(_minor(m, rs, cs)
-               for rs in itertools.combinations(range(m.rows), k)
-               for cs in itertools.combinations(range(m.cols), k)):
-            return k
-    return 0
+def _rational_rank(m: IntMatrix) -> int:
+    """Rank by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in m.entries]
+    r = 0
+    for j in range(m.cols):
+        p = next((i for i in range(r, m.rows) if a[i][j]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        for i in range(r + 1, m.rows):
+            q = a[i][j] / a[r][j]
+            a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
 
 
 @settings(max_examples=200, deadline=None)
@@ -199,10 +207,11 @@ def test_relative_kernel_without_lattice_is_the_kernel(rows):
 
 
 def _check_kernel_lattice(m: IntMatrix, ker):
-    """ker is a basis of the integer kernel of m, by Bareiss minors only."""
+    """ker is a basis of the integer kernel of m: the rank from rational
+    elimination, saturation from Bareiss minors."""
     for x in ker:
         assert not any(m.apply(x))
-    assert len(ker) == m.cols - _rank_by_minors(m)
+    assert len(ker) == m.cols - _rational_rank(m)
     if ker:
         # saturated: the maximal minors of the basis have gcd 1, so the
         # vectors span every integer point of their rational span
@@ -210,13 +219,52 @@ def _check_kernel_lattice(m: IntMatrix, ker):
         g = 0
         for rs in itertools.combinations(range(basis.rows), basis.cols):
             g = math.gcd(g, _minor(basis, rs, range(basis.cols)))
+            if g == 1:
+                break
         assert g == 1
+
+
+# up to 8 x 14 with a right-hand side: m, x and a small offset d; b = m x + d
+# is in the lattice when d = 0 and mostly is not otherwise
+echelon_cases = st.integers(0, 8).flatmap(
+    lambda r: st.integers(0, 14).flatmap(
+        lambda c: st.tuples(
+            st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c),
+                     min_size=r, max_size=r),
+            st.lists(st.integers(-5, 5), min_size=c, max_size=c),
+            st.lists(st.integers(-1, 1), min_size=r, max_size=r),
+            st.just(c))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_cases)
+def test_echelon_membership_and_solve_against_smith_oracle(case):
+    rows, x, d, c = case
+    m = IntMatrix.from_rows(rows, cols=c)
+    image = m.apply(x)
+    for b in (image, tuple(y + e for y, e in zip(image, d))):
+        got, oracle = solve(m, b), smith_solve(m, b)
+        assert (got is None) == (oracle is None) == (not in_lattice(m, b))
+        if got is not None:
+            assert m.apply(got) == tuple(b)
+    ech = echelon_form(m)
+    assert list(ech.pivots) == sorted(set(ech.pivots)) and len(ech.pivots) == rank(m)
+    for i, col in zip(ech.pivots, ech.columns):
+        assert col[i] > 0 and not any(col[:i])
+    assert is_unimodular(IntMatrix.from_cols(ech.transform, rows=c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(echelon_cases)
+def test_echelon_kernel_basis_against_minors_oracle(case):
+    m = IntMatrix.from_rows(case[0], cols=case[3])
+    _check_kernel_lattice(m, kernel_basis(m))
 
 
 @pytest.mark.parametrize("base", [chain_poset(6), grid_poset(3, 3)],
                          ids=["chain6", "grid3x3"])
 def test_kernel_entries_stay_small_on_nerve_complexes(base):
-    # guards the Smith transform entries that kernel_basis returns unreduced
+    # guards the echelon transform entries that kernel_basis returns unreduced
     z = FgAbGroup.free(1)
     s = validate_absystem(base, {e: z for e in base.elements},
                           {cov: AbHom(z, z, IntMatrix.identity(1)) for cov in base.covers})

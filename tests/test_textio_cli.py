@@ -245,28 +245,29 @@ map v at c: matrix [[0, 0, 1, 0], [0, 0, 0, 1]]
 
 def test_cli_exactness_checks_each_level_map_once(tmp_path, capsys, monkeypatch):
     # the reader and limit_exactness_check both ask whether each level map
-    # respects relations; the second asking is a cache hit and solves nothing
-    import invsys.derived
-    import invsys.intlinalg
+    # respects relations; the second asking is a cache hit and does no
+    # membership work.  Every membership test and every solve is one forward
+    # substitution against a cached echelon form, so those are counted.
     from invsys.abgroups import hom_is_valid
+    from invsys.intlinalg import Echelon
     calls = []
 
-    def counting(m, b, _solve=invsys.intlinalg.solve):
-        calls.append(m)
-        return _solve(m, b)
+    def counting(ech, b, _substitute=Echelon.substitute):
+        calls.append(ech)
+        return _substitute(ech, b)
 
-    for module in (invsys.intlinalg, invsys.derived):
-        monkeypatch.setattr(module, "solve", counting)
+    monkeypatch.setattr(Echelon, "substitute", counting)
     hom_is_valid.cache_clear()
     fp = tmp_path / "wedge.sequence"
     fp.write_text(TORSION_SEQUENCE)
     assert main(["exactness", str(fp)]) == 0
     assert "ok: True" in capsys.readouterr().out
-    # a second check of the 12 level maps would add one solve per source
-    # relator: 7 for the u maps and 15 for the v maps
-    assert len(calls) == 202
+    # a second check of the 12 level maps would add one substitution per
+    # source relator: 7 for the u maps and 15 for the v maps
+    assert len(calls) == 219
     seq = parse_document(TORSION_SEQUENCE).sequences["Q"]
     maps = [*seq.u.values(), *seq.v.values()]
+    assert sum(h.source.relations.rows for h in maps) == 22
     before = hom_is_valid.cache_info()
     del calls[:]
     assert all(hom_is_valid(h) for h in maps) and not calls
@@ -451,6 +452,48 @@ def test_cli_rejects_bad_declaration_with_its_line(tmp_path, capsys, text, old, 
     fp = tmp_path / "bad.txt"
     fp.write_text(text.replace(old, new))
     assert _rejected(["validate", str(fp)], capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, old, new", [
+    ("", "", "group G gens 1 relations [[True]]\n"),
+    ("", "", "group G gens 1 relations [[0x2]]\n"),
+    (WEDGE_ABSYSTEM, "map a -> c: matrix [[]]", "map a -> c: matrix [[1_0]]"),
+    ("", "", "group G gens 1 relations [[1.0]]\n"),
+    ("", "", "group G gens 1 relations [[07]]\n"),
+    ("", "", "group G gens 1 relations [[1,]]\n"),
+    ("", "", "group G gens 1 relations [1]\n"),
+    ("", "", "group G gens 1 relations ((1,),)\n"),
+    ("", "", "group G gens 1 relations [[- 1]]\n"),
+], ids=["bool", "hex", "underscore", "float", "leading-zero", "trailing-comma",
+        "flat", "tuple", "detached-sign"])
+def test_cli_matrix_literals_are_decimal_integers_only(tmp_path, capsys, text, old, new):
+    # the reader accepts bracketed rows of optionally signed decimal integers,
+    # not every Python literal that evaluates to integers
+    fp = tmp_path / "bad.txt"
+    fp.write_text(text.replace(old, new) if old else new)
+    err = _rejected(["validate", str(fp)], capsys)
+    assert err.startswith(f"error: line {1 if not text else 9}: bad matrix literal ")
+
+
+def test_cli_matrix_literal_spacing_and_signs(tmp_path, capsys):
+    fp = tmp_path / "ok.txt"
+    fp.write_text("group G gens 2 relations [ [ +2 ,-4 ],[0,\t6] ]\n"
+                  "group H gens 0 relations []\ngroup K gens 0 relations [[]]\n")
+    assert main(["--json", "validate", str(fp)]) == 0
+    parsed = parse_document(fp.read_text()).groups
+    assert parsed["G"].relations.entries == ((2, -4), (0, 6))
+    assert parsed["H"].relations.rows == 0 and parsed["K"].relations.rows == 1
+
+
+def test_cli_bad_matrix_literal_error_is_short(tmp_path, capsys):
+    # a long bad literal is quoted truncated, not echoed in full
+    row = "[" + ", ".join(["12345"] * 80) + "]"
+    literal = "[" + ", ".join([row] * 1000) + ", [x]]"
+    fp = tmp_path / "bad.txt"
+    fp.write_text(f"group G gens 80 relations {literal}\n")
+    assert len(literal) > 400_000
+    err = _rejected(["validate", str(fp)], capsys)
+    assert err.startswith("error: line 1: bad matrix literal '[[12345, ") and len(err) < 200
 
 
 @pytest.mark.parametrize("argv", [
