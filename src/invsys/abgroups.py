@@ -163,11 +163,6 @@ def is_surjective_hom(h: AbHom) -> bool:
     return is_trivial_group(hom_cokernel(h))
 
 
-def composition_is_zero(f: AbHom, g: AbHom) -> bool:
-    """Whether g o f is the zero map."""
-    return hom_equal(hom_compose(g, f), AbHom.zero(f.source, g.target))
-
-
 def is_exact_at(f: AbHom, g: AbHom) -> bool:
     """im f = ker g inside the shared middle group, by double inclusion.
 

@@ -27,7 +27,7 @@ from . import bergman, henkin
 from .abgroups import group_invariants, is_trivial_group
 from .derived import derived_limit, limit_exactness_check, scd_finite
 from .errors import BadOption, BudgetExceeded, InvsysError, ParseError
-from .setsys import (DEFAULT_BUDGET, Tower, is_surjective, limit_threads,
+from .setsys import (DEFAULT_BUDGET, SetSystem, is_surjective, limit_threads,
                      ml_report, universal_images, validate_tower)
 from .textio import Document, parse_document
 
@@ -114,15 +114,15 @@ def cmd_surjective(args, report: RunReport) -> int:
     ok, pair = is_surjective(target)
     report.verdicts["surjective"] = ok
     if pair is not None:
-        report.data["first_failing_pair"] = [str(x) for x in pair]
+        report.data["first_failing_pair"] = list(pair)
     return 0 if ok else 1
 
 
-def _clip_tower(t: Tower, horizon) -> Tower:
-    if horizon is None or _at_least("--horizon", horizon, 1) >= t.horizon:
+def _clip_tower(t: SetSystem, horizon) -> SetSystem:
+    if horizon is None or _at_least("--horizon", horizon, 1) >= len(t.base.elements) - 1:
         return t
-    return validate_tower(horizon, list(t.carriers[: horizon + 1]),
-                          list(t.steps[:horizon]))
+    return validate_tower(horizon, list(t.carriers.values())[: horizon + 1],
+                          list(t.cover_bonds.values())[:horizon])
 
 
 def cmd_ml(args, report: RunReport) -> int:
@@ -142,16 +142,13 @@ def cmd_ml(args, report: RunReport) -> int:
 
 def cmd_images(args, report: RunReport) -> int:
     doc = _load(args.file, report)
-    if args.tower or doc.towers and not doc.systems:
-        target = _clip_tower(doc.sole("towers", args.tower), args.horizon)
-    else:
-        target = doc.sole("systems", args.system)
+    tower = bool(args.tower or doc.towers and not doc.systems)
+    target = (_clip_tower(doc.sole("towers", args.tower), args.horizon) if tower
+              else doc.sole("systems", args.system))
     restricted, meta = universal_images(target)
-    if isinstance(restricted, Tower):
-        report.data["carrier_sizes"] = [len(c) for c in restricted.carriers]
-    else:
-        report.data["carrier_sizes"] = {e: len(restricted.carriers[e])
-                                        for e in restricted.base.elements}
+    sizes = {e: len(c) for e, c in restricted.carriers.items()}
+    # a tower lists its levels in order, a system names its elements
+    report.data["carrier_sizes"] = list(sizes.values()) if tower else sizes
     ok = all(meta.values())
     report.verdicts["restricted_bonds_surjective"] = ok
     report.data["pairs_checked"] = len(meta)

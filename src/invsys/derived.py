@@ -82,11 +82,6 @@ def validate_absystem(base: Poset, groups: dict[str, FgAbGroup],
     return AbSystem(base, groups, cover_bonds).validate()
 
 
-def is_surjective_absystem(sys: AbSystem) -> bool:
-    # composites of onto cover bonds are onto
-    return sys.first_non_onto(sys.base.covers) is None
-
-
 @dataclass
 class CochainComplex:
     """Normalized nerve complex of an AbSystem, stored as block data.
@@ -363,7 +358,7 @@ def limit_exactness_check(a: AbSystem, b: AbSystem, c: AbSystem,
         coker_v=group_invariants(coker_v),
         coker_embeds_in_lim1=invariants_embed(group_invariants(coker_v),
                                               group_invariants(lim1_a)),
-        a_surjective=is_surjective_absystem(a),
+        a_surjective=a.first_non_onto() is None,
         base_has_maximum=base.has_maximum() is not None,
     )
     return report

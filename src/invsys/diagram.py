@@ -1,5 +1,10 @@
 """Inverse systems as functors from a finite poset: the core shared by set
-systems, towers and abelian-group systems."""
+systems (towers among them, on a chain) and abelian-group systems.
+
+Every check a system offers walks the covers of its base: validation,
+commuting squares and surjectivity, where composites of onto cover bonds
+are onto, so one non-onto cover is the witness of a non-surjective
+system."""
 
 from __future__ import annotations
 
@@ -82,10 +87,11 @@ class Diagram:
                         self.bond(i, j)
         return self
 
-    def first_non_onto(self, pairs) -> tuple[str, str] | None:
-        """The first pair (lower, upper) of pairs whose bond is not onto, or None."""
-        for lower, upper in pairs:
-            if not self.is_onto(self.bond(lower, upper), lower):
+    def first_non_onto(self) -> tuple[str, str] | None:
+        """The first cover (lower, upper), in base order, whose bond is not
+        onto; None when every bond, composites included, is onto."""
+        for lower, upper in self.base.covers:
+            if not self.is_onto(self.cover_bonds[(lower, upper)], lower):
                 return lower, upper
         return None
 

@@ -35,10 +35,6 @@ class NoMaximum(InvsysError):
     """The base poset has no maximum element."""
 
 
-class NotSurjective(InvsysError):
-    """A bonding map required to be onto is not."""
-
-
 class NotCommuting(InvsysError):
     """A level-wise map does not commute with the bonding maps."""
 

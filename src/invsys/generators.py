@@ -14,9 +14,9 @@ import random
 
 from .abgroups import AbHom, FgAbGroup, hom_is_valid
 from .derived import AbSystem, validate_absystem
-from .intlinalg import IntMatrix, inverse_unimodular
+from .intlinalg import IntMatrix
 from .poset import Poset, validate_poset
-from .setsys import SetSystem, Tower, validate_system, validate_tower
+from .setsys import SetSystem, validate_system, validate_tower
 
 
 def random_poset(rng: random.Random, max_elements: int = 5,
@@ -100,7 +100,7 @@ def random_surjective_set_system(rng: random.Random, base: Poset,
 
 
 def random_tower(rng: random.Random, horizon: int = 12,
-                 max_carrier: int = 5) -> Tower:
+                 max_carrier: int = 5) -> SetSystem:
     carriers = [tuple(range(rng.randint(1, max_carrier)))
                 for _ in range(horizon + 1)]
     steps = [{x: rng.choice(carriers[n]) for x in carriers[n + 1]}
@@ -109,19 +109,26 @@ def random_tower(rng: random.Random, horizon: int = 12,
 
 
 def random_unimodular(rng: random.Random, n: int) -> tuple[IntMatrix, IntMatrix]:
-    """(W, W^{-1}) as a product of four elementary shears and swaps."""
+    """(W, W^{-1}) as a product of four elementary shears and swaps.
+
+    Each column operation on W is undone by a row operation on W^{-1}:
+    swapping columns i, j swaps rows i, j, and col_i += q col_j becomes
+    row_j -= q row_i.
+    """
     w = [[int(i == j) for j in range(n)] for i in range(n)]
+    winv = [row[:] for row in w]
     for _ in range(4 if n >= 2 else 0):
         i, j = rng.sample(range(n), 2)
         if rng.random() < 0.3:
             for row in w:
                 row[i], row[j] = row[j], row[i]
+            winv[i], winv[j] = winv[j], winv[i]
         else:
             q = rng.choice([-1, 1])
             for row in w:
                 row[i] += q * row[j]
-    wm = IntMatrix.from_rows(w, cols=n)
-    return wm, inverse_unimodular(wm)
+            winv[j] = [a - q * b for a, b in zip(winv[j], winv[i])]
+    return IntMatrix.from_rows(w, cols=n), IntMatrix.from_rows(winv, cols=n)
 
 
 # powers of a single prime, so Smith normalization cannot merge factors

@@ -1,19 +1,21 @@
 """Inverse systems of finite sets over a poset, and horizon-truncated towers.
 
 A SetSystem is a Diagram of carriers (tuples of opaque labels) whose bonds
-are dicts from the upper carrier to the lower one; a Tower is a SetSystem
-on the chain 0 < 1 < ... < horizon, indexed by integers.
+are dicts from the upper carrier to the lower one.  A tower of horizon H is
+nothing more: the SetSystem on the chain "0" < "1" < ... < "H" of
+`tower_chain`, with level n at the element str(n), built by
+`validate_tower`.  Every function here takes any set system, and
+`is_surjective` any Diagram; `ml_report` alone needs a tower.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import singledispatch
 from typing import Hashable, Sequence
 
 from .diagram import Diagram
 from .errors import (BudgetExceeded, EmptyFiber, NoMaximum, NotCommuting,
-                     NotFunction, NotSurjective, SigmaNotInjective)
+                     NotFunction, SigmaNotInjective)
 from .poset import Poset
 
 BondMap = dict  # carrier(upper) element -> carrier(lower) element
@@ -83,14 +85,13 @@ def is_thread(sys: SetSystem, t: Thread) -> bool:
     return all(bmap[m[hi]] == m[lo] for (lo, hi), bmap in sys.cover_bonds.items())
 
 
-@singledispatch
-def is_surjective(sys: SetSystem):
-    """(verdict, first failing pair or None).
+def is_surjective(sys: Diagram):
+    """(verdict, first failing cover or None) for a system of any kind.
 
-    The pair is the first comparable pair, in element order, whose bond is
-    not onto; for a tower it is the first step n <- n + 1 that is not onto.
+    The cover is the first (lower, upper) of base.covers whose bond is not
+    onto; for a tower, the first step n <- n + 1 that is not onto.
     """
-    pair = sys.first_non_onto(sys.base.comparable_pairs())
+    pair = sys.first_non_onto()
     return pair is None, pair
 
 
@@ -124,13 +125,11 @@ def limit_threads(sys: SetSystem, budget: int = DEFAULT_BUDGET) -> list[Thread]:
     return out
 
 
-@singledispatch
 def thread_from_top(sys: SetSystem) -> Thread:
     """A single thread built without enumeration.
 
-    Requires a maximum; one element there is pushed down along the bonds
-    (no surjectivity needed).  A tower instead requires every step to be
-    surjective, and preimages are chosen walking up the chain.
+    Requires a maximum, which a tower always has; one element there is
+    pushed down along the bonds (no surjectivity needed).
     """
     top = sys.base.has_maximum()
     if top is None:
@@ -148,59 +147,17 @@ def tower_chain(horizon: int) -> Poset:
     return Poset(labels, list(zip(labels, labels[1:])))
 
 
-class Tower:
-    """Inverse system over the chain 0 <= 1 <= ... <= horizon.
-
-    A thin adapter: the system itself is the SetSystem ``system`` on the
-    chain "0" < "1" < ... < "horizon", and level n is its element str(n).
-    """
-
-    def __init__(self, horizon: int, carriers: Sequence[Sequence],
-                 steps: Sequence[BondMap]):
-        if horizon < 1:
-            raise ValueError("horizon must be positive")
-        if len(carriers) != horizon + 1 or len(steps) != horizon:
-            raise ValueError("carrier/step counts do not match horizon")
-        chain = tower_chain(horizon)
-        self.system = SetSystem(chain, dict(zip(chain.elements, carriers)),
-                                dict(zip(chain.covers, steps)))
-        self.horizon = horizon
-        self.carriers = list(self.system.carriers.values())
-        self.steps = list(self.system.cover_bonds.values())
-
-    def step(self, n: int) -> BondMap:
-        """Bond carrier(n+1) -> carrier(n)."""
-        return self.steps[n]
-
-    def bond(self, n: int, m: int) -> BondMap:
-        """Composite bond carrier(m) -> carrier(n), n <= m."""
-        if not 0 <= n <= m <= self.horizon:
-            raise ValueError("bad levels")
-        return self.system.bond(str(n), str(m))
-
-
 def validate_tower(horizon: int, carriers: Sequence[Sequence],
-                   steps: Sequence[BondMap]) -> Tower:
-    t = Tower(horizon, carriers, steps)
-    t.system.validate()
-    return t
-
-
-@is_surjective.register
-def _(t: Tower):
-    n = next((n for n in range(t.horizon) if not t.system.is_onto(t.steps[n], str(n))), None)
-    return n is None, None if n is None else (n, n + 1)
-
-
-@thread_from_top.register
-def _(t: Tower) -> Thread:
-    ok, pair = is_surjective(t)
-    if not ok:
-        raise NotSurjective(f"tower step {pair[0]} <- {pair[1]} is not onto")
-    xs = {0: t.carriers[0][0]}
-    for n in range(t.horizon):
-        xs[n + 1] = next(y for y in t.carriers[n + 1] if t.steps[n][y] == xs[n])
-    return Thread.of({str(n): x for n, x in xs.items()})
+                   steps: Sequence[BondMap]) -> SetSystem:
+    """The tower with carriers[n] at level n and steps[n] the bond from level
+    n + 1 to level n: a validated SetSystem on tower_chain(horizon)."""
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    if len(carriers) != horizon + 1 or len(steps) != horizon:
+        raise ValueError("carrier/step counts do not match horizon")
+    chain = tower_chain(horizon)
+    return SetSystem(chain, dict(zip(chain.elements, carriers)),
+                     dict(zip(chain.covers, steps))).validate()
 
 
 @dataclass(frozen=True)
@@ -221,7 +178,7 @@ class MLReport:
         return all(e.verdict == "stable" for e in self.entries)
 
 
-def ml_report(t: Tower) -> MLReport:
+def ml_report(t: SetSystem) -> MLReport:
     """Image-chain stabilization data for every level of a tower.
 
     A level is "stable" when its image chain goes constant strictly before
@@ -229,13 +186,17 @@ def ml_report(t: Tower) -> MLReport:
     chain is still moving at the horizon the verdict is honest about the
     truncation rather than claiming a failure of the eventual-stability
     condition.  The image chains are pushed down one step at a time.
+    Raises ValueError unless t is a system on a tower_chain.
     """
+    h = len(t.base.elements) - 1
+    if t.base != tower_chain(h):
+        raise ValueError("ml_report needs a tower, a system on the chain 0 < 1 < ... < H")
     entries = []
-    h = t.horizon
     images: list[frozenset] = []  # the image chain of the level above
     for n in range(h, -1, -1):
-        images = [frozenset(t.carriers[n])] + [frozenset(t.steps[n][x] for x in image)
-                                               for image in images]
+        step = t.cover_bonds.get((str(n), str(n + 1)))  # None at the top, where images is []
+        images = [frozenset(t.carriers[str(n)])] + [frozenset(step[x] for x in image)
+                                                    for image in images]
         stab = h
         while stab > n and images[stab - 1 - n] == images[-1]:
             stab -= 1
@@ -244,16 +205,13 @@ def ml_report(t: Tower) -> MLReport:
     return MLReport(h, tuple(reversed(entries)))
 
 
-@singledispatch
 def universal_images(sys: SetSystem):
     """Restrict every carrier to the intersection of incoming images.
 
     Over a poset base the carriers then shrink to the largest subsets that
     every cover bond maps into each other, so the result is again a system.
     Returns (restricted system, metadata) where metadata maps each
-    comparable pair to the surjectivity verdict of its restricted bond.  A
-    tower is restricted as the system on its chain and comes back as a
-    tower, with levels in its pairs.
+    comparable pair to the surjectivity verdict of its restricted bond.
     """
     base = sys.base
     tops = base.maximal_elements()
@@ -270,14 +228,6 @@ def universal_images(sys: SetSystem):
     meta = {(i, j): restricted.is_onto(restricted.bond(i, j), i)
             for i, j in base.comparable_pairs()}
     return restricted, meta
-
-
-@universal_images.register
-def _(t: Tower):
-    restricted, meta = universal_images(t.system)
-    return (Tower(t.horizon, list(restricted.carriers.values()),
-                  list(restricted.cover_bonds.values())),
-            {(int(i), int(j)): ok for (i, j), ok in meta.items()})
 
 
 def fiber_subsystem(e_sys: SetSystem, s_sys: SetSystem,

@@ -21,7 +21,7 @@ from .diagram import Diagram
 from .errors import BadOption, NotFunction, ParseError
 from .intlinalg import IntMatrix
 from .poset import Poset, validate_poset
-from .setsys import SetSystem, Tower, tower_chain, validate_system, validate_tower
+from .setsys import SetSystem, tower_chain, validate_system, validate_tower
 
 LABEL = r"[A-Za-z0-9_()]+"
 _LABEL_RE = re.compile(rf"^{LABEL}$")
@@ -81,7 +81,7 @@ class SequenceDecl:
 class Document:
     posets: dict[str, Poset] = field(default_factory=dict)
     systems: dict[str, SetSystem] = field(default_factory=dict)
-    towers: dict[str, Tower] = field(default_factory=dict)
+    towers: dict[str, SetSystem] = field(default_factory=dict)  # on tower_chain(H)
     groups: dict[str, FgAbGroup] = field(default_factory=dict)
     absystems: dict[str, AbSystem] = field(default_factory=dict)
     sequences: dict[str, SequenceDecl] = field(default_factory=dict)
@@ -364,8 +364,8 @@ def system_to_text(name: str, over: str, s: SetSystem) -> str:
     return _diagram_to_text(f"system {name} over {over}", s)
 
 
-def tower_to_text(name: str, t: Tower) -> str:
-    return _diagram_to_text(f"tower {name} horizon {t.horizon}", t.system)
+def tower_to_text(name: str, t: SetSystem) -> str:
+    return _diagram_to_text(f"tower {name} horizon {len(t.base.elements) - 1}", t)
 
 
 def absystem_to_text(name: str, over: str, s: AbSystem) -> str:

@@ -1,10 +1,11 @@
 """Shared oracles and generators for the test suite.
 
 The oracles here are deliberately naive re-derivations: product filtering
-for limits, minors-gcd for invariant factors, permutation expansion for
-determinants, counting cochains for the order of a derived limit, the
-presented subquotient of cocycles by coboundaries that `derived.cohomology`
-replaced, and the Smith-form solve that the echelon form replaced.  They
+for limits, composition along a cover path for surjectivity, minors-gcd for
+invariant factors, permutation expansion for determinants, counting
+cochains for the order of a derived limit, the presented subquotient of
+cocycles by coboundaries that `derived.cohomology` replaced, and the
+Smith-form solve that the echelon form replaced.  They
 exist so the library code is checked against an independent computation,
 not against itself.
 """
@@ -35,6 +36,47 @@ def brute_force_threads(s: SetSystem) -> list[Thread]:
         if ok:
             out.append(Thread.of(assignment))
     return out
+
+
+def surjectivity_oracle(s) -> tuple[bool, "tuple[str, str] | None"]:
+    """(every comparable pair onto, first non-onto cover in base order).
+
+    Each pair's bond is composed by hand along one path of covers down from
+    the upper element.  A map of sets is onto when its values fill the lower
+    carrier; a hom of abelian groups, with target relations R and matrix M,
+    when the rows of R and of M transposed span Z^n, which minors-gcd
+    decides.
+    """
+    base = s.base
+
+    def onto(bond, lower) -> bool:
+        if isinstance(s, SetSystem):
+            return set(bond.values()) == set(s.carriers[lower])
+        n = s.group(lower).ngens
+        rows = [list(r) for r in s.group(lower).relations.entries]
+        rows += [list(r) for r in bond.matrix.transpose().entries]
+        return minors_gcd_invariants(IntMatrix.from_rows(rows, cols=n)) == [1] * n
+
+    def composite(lower, upper):
+        bond, e = None, upper
+        while e != lower:
+            lo = next(c for c, u in base.covers if u == e and base.leq(lower, c))
+            step = s.cover_bonds[(lo, e)]
+            if bond is None:
+                bond = step
+            elif isinstance(s, SetSystem):
+                bond = {x: step[y] for x, y in bond.items()}
+            else:
+                bond = type(step)(bond.source, step.target, step.matrix.mul(bond.matrix))
+            e = lo
+        return bond
+
+    first = next(((lo, hi) for lo, hi in base.covers
+                  if not onto(s.cover_bonds[(lo, hi)], lo)), None)
+    every = all(onto(composite(lo, hi), lo)
+                for lo in base.elements for hi in base.elements
+                if lo != hi and base.leq(lo, hi))
+    return every, first
 
 
 def minors_gcd_invariants(m: IntMatrix) -> list[int]:

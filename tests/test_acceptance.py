@@ -27,7 +27,8 @@ from invsys.intlinalg import (IntMatrix, invariant_factors, is_unimodular,
                               smith_normal_form)
 from invsys.poset import chain_poset, grid_poset, wedge_poset
 from invsys.setsys import (is_surjective, is_thread, limit_threads,
-                           ml_report, thread_from_top, universal_images)
+                           ml_report, thread_from_top, tower_chain,
+                           universal_images)
 
 from conftest import (brute_force_threads, minors_gcd_invariants,
                       random_int_matrix)
@@ -85,7 +86,7 @@ def test_criterion_3_ml_stable_towers_have_surjective_images():
     checked = 0
     while checked < 100:
         t = random_tower(rng)
-        assert t.horizon == 12
+        assert t.base == tower_chain(12)
         if not ml_report(t).stable_everywhere():
             continue
         _, meta = universal_images(t)

@@ -10,18 +10,18 @@ from invsys.abgroups import (AbHom, FgAbGroup, finite_elements,
                              is_injective, is_trivial_group)
 from invsys.derived import (CochainComplex, ExactnessReport, cohomology,
                             derived_limit, h0_with_basis, induced_limit_hom,
-                            is_surjective_absystem, limit_exactness_check,
+                            limit_exactness_check,
                             nerve_complex, scd_finite, scd_witness_system,
                             validate_absystem)
 from invsys.errors import FunctorialityViolation, SquaresDoNotCommute
-from invsys.generators import (random_exact_sequence, random_poset,
-                               random_surjective_absystem)
+from invsys.generators import (random_exact_sequence, random_forest_poset,
+                               random_poset, random_surjective_absystem)
 from invsys.intlinalg import IntMatrix, SparseMatrix
 from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
-from invsys.setsys import limit_threads, validate_system
+from invsys.setsys import is_surjective, limit_threads, validate_system
 
 from conftest import (cochain_count_order, minors_gcd_invariants,
-                      presented_cohomology, sphere_model)
+                      presented_cohomology, sphere_model, surjectivity_oracle)
 
 
 def test_differential_squares_to_zero():
@@ -59,9 +59,30 @@ def test_derived_vanishing_for_surjective_systems_with_maximum():
     for _ in range(25):
         p = random_poset(rng, max_elements=5, ensure_maximum=True)
         s = random_surjective_absystem(rng, p)
-        assert is_surjective_absystem(s)
+        assert is_surjective(s)[0]
         for n in range(1, max(2, p.longest_chain())):
             assert is_trivial_group(derived_limit(s, n))
+
+
+def test_is_surjective_verdict_matches_the_composition_oracle():
+    # free groups of rank 0-2 on forests with random bonds (a forest makes
+    # every choice functorial), and onto quotient systems on any poset
+    rng = random.Random(38)
+    verdicts = []
+    for _ in range(40):
+        p = random_forest_poset(rng, max_elements=5)
+        groups = {e: FgAbGroup.free(rng.randint(0, 2)) for e in p.elements}
+        s = validate_absystem(p, groups, {
+            (lo, hi): AbHom(groups[hi], groups[lo], IntMatrix.from_rows(
+                [[rng.randint(-2, 2) for _ in range(groups[hi].ngens)]
+                 for _ in range(groups[lo].ngens)], cols=groups[hi].ngens))
+            for lo, hi in p.covers})
+        q = random_poset(rng, max_elements=4)
+        for sys_ in (s, random_surjective_absystem(rng, q)):
+            ok, pair = is_surjective(sys_)
+            assert ok == surjectivity_oracle(sys_)[0] == (pair is None)
+            verdicts.append(ok)
+    assert 10 < sum(verdicts) < len(verdicts) - 10
 
 
 def test_h0_order_matches_thread_count():
@@ -336,7 +357,7 @@ def _full_base_report(a, b, c, u, v):
         u_injective=is_injective(lim_u), exact_at_middle=is_exact_at(lim_u, lim_v),
         v_surjective=is_trivial_group(coker_v), coker_v=group_invariants(coker_v),
         coker_embeds_in_lim1=invariants_embed(group_invariants(coker_v), lim1_a),
-        a_surjective=is_surjective_absystem(a),
+        a_surjective=is_surjective(a)[0],
         base_has_maximum=a.base.has_maximum() is not None)
 
 

@@ -172,9 +172,9 @@ def test_tower_of_horizon_200_matches_pushdown_oracle():
     prim = [set(carriers[n]).intersection(*(image[(n, m)] for m in range(n, h + 1)))
             for n in range(h + 1)]
     r, meta = universal_images(t)
-    assert [set(c) for c in r.carriers] == prim
+    assert [set(c) for c in r.carriers.values()] == prim
     want = {}
     for m in range(h + 1):
         for n, s in enumerate(pushed(prim[m], m)[:m]):
-            want[(n, m)] = s == prim[n]
+            want[(str(n), str(m))] = s == prim[n]
     assert meta == want

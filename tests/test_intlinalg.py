@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from invsys.abgroups import AbHom, FgAbGroup
 from invsys.derived import nerve_complex, validate_absystem
+from invsys.generators import random_unimodular
 from invsys.intlinalg import (IntMatrix, det, echelon_form, in_lattice,
                               invariant_factors, inverse_unimodular, is_unimodular,
                               kernel_basis, lattice_contains, rank, relative_kernel,
@@ -143,6 +144,15 @@ def test_inverse_unimodular():
         inv = inverse_unimodular(m)
         assert m.mul(inv).entries == IntMatrix.identity(3).entries
         assert inv.mul(m).entries == IntMatrix.identity(3).entries
+
+
+def test_random_unimodular_builds_the_inverse_alongside():
+    rng = random.Random(39)
+    for n in range(1, 6):
+        for _ in range(30):
+            w, winv = random_unimodular(rng, n)
+            assert w.mul(winv).entries == IntMatrix.identity(n).entries
+            assert winv.entries == inverse_unimodular(w).entries
 
 
 def test_det_examples():

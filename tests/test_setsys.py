@@ -6,17 +6,17 @@ import pytest
 
 from invsys.errors import (BudgetExceeded, EmptyFiber, FunctorialityViolation,
                            MissingBond, NoMaximum, NotCommuting, NotFunction,
-                           NotSurjective, SigmaNotInjective)
+                           SigmaNotInjective)
 from invsys.generators import (random_forest_poset, random_poset,
                                random_set_system,
                                random_surjective_set_system, random_tower)
-from invsys.poset import chain_poset, validate_poset, wedge_poset
+from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
 from invsys.setsys import (SetSystem, Thread, fiber_subsystem, is_surjective,
                            is_thread, limit_threads, ml_report,
                            thread_from_top, universal_images, validate_system,
                            validate_tower)
 
-from conftest import brute_force_threads
+from conftest import brute_force_threads, surjectivity_oracle
 
 
 def diamond():
@@ -107,6 +107,39 @@ def test_is_surjective_reports_first_failure():
     assert not ok and pair == ("1", "2")
 
 
+def test_is_surjective_names_a_cover_where_a_composite_pair_fails_first():
+    # f0 < f1 and f0 < f2 are onto, f2 < f3 is not; the composite f0 < f3 is
+    # the first non-onto comparable pair in element order, but the witness
+    # is the one cover whose bond fails on its own
+    p = validate_poset(["f0", "f1", "f2", "f3"], [("f0", "f1"), ("f0", "f2"), ("f2", "f3")])
+    s = validate_system(p, {"f0": (0, 1), "f1": (0, 1), "f2": (0, 1, 2), "f3": (0,)},
+                        {("f0", "f1"): {0: 0, 1: 1}, ("f0", "f2"): {0: 0, 1: 1, 2: 1},
+                         ("f2", "f3"): {0: 0}})
+    assert set(s.bond("f0", "f3").values()) != set(s.carriers["f0"])
+    assert is_surjective(s) == (False, ("f2", "f3"))
+    assert surjectivity_oracle(s) == (False, ("f2", "f3"))
+
+
+def _random_set_systems(rng):
+    """Forests with unconstrained bonds (often not onto), onto quotient
+    families over any poset, and towers with random steps."""
+    for _ in range(40):
+        yield random_set_system(rng, random_forest_poset(rng, max_elements=6))
+        p = random_poset(rng, max_elements=5)
+        yield random_surjective_set_system(rng, p)
+        yield random_tower(rng, horizon=rng.randint(1, 6), max_carrier=3)
+
+
+def test_is_surjective_matches_the_composition_oracle():
+    rng = random.Random(25)
+    verdicts = []
+    for s in _random_set_systems(rng):
+        ok, pair = is_surjective(s)
+        assert (ok, pair) == surjectivity_oracle(s), s.cover_bonds
+        verdicts.append(ok)
+    assert 10 < sum(verdicts) < len(verdicts) - 10
+
+
 # -- towers ----------------------------------------------------------------
 
 
@@ -117,9 +150,9 @@ def clipdec_tower(horizon: int, width: int):
 
 def test_tower_composite_bond():
     t = clipdec_tower(6, 4)
-    assert t.bond(2, 5) == {0: 0, 1: 0, 2: 0, 3: 0}
-    assert t.bond(4, 5) == {0: 0, 1: 0, 2: 1, 3: 2}
-    assert t.bond(3, 3) == {x: x for x in range(4)}
+    assert t.bond("2", "5") == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert t.bond("4", "5") == {0: 0, 1: 0, 2: 1, 3: 2}
+    assert t.bond("3", "3") == {x: x for x in range(4)}
 
 
 def test_ml_clipdec_stabilizes_at_offset_width_minus_one():
@@ -157,14 +190,23 @@ def test_ml_strictly_shrinking_tower_is_horizon_sensitive():
             assert e.horizon_sensitive
 
 
+@pytest.mark.parametrize("base", [grid_poset(2, 2), chain_poset(3)], ids=["grid", "chain-1-2-3"])
+def test_ml_report_needs_a_tower_chain(base):
+    # a grid is no chain, and chain_poset labels its levels from "1", not "0"
+    s = validate_system(base, {e: (0,) for e in base.elements},
+                        {cov: {0: 0} for cov in base.covers})
+    with pytest.raises(ValueError):
+        ml_report(s)
+
+
 def test_universal_images_clipdec():
     t = clipdec_tower(10, 5)
     r, meta = universal_images(t)
     # far enough below the horizon the intersection collapses to {0};
     # the last width-1 levels see too few images to collapse
     for n in range(7):
-        assert r.carriers[n] == (0,)
-    assert r.carriers[10] == (0, 1, 2, 3, 4)
+        assert r.carriers[str(n)] == (0,)
+    assert r.carriers["10"] == (0, 1, 2, 3, 4)
     assert all(meta.values())
 
 
@@ -197,14 +239,17 @@ def test_thread_from_top_tower():
     th = thread_from_top(t)
     m = th.as_dict()
     for n in range(5):
-        assert t.step(n)[m[str(n + 1)]] == m[str(n)]
+        assert t.cover_bonds[(str(n), str(n + 1))][m[str(n + 1)]] == m[str(n)]
 
 
-def test_thread_from_top_tower_needs_surjective():
-    t = validate_tower(2, [(0,), (0, 1), (0, 1)],
-                       [{0: 0, 1: 0}, {0: 0, 1: 0}])
-    with pytest.raises(NotSurjective):
-        thread_from_top(t)
+def test_thread_from_top_tower_needs_no_surjective_step():
+    # neither step is onto, yet the top element pushes down to a thread
+    t = validate_tower(2, [(0, 1), (0, 1), (0, 1)],
+                       [{0: 1, 1: 1}, {0: 0, 1: 0}])
+    assert not is_surjective(t)[0]
+    th = thread_from_top(t)
+    assert is_thread(t, th)
+    assert th.as_dict() == {"0": 1, "1": 0, "2": 0}
 
 
 # -- fibers ----------------------------------------------------------------

@@ -58,8 +58,8 @@ def test_clipdec_builtin_rule():
            "map all: clipdec\n")
     t = parse_document(txt).sole("towers", "T")
     # carriers are opaque labels, so the built-in rule works on strings
-    assert t.step(0) == {"0": "0", "1": "0", "2": "1"}
-    assert t.carriers[3] == ("0", "1", "2")
+    assert t.cover_bonds[("0", "1")] == {"0": "0", "1": "0", "2": "1"}
+    assert t.carriers["3"] == ("0", "1", "2")
 
 
 def test_roundtrip_poset_system_tower_absystem():
@@ -182,6 +182,58 @@ def test_cli_json_deterministic(files, capsys):
     payload = json.loads(first)
     assert payload["command"] == "ml"
     assert "elapsed" not in payload
+
+
+README_TOWER = """\
+tower T horizon 6
+set all: { 0 1 2 }         # every level without its own `set N:` line
+set 6: { 0 1 2 3 }         # level N, 0 <= N <= 6
+map all: clipdec           # built-in clipped decrement for every step without
+map 6 -> 5: 0 -> 0, 1 -> 0, 2 -> 1, 3 -> 2   # its own `map N+1 -> N:` line
+"""
+_README_TOWER_INPUTS = ('"inputs":{"readme.tower":'
+                        '"f26c6b12c5340d81afe6f083db14f16350764eeb07979240faadce11ff1246d6"}')
+
+
+def _ml_level(index, sizes, stab, verdict="stable", sensitive=False):
+    return ('{"horizon_sensitive":%s,"image_sizes":[%s],"index":%d,"stabilized_at":%d,'
+            '"verdict":"%s"}' % (str(sensitive).lower(), ",".join(map(str, sizes)),
+                                 index, stab, verdict))
+
+
+@pytest.mark.parametrize("argv, status, stdout", [
+    (["validate"], 0,
+     '{"command":"validate","data":{"absystems":[],"groups":[],"posets":[],"sequences":[],'
+     '"systems":[],"towers":["T"]},' + _README_TOWER_INPUTS
+     + ',"seed":0,"verdicts":{"valid":true}}'),
+    (["surjective"], 1,
+     '{"command":"surjective","data":{"first_failing_pair":["0","1"]},'
+     + _README_TOWER_INPUTS + ',"seed":0,"verdicts":{"surjective":false}}'),
+    (["ml"], 0,
+     '{"command":"ml","data":{"horizon":6,"levels":['
+     + ",".join([_ml_level(0, [3, 2, 1, 1, 1, 1, 1], 2), _ml_level(1, [3, 2, 1, 1, 1, 1], 3),
+                 _ml_level(2, [3, 2, 1, 1, 1], 4), _ml_level(3, [3, 2, 1, 1], 5),
+                 _ml_level(4, [3, 2, 2], 5), _ml_level(5, [3, 3], 5),
+                 _ml_level(6, [4], 6, sensitive=True)])
+     + "]}," + _README_TOWER_INPUTS + ',"seed":0,"verdicts":{"stable_everywhere":true}}'),
+    (["ml", "--horizon", "4"], 1,
+     '{"command":"ml","data":{"horizon":4,"levels":['
+     + ",".join([_ml_level(0, [3, 2, 1, 1, 1], 2), _ml_level(1, [3, 2, 1, 1], 3),
+                 _ml_level(2, [3, 2, 1], 4, "unstable_at_horizon", True),
+                 _ml_level(3, [3, 2], 4, "unstable_at_horizon", True),
+                 _ml_level(4, [3], 4, sensitive=True)])
+     + "]}," + _README_TOWER_INPUTS + ',"seed":0,"verdicts":{"stable_everywhere":false}}'),
+    (["images"], 0,
+     '{"command":"images","data":{"carrier_sizes":[1,1,1,1,2,3,4],"pairs_checked":21},'
+     + _README_TOWER_INPUTS + ',"seed":0,"verdicts":{"restricted_bonds_surjective":true}}'),
+], ids=["validate", "surjective", "ml", "ml-horizon-4", "images"])
+def test_cli_json_on_the_readme_tower_is_pinned(tmp_path, monkeypatch, capsys,
+                                                argv, status, stdout):
+    # the exact --json output of the tower commands on the README example
+    (tmp_path / "readme.tower").write_text(README_TOWER)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--json", *argv, "readme.tower"]) == status
+    assert capsys.readouterr() == (stdout + "\n", "")
 
 
 def test_cli_henkin_and_bergman(files, capsys):
