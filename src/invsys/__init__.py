@@ -1,8 +1,8 @@
 """Inverse systems over finite posets: limits, higher limits, and witnesses."""
 
 from .poset import Poset, chain_poset, grid_poset, validate_poset, wedge_poset
-from .setsys import (SetSystem, Thread, fiber_subsystem, is_surjective,
-                     limit_threads, ml_report, thread_from_top,
+from .setsys import (SetSystem, Thread, count_threads, fiber_subsystem,
+                     is_surjective, limit_threads, ml_report, thread_from_top,
                      universal_images, validate_system, validate_tower)
 from .intlinalg import IntMatrix, smith_normal_form
 from .abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
@@ -12,7 +12,7 @@ from .derived import (AbSystem, derived_limit, limit_exactness_check,
 
 __all__ = [
     "Poset", "chain_poset", "grid_poset", "validate_poset", "wedge_poset",
-    "SetSystem", "Thread", "fiber_subsystem", "is_surjective",
+    "SetSystem", "Thread", "count_threads", "fiber_subsystem", "is_surjective",
     "limit_threads", "ml_report", "thread_from_top", "universal_images",
     "validate_system", "validate_tower",
     "IntMatrix", "smith_normal_form",

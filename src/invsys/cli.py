@@ -27,8 +27,8 @@ from . import bergman, henkin
 from .abgroups import group_invariants, is_trivial_group
 from .derived import derived_limit, limit_exactness_check, scd_finite
 from .errors import BadOption, BudgetExceeded, InvsysError, ParseError
-from .setsys import (DEFAULT_BUDGET, SetSystem, is_surjective, limit_threads,
-                     ml_report, universal_images, validate_tower)
+from .setsys import (DEFAULT_BUDGET, SetSystem, count_threads, is_surjective,
+                     limit_threads, ml_report, universal_images, validate_tower)
 from .textio import Document, parse_document
 
 
@@ -94,13 +94,14 @@ def cmd_limit(args, report: RunReport) -> int:
     budget = _at_least("--budget", args.budget, 1)
     doc = _load(args.file, report)
     sys_ = doc.sole("systems", args.system)
-    threads = limit_threads(sys_, budget=budget)
-    report.data["threads"] = len(threads)
-    if len(threads) <= 20:
+    count = count_threads(sys_, budget=budget)
+    report.data["threads"] = count
+    if count <= 20:
         report.data["thread_list"] = [
-            {str(k): str(v) for k, v in t.as_dict().items()} for t in threads]
-    report.verdicts["nonempty"] = bool(threads)
-    return 0 if threads else 1
+            {str(k): str(v) for k, v in t.as_dict().items()}
+            for t in limit_threads(sys_, budget=budget)]
+    report.verdicts["nonempty"] = count > 0
+    return 0 if count else 1
 
 
 def cmd_surjective(args, report: RunReport) -> int:
@@ -119,8 +120,12 @@ def cmd_surjective(args, report: RunReport) -> int:
 
 
 def _clip_tower(t: SetSystem, horizon) -> SetSystem:
-    if horizon is None or _at_least("--horizon", horizon, 1) >= len(t.base.elements) - 1:
+    """The tower cut at horizon; asking for more levels than it has is an error."""
+    full = len(t.base.elements) - 1
+    if horizon is None or _at_least("--horizon", horizon, 1) == full:
         return t
+    if horizon > full:
+        raise BadOption(f"--horizon {horizon} exceeds the tower's horizon {full}")
     return validate_tower(horizon, list(t.carriers.values())[: horizon + 1],
                           list(t.cover_bonds.values())[:horizon])
 
@@ -143,6 +148,8 @@ def cmd_ml(args, report: RunReport) -> int:
 def cmd_images(args, report: RunReport) -> int:
     doc = _load(args.file, report)
     tower = bool(args.tower or doc.towers and not doc.systems)
+    if not tower and args.horizon is not None:
+        raise BadOption("--horizon applies to a tower, not to a system")
     target = (_clip_tower(doc.sole("towers", args.tower), args.horizon) if tower
               else doc.sole("systems", args.system))
     restricted, meta = universal_images(target)

@@ -28,7 +28,7 @@ class FunctorialityViolation(InvsysError):
 
 
 class BudgetExceeded(InvsysError):
-    """Enumeration grew past the configured budget."""
+    """A flag enumeration or a thread elimination grew past its budget."""
 
 
 class NoMaximum(InvsysError):

@@ -82,6 +82,10 @@ class Poset:
     def lt(self, a: str, b: str) -> bool:
         return a != b and self.leq(a, b)
 
+    def up_set(self, a: str) -> frozenset[str]:
+        """The elements x with a <= x."""
+        return self._up[a]
+
     def strict_uppers(self, a: str) -> list[str]:
         return [b for b in self.elements if self.lt(a, b)]
 

@@ -6,10 +6,18 @@ nothing more: the SetSystem on the chain "0" < "1" < ... < "H" of
 `tower_chain`, with level n at the element str(n), built by
 `validate_tower`.  Every function here takes any set system, and
 `is_surjective` any Diagram; `ml_report` alone needs a tower.
+
+Threads are never found by search.  A thread is fixed by its values at the
+maximal elements, so `count_threads` sums out a small factor graph over
+them (bucket elimination, Dechter 1999) and `limit_threads` lists from the
+same tables, visiting no partial assignment that fails to extend.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -95,34 +103,154 @@ def is_surjective(sys: Diagram):
     return pair is None, pair
 
 
-def limit_threads(sys: SetSystem, budget: int = DEFAULT_BUDGET) -> list[Thread]:
-    """All threads, by depth-first propagation over a linear extension.
+def _eliminate(sys: SetSystem, budget: int, listing: bool):
+    """Sum-product elimination over the maximal elements; returns (count,
+    steps), where steps, kept only when listing, has one (variable, the
+    other variables of its product table, rest -> values) per elimination.
 
-    Partial assignments are pruned against the bonds of the lower covers,
-    which on an assigned prefix of the extension is every bond into it;
-    the budget counts partial assignments.
+    The variables are the maximal elements, and each element y below two
+    or more of them unless an upper cover of y lies below the same ones.
+    Every element e has a representative: itself when it is a variable,
+    the one maximal element above it, or else the variable reached by
+    climbing covers below the same maximal elements.  A non-maximal variable
+    y has a 0/1 factor x_y = bond(y, r)(x_r) for the representative r of
+    each upper cover; top down, these make every value bond(e, m)(x_m)
+    agree over the maximal m above e, so the assignments they allow are the
+    threads, read at the variables.  One factor per cover, not per maximal
+    element above y, keeps a comb of n teeth at 2n factors, not n²/2.  The
+    order is min-degree, ties in declared order; tables are sparse (nonzero
+    entries only) and every entry created is charged to budget.
     """
-    order = sys.base.linear_extension()
-    out: list[Thread] = []
+    base = sys.base
+    tops = frozenset(base.maximal_elements())
+    above = {e: base.up_set(e) & tops for e in base.elements}
+    rep = {}
+    for e in base.elements:
+        if len(above[e]) == 1:
+            rep[e] = next(iter(above[e]))
+        elif all(above[z] != above[e] for z in base.upper_covers[e]):
+            rep[e] = e
+    for e in base.elements:
+        climbed = []
+        while e not in rep:
+            climbed.append(e)
+            e = next(z for z in base.upper_covers[e] if above[z] == above[e])
+        rep.update(dict.fromkeys(climbed, rep[e]))
+    variables = [e for e in base.elements if rep[e] == e]
     spent = 0
 
-    def extend(pos: int, partial: dict):
-        nonlocal spent
-        if pos == len(order):
-            out.append(Thread.of(partial))
-            return
-        e = order[pos]
-        for x in sys.carriers[e]:
-            spent += 1
-            if spent > budget:
-                raise BudgetExceeded(f"limit enumeration passed {budget} nodes")
-            if all(sys.cover_bonds[(lo, e)][x] == partial[lo] for lo in sys.base.lower_covers[e]):
-                partial[e] = x
-                extend(pos + 1, partial)
-                del partial[e]
+    def check(entries: int) -> None:
+        if spent + entries > budget:
+            raise BudgetExceeded(f"thread elimination passed {budget} table entries")
 
-    extend(0, {})
-    return out
+    def charge(table: dict) -> dict:
+        nonlocal spent
+        check(len(table))
+        spent += len(table)
+        return table
+
+    def join(sa: tuple, ta: dict, sb: tuple, tb: dict):
+        """The product of two factors, over sa followed by the rest of sb."""
+        shared = [(sa.index(u), j) for j, u in enumerate(sb) if u in sa]
+        extra = [j for j, u in enumerate(sb) if u not in sa]
+        index = defaultdict(list)
+        for key, val in tb.items():
+            index[tuple(key[j] for _, j in shared)].append((tuple(key[j] for j in extra), val))
+        out: dict = {}
+        for key, val in ta.items():
+            for more, w in index.get(tuple(key[i] for i, _ in shared), ()):
+                out[key + more] = val * w
+            check(len(out))
+        return sa + tuple(sb[j] for j in extra), charge(out)
+
+    factors: dict[int, tuple] = {}
+    holding = {v: set() for v in variables}  # variable -> ids of the factors on it
+    neighbours = {v: set() for v in variables}  # each variable is its own neighbour
+    ids = itertools.count()
+
+    def add(scope: tuple, table: dict) -> None:
+        i = next(ids)
+        factors[i] = scope, charge(table)
+        for v in scope:
+            holding[v].add(i)
+            neighbours[v].update(scope)
+
+    for v in variables:
+        add((v,), {(x,): 1 for x in sys.carriers[v]})
+    for y in variables:
+        for r in dict.fromkeys(rep[u] for u in base.upper_covers[y]):
+            bmap = sys.bond(y, r)
+            add((y, r), {(bmap[x], x): 1 for x in sys.carriers[r]})
+    position = {v: k for k, v in enumerate(variables)}
+    queue = [(len(neighbours[v]), k, v) for k, v in enumerate(variables)]
+    heapq.heapify(queue)
+    count, steps = 1, []
+    while queue:
+        degree, _, v = heapq.heappop(queue)
+        if v not in neighbours or degree != len(neighbours[v]):
+            continue  # eliminated, or its degree changed and it was queued again
+        clique, held = neighbours.pop(v), holding.pop(v)
+        for u in clique - {v}:
+            neighbours[u] |= clique
+            neighbours[u].discard(v)
+            holding[u] -= held
+            heapq.heappush(queue, (len(neighbours[u]), position[u], u))
+        mine = sorted((factors.pop(i) for i in sorted(held)), key=lambda f: len(f[1]))
+        scope, table = mine.pop(0)
+        while mine:  # join next the smallest factor that adds the fewest variables
+            nxt = min(mine, key=lambda f: len(set(f[0]) - set(scope)))
+            mine.remove(nxt)
+            scope, table = join(scope, table, *nxt)
+        if not table:
+            return 0, []
+        at = scope.index(v)
+        rest = scope[:at] + scope[at + 1:]
+        message: dict = defaultdict(int)
+        for key, val in table.items():
+            message[key[:at] + key[at + 1:]] += val
+        if rest:
+            add(rest, message)
+        else:  # v was the last variable of its connected component
+            count *= charge(message)[()]
+        if listing:
+            index = defaultdict(list)
+            for key in table:
+                index[key[:at] + key[at + 1:]].append(key[at])
+            steps.append((v, rest, index))
+    return count, steps
+
+
+def count_threads(sys: SetSystem, budget: int = DEFAULT_BUDGET) -> int:
+    """The number of threads, by variable elimination (see `_eliminate`)
+    with exact ints; budget caps the factor-table entries created."""
+    return _eliminate(sys, budget, listing=False)[0]
+
+
+def limit_threads(sys: SetSystem, budget: int = DEFAULT_BUDGET) -> list[Thread]:
+    """All threads, sorted by their carrier indices along linear_extension().
+
+    The elimination of `count_threads` keeps its product tables; going
+    back through them in reverse order extends only assignments with a
+    nonzero count, so every partial assignment ends in a thread.  The other
+    elements take their values top down, along a cover bond from above.
+    budget caps the table entries, not the threads listed.
+    """
+    count, steps = _eliminate(sys, budget, listing=True)
+    if not count:
+        return []
+    partials = [{}]
+    for v, rest, index in reversed(steps):
+        partials = [{**a, v: x} for a in partials
+                    for x in index[tuple(a[u] for u in rest)]]
+    order = sys.base.linear_extension()
+    for t in partials:
+        for e in reversed(order):
+            if e not in t:
+                hi = sys.base.upper_covers[e][0]
+                t[e] = sys.cover_bonds[(e, hi)][t[hi]]
+    position = {e: {x: i for i, x in enumerate(c)} for e, c in sys.carriers.items()}
+    partials.sort(key=lambda t: [position[e][t[e]] for e in order])
+    return [Thread.of(t) for t in partials]
 
 
 def thread_from_top(sys: SetSystem) -> Thread:

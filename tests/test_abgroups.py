@@ -1,9 +1,7 @@
 from __future__ import annotations
 
-import itertools
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

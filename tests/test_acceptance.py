@@ -23,8 +23,7 @@ from invsys.generators import (random_exact_sequence, random_forest_poset,
 from invsys.henkin import (cofinal_extract, enumerate_members,
                            family_from_top, henkin_eps, henkin_lift,
                            henkin_member)
-from invsys.intlinalg import (IntMatrix, invariant_factors, is_unimodular,
-                              smith_normal_form)
+from invsys.intlinalg import invariant_factors, is_unimodular, smith_normal_form
 from invsys.poset import chain_poset, grid_poset, wedge_poset
 from invsys.setsys import (is_surjective, is_thread, limit_threads,
                            ml_report, thread_from_top, tower_chain,

@@ -9,7 +9,7 @@ from invsys.errors import (NoStrictUpper, NotComparable, NotMember,
 from invsys.henkin import (cofinal_extract, enumerate_members,
                            family_from_top, henkin_eps, henkin_lift,
                            henkin_member, henkin_system)
-from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
+from invsys.poset import chain_poset, grid_poset, wedge_poset
 from invsys.setsys import is_surjective, limit_threads
 
 SMALL_POSETS = [chain_poset(3), chain_poset(5), grid_poset(2, 2),

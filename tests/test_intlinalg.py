@@ -14,7 +14,7 @@ from invsys.derived import nerve_complex, validate_absystem
 from invsys.generators import random_unimodular
 from invsys.intlinalg import (IntMatrix, det, echelon_form, in_lattice,
                               invariant_factors, inverse_unimodular, is_unimodular,
-                              kernel_basis, lattice_contains, rank, relative_kernel,
+                              kernel_basis, rank, relative_kernel,
                               smith_normal_form, solve)
 from invsys.poset import chain_poset, grid_poset
 

@@ -6,8 +6,7 @@ import pytest
 
 from invsys.errors import CycleDetected, UnknownElement
 from invsys.generators import random_poset
-from invsys.poset import (Poset, chain_poset, grid_poset, validate_poset,
-                          wedge_poset)
+from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
 
 from conftest import floyd_warshall_leq
 

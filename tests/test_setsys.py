@@ -11,8 +11,8 @@ from invsys.generators import (random_forest_poset, random_poset,
                                random_set_system,
                                random_surjective_set_system, random_tower)
 from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
-from invsys.setsys import (SetSystem, Thread, fiber_subsystem, is_surjective,
-                           is_thread, limit_threads, ml_report,
+from invsys.setsys import (Thread, count_threads, fiber_subsystem,
+                           is_surjective, is_thread, limit_threads, ml_report,
                            thread_from_top, universal_images, validate_system,
                            validate_tower)
 
@@ -68,6 +68,116 @@ def test_limit_budget():
                         {("1", "2"): {x: x for x in range(4)}})
     with pytest.raises(BudgetExceeded):
         limit_threads(s, budget=2)
+
+
+def subseed_system(rng: random.Random, base, points: int = 4):
+    """Blocks of a random subset, at most half, of one seed set at each
+    maximal element and, below, of the union of the subsets above, with the
+    partitions joined and sometimes one more merge.  Functorial on any base,
+    but a bond misses the blocks whose points its upper element does not
+    see, so maximal elements with disjoint subsets that meet below leave no
+    thread."""
+    share, block = {}, {}
+    for e in reversed(base.linear_extension()):
+        uppers = base.upper_covers[e]
+        share[e] = (set().union(*(share[u] for u in uppers)) if uppers
+                    else set(rng.sample(range(points), rng.randint(1, points // 2))))
+        classes = {x: x if uppers else rng.randrange(points) for x in share[e]}
+        for u in uppers:  # points in one block above stay in one block here
+            for x in share[u]:
+                first = next(y for y in share[u] if block[u][y] == block[u][x])
+                old, new = classes[x], classes[first]
+                classes = {z: new if c == old else c for z, c in classes.items()}
+        if rng.random() < 0.3:
+            old, new = rng.choice(list(classes.values())), rng.choice(list(classes.values()))
+            classes = {z: new if c == old else c for z, c in classes.items()}
+        block[e] = classes
+    carriers = {e: tuple(sorted({f"{e}b{c}" for c in block[e].values()})) for e in base.elements}
+    bonds = {(lo, hi): {f"{hi}b{block[hi][x]}": f"{lo}b{block[lo][x]}" for x in share[hi]}
+             for lo, hi in base.covers}
+    return validate_system(base, carriers, bonds)
+
+
+def _extension_order(s, threads):
+    """threads sorted by their carrier indices along the linear extension."""
+    order = s.base.linear_extension()
+    return sorted(threads, key=lambda t: [s.carriers[e].index(t.as_dict()[e]) for e in order])
+
+
+def _shuffled(rng: random.Random, s):
+    """s with its elements declared, and each carrier listed, in random order,
+    so that neither is the order of a linear extension or of the labels."""
+    elements = rng.sample(s.base.elements, len(s.base.elements))
+    carriers = {e: tuple(rng.sample(c, len(c))) for e, c in s.carriers.items()}
+    return validate_system(validate_poset(elements, s.base.covers), carriers, s.cover_bonds)
+
+
+def _check_against_brute_force(s) -> int:
+    want = brute_force_threads(s)
+    assert count_threads(s) == len(want)
+    got = limit_threads(s)
+    assert sorted(t.assignment for t in got) == sorted(t.assignment for t in want)
+    if len(want) <= 20:  # the order `thread_list` prints
+        assert got == _extension_order(s, want)
+    return len(want)
+
+
+@pytest.mark.parametrize("kind", ["forest", "with-maximum", "without-maximum", "subseed"])
+def test_count_and_threads_match_brute_force(kind):
+    rng = random.Random(f"threads/{kind}")
+    rich = 0
+    for _ in range(80):
+        if kind == "forest":
+            p = random_forest_poset(rng, max_elements=6)
+            s = random_set_system(rng, p, max_carrier=4)
+        elif kind == "subseed":
+            p = random_poset(rng, max_elements=6)
+            s = subseed_system(rng, p)
+        else:
+            p = random_poset(rng, max_elements=6, ensure_maximum=kind == "with-maximum")
+            s = random_surjective_set_system(rng, p, max_top=5)
+        threads = _check_against_brute_force(_shuffled(rng, s))
+        several = len(p.maximal_elements()) >= 2 or kind == "with-maximum"
+        rich += several and threads > 1
+    # not trivial: many instances have more than one thread and, where the
+    # base may lack a maximum, two or more maximal elements
+    assert rich >= 10
+
+
+def test_non_onto_systems_with_no_thread():
+    rng = random.Random("threads/empty")
+    empty = 0
+    for _ in range(150):
+        s = subseed_system(rng, random_poset(rng, max_elements=6))
+        if _check_against_brute_force(s) == 0:
+            assert not is_surjective(s)[0]
+            assert limit_threads(s) == []
+            empty += 1
+    assert empty >= 10
+
+
+def test_count_threads_of_a_wide_star():
+    # 20 tops over one bottom, bonds x -> x mod 2: 2 * 2^20 threads
+    tops = [f"t{i}" for i in range(20)]
+    p = validate_poset(["b", *tops], [("b", t) for t in tops])
+    s = validate_system(p, {"b": (0, 1), **{t: (0, 1, 2, 3) for t in tops}},
+                        {("b", t): {x: x % 2 for x in range(4)} for t in tops})
+    assert count_threads(s) == 2 * 2 ** 20
+    with pytest.raises(BudgetExceeded):
+        count_threads(s, budget=100)
+
+
+def test_count_threads_of_a_comb_grows_linearly_with_its_teeth():
+    # a spine s0 < s1 < ... with a tooth t_i above each s_i: s_i lies below
+    # every later tooth but gets one factor per upper cover, so the tables
+    # stay within 25 entries a tooth where n²/2 factors would need 90,000
+    n = 300
+    spine, teeth = [f"s{i}" for i in range(n)], [f"t{i}" for i in range(n)]
+    covers = [*zip(spine, spine[1:]), *zip(spine, teeth)]
+    p = validate_poset(spine + teeth, covers)
+    s = validate_system(p, {e: (0, 1) for e in p.elements}, {c: {0: 0, 1: 1} for c in covers})
+    assert count_threads(s, budget=25 * n) == 2
+    assert [t.as_dict()["s0"] for t in limit_threads(s, budget=25 * n)] == [0, 1]
 
 
 def test_constant_system_threads():

@@ -138,6 +138,22 @@ def test_cli_limit_reports_thread_count(tmp_path, capsys):
     assert "threads: 2" in capsys.readouterr().out
 
 
+def test_cli_limit_counts_a_wide_star_without_listing(tmp_path, capsys):
+    # one bottom {0, 1} under 20 tops {0..3}, bonds x -> x mod 2: 2^21
+    # threads, more than the default budget, counted in a few hundred entries
+    tops = [f"t{i}" for i in range(20)]
+    fp = tmp_path / "star.system"
+    fp.write_text("poset P\nelements: b " + " ".join(tops) + "\n"
+                  "covers: " + ", ".join(f"b < {t}" for t in tops) + "\n\n"
+                  "system S over P\nset b: { 0 1 }\n"
+                  + "".join(f"set {t}: {{ 0 1 2 3 }}\n" for t in tops)
+                  + "".join(f"map {t} -> b: 0 -> 0, 1 -> 1, 2 -> 0, 3 -> 1\n" for t in tops))
+    assert main(["--json", "limit", str(fp)]) == 0
+    out = capsys.readouterr().out
+    assert '"threads":2097152' in out
+    assert "thread_list" not in json.loads(out)["data"]
+
+
 def test_cli_exit_codes(files, capsys):
     assert main(["surjective", files["system"]]) == 0
     assert main(["ml", "--tower", "T", files["tower"]]) == 1  # not ML-stable
@@ -360,6 +376,18 @@ def test_cli_rejects_a_tower_horizon_over_budget_before_building_it(tmp_path, ca
 @pytest.mark.parametrize("command", ["ml", "images"])
 def test_cli_rejects_horizon_below_one(files, capsys, command):
     assert "--horizon" in _rejected([command, "--horizon", "0", files["tower"]], capsys)
+
+
+def test_cli_rejects_a_horizon_above_the_towers(files, capsys):
+    assert _rejected(["ml", "--horizon", "30", files["tower"]], capsys) == \
+        "error: BadOption: --horizon 30 exceeds the tower's horizon 6\n"
+    assert main(["ml", "--horizon", "6", files["tower"]]) == 1  # its own horizon is fine
+    assert "horizon: 6" in capsys.readouterr().out
+
+
+def test_cli_rejects_a_horizon_on_the_images_of_a_system(files, capsys):
+    assert _rejected(["images", "--system", "S", "--horizon", "3", files["system"]],
+                     capsys) == "error: BadOption: --horizon applies to a tower, not to a system\n"
 
 
 def test_cli_rejects_unknown_henkin_level(files, capsys):
