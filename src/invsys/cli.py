@@ -147,7 +147,9 @@ def cmd_ml(args, report: RunReport) -> int:
 
 def cmd_images(args, report: RunReport) -> int:
     doc = _load(args.file, report)
-    tower = bool(args.tower or doc.towers and not doc.systems)
+    if args.system is not None and args.tower is not None:
+        raise BadOption("give --system or --tower, not both")
+    tower = args.system is None and bool(args.tower or doc.towers and not doc.systems)
     if not tower and args.horizon is not None:
         raise BadOption("--horizon applies to a tower, not to a system")
     target = (_clip_tower(doc.sole("towers", args.tower), args.horizon) if tower

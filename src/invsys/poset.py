@@ -9,6 +9,7 @@ maximum", which is the only dichotomy a finite poset can exhibit.
 
 from __future__ import annotations
 
+import heapq
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -91,7 +92,8 @@ class Poset:
 
     def comparable_pairs(self) -> list[tuple[str, str]]:
         """Every pair a < b, in element order of a, then of b."""
-        return [(a, b) for a in self.elements for b in self.elements if self.lt(a, b)]
+        return [(a, b) for a in self.elements for b in self.elements
+                if b != a and b in self._up[a]]
 
     def upper_bounds(self, a: str, b: str) -> list[str]:
         common = self._up[a] & self._up[b]
@@ -167,20 +169,21 @@ class Poset:
     # -- structural helpers ----------------------------------------------
 
     def linear_extension(self) -> list[str]:
-        """Deterministic topological order compatible with the poset order."""
-        remaining = list(self.elements)
+        """Deterministic topological order compatible with the poset order:
+        each step places the first declared element whose lower covers are
+        all placed, taken from a heap of declared indices."""
+        waiting = {e: len(lows) for e, lows in self.lower_covers.items()}
+        ready = [i for i, e in enumerate(self.elements) if not waiting[e]]
         out: list[str] = []
-        placed: set[str] = set()
-        while remaining:
-            for e in remaining:
-                if all(x in placed for x in self.elements
-                       if x != e and self.leq(x, e)):
-                    out.append(e)
-                    placed.add(e)
-                    remaining.remove(e)
-                    break
-            else:  # pragma: no cover - closure is acyclic by construction
-                raise CycleDetected("no linear extension")
+        while ready:
+            e = self.elements[heapq.heappop(ready)]
+            out.append(e)
+            for hi in self.upper_covers[e]:
+                waiting[hi] -= 1
+                if not waiting[hi]:
+                    heapq.heappush(ready, self._index[hi])
+        if len(out) < len(self.elements):  # pragma: no cover - acyclic by construction
+            raise CycleDetected("no linear extension")
         return out
 
     def chains(self, length: int) -> list[tuple[str, ...]]:

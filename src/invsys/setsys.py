@@ -339,22 +339,57 @@ def universal_images(sys: SetSystem):
     Over a poset base the carriers then shrink to the largest subsets that
     every cover bond maps into each other, so the result is again a system.
     Returns (restricted system, metadata) where metadata maps each
-    comparable pair to the surjectivity verdict of its restricted bond.
+    comparable pair, in the order of `comparable_pairs`, to the
+    surjectivity verdict of its restricted bond.
+
+    No composite bond is built.  An image is pushed down from its element
+    one cover bond at a time, along whichever cover path reaches an element
+    first: the system is functorial, so every path gives the same set.
     """
     base = sys.base
-    tops = base.maximal_elements()
-    keep = {}
-    for j in base.linear_extension():
-        # An image in j from an element contains the image from every element
-        # above it, so the maximal elements give the whole intersection; off a
-        # directed base x must also map to kept elements at the lower covers.
-        images = (set(sys.bond(j, m).values()) for m in tops if base.leq(j, m))
-        keep[j] = {x for x in set.intersection(*images)
-                   if all(sys.cover_bonds[(lo, j)][x] in keep[lo] for lo in base.lower_covers[j])}
+
+    def push(top: str, start: set, full: dict | None = None):
+        """(images, filled): the image of start, a subset of carrier(top), at
+        the elements below top.  Given full, the push goes no further down
+        from an element e whose image is full[e]; such elements are filled."""
+        images, stack, filled = {top: start}, [top], []
+        while stack:
+            hi = stack.pop()
+            for lo in base.lower_covers[hi]:
+                if lo not in images:
+                    images[lo] = {sys.cover_bonds[(lo, hi)][x] for x in images[hi]}
+                    if full is not None and images[lo] == full[lo]:
+                        filled.append(lo)
+                    else:
+                        stack.append(lo)
+        return images, filled
+
+    # An image in j from an element contains the image from every element
+    # above it, so the maximal elements give the whole intersection; off a
+    # directed base x must also map to kept elements at the lower covers.
+    common: dict[str, set] = {}
+    for m in base.maximal_elements():
+        for e, image in push(m, set(sys.carriers[m]))[0].items():
+            common[e] = common[e] & image if e in common else image
+    order = base.linear_extension()
+    keep: dict[str, set] = {}
+    for j in order:
+        keep[j] = {x for x in common[j]
+                   if all(sys.cover_bonds[(lo, j)][x] in keep[lo]
+                          for lo in base.lower_covers[j])}
     restricted = sys.restrict({i: tuple(x for x in sys.carriers[i] if x in keep[i])
                                for i in base.elements})
-    meta = {(i, j): restricted.is_onto(restricted.bond(i, j), i)
-            for i, j in base.comparable_pairs()}
+    # onto[j][i]: is the restricted bond (i, j) onto?  Where the image from j
+    # fills the restricted carrier of c, every answer below c is the one
+    # from c, and c comes before j in order.
+    onto: dict[str, dict[str, bool]] = {}
+    for j in order:
+        images, filled = push(j, keep[j], keep)
+        onto[j] = {}
+        for c in filled:
+            onto[j].update(onto[c])
+        onto[j].update((i, image == keep[i]) for i, image in images.items() if i != j)
+    meta = {(i, j): onto[j][i] for i, j in base.comparable_pairs()}
     return restricted, meta
 
 

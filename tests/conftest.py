@@ -1,11 +1,12 @@
 """Shared oracles and generators for the test suite.
 
 The oracles here are deliberately naive re-derivations: product filtering
-for limits, composition along a cover path for surjectivity, minors-gcd for
-invariant factors, permutation expansion for determinants, counting
-cochains for the order of a derived limit, the presented subquotient of
-cocycles by coboundaries that `derived.cohomology` replaced, and the
-Smith-form solve that the echelon form replaced.  They
+for limits and for Henkin members, composition along a cover path for
+surjectivity and universal images, a rescan of the elements for the linear
+extension, minors-gcd for invariant factors, permutation expansion for
+determinants, counting cochains for the order of a derived limit, the
+presented subquotient of cocycles by coboundaries that `derived.cohomology`
+replaced, and the Smith-form solve that the echelon form replaced.  They
 exist so the library code is checked against an independent computation,
 not against itself.
 """
@@ -38,14 +39,32 @@ def brute_force_threads(s: SetSystem) -> list[Thread]:
     return out
 
 
+def composite_along_path(s, lower: str, upper: str):
+    """The bond from upper to lower of a set or abelian system, composed by
+    hand along one path of covers down from upper: at each step the first
+    cover in base order whose lower end still lies above lower."""
+    base = s.base
+    bond, e = None, upper
+    while e != lower:
+        lo = next(c for c, u in base.covers if u == e and base.leq(lower, c))
+        step = s.cover_bonds[(lo, e)]
+        if bond is None:
+            bond = step
+        elif isinstance(s, SetSystem):
+            bond = {x: step[y] for x, y in bond.items()}
+        else:
+            bond = type(step)(bond.source, step.target, step.matrix.mul(bond.matrix))
+        e = lo
+    return bond
+
+
 def surjectivity_oracle(s) -> tuple[bool, "tuple[str, str] | None"]:
     """(every comparable pair onto, first non-onto cover in base order).
 
-    Each pair's bond is composed by hand along one path of covers down from
-    the upper element.  A map of sets is onto when its values fill the lower
-    carrier; a hom of abelian groups, with target relations R and matrix M,
-    when the rows of R and of M transposed span Z^n, which minors-gcd
-    decides.
+    Each pair's bond is composed by `composite_along_path`.  A map of sets
+    is onto when its values fill the lower carrier; a hom of abelian groups,
+    with target relations R and matrix M, when the rows of R and of M
+    transposed span Z^n, which minors-gcd decides.
     """
     base = s.base
 
@@ -57,26 +76,74 @@ def surjectivity_oracle(s) -> tuple[bool, "tuple[str, str] | None"]:
         rows += [list(r) for r in bond.matrix.transpose().entries]
         return minors_gcd_invariants(IntMatrix.from_rows(rows, cols=n)) == [1] * n
 
-    def composite(lower, upper):
-        bond, e = None, upper
-        while e != lower:
-            lo = next(c for c, u in base.covers if u == e and base.leq(lower, c))
-            step = s.cover_bonds[(lo, e)]
-            if bond is None:
-                bond = step
-            elif isinstance(s, SetSystem):
-                bond = {x: step[y] for x, y in bond.items()}
-            else:
-                bond = type(step)(bond.source, step.target, step.matrix.mul(bond.matrix))
-            e = lo
-        return bond
-
     first = next(((lo, hi) for lo, hi in base.covers
                   if not onto(s.cover_bonds[(lo, hi)], lo)), None)
-    every = all(onto(composite(lo, hi), lo)
+    every = all(onto(composite_along_path(s, lo, hi), lo)
                 for lo in base.elements for hi in base.elements
                 if lo != hi and base.leq(lo, hi))
     return every, first
+
+
+def naive_universal_images(s: SetSystem) -> tuple[dict, dict]:
+    """(restricted carriers, meta) of `universal_images`, from the definition.
+
+    Each carrier is cut to the images of every carrier above it, each
+    composed by `composite_along_path`; then, until nothing changes, an
+    element is dropped when a cover bond sends it outside the cut carrier
+    below.  meta[(i, j)], for each i < j in declared order, says whether the
+    composite bond maps the cut carrier at j onto the cut carrier at i.
+    """
+    elems = s.base.elements
+    pairs = [(lo, hi) for lo in elems for hi in elems if lo != hi and s.base.leq(lo, hi)]
+    composites = {pair: composite_along_path(s, *pair) for pair in pairs}
+    keep = {e: set(s.carriers[e]) for e in elems}
+    for (lo, hi), bond in composites.items():
+        keep[lo] &= set(bond.values())
+    changed = True
+    while changed:
+        changed = False
+        for lo, hi in s.base.covers:
+            out = {x for x in keep[hi] if s.cover_bonds[(lo, hi)][x] not in keep[lo]}
+            keep[hi] -= out
+            changed = changed or bool(out)
+    carriers = {e: tuple(x for x in s.carriers[e] if x in keep[e]) for e in elems}
+    meta = {(lo, hi): {bond[x] for x in keep[hi]} == keep[lo]
+            for (lo, hi), bond in composites.items()}
+    return carriers, meta
+
+
+def naive_linear_extension(elements, covers) -> list:
+    """The order `Poset.linear_extension` gives, found the slow way: place,
+    again and again, the first declared element not yet placed whose every
+    strict lower element (by `floyd_warshall_leq`) is placed."""
+    reach = floyd_warshall_leq(elements, covers)
+    out: list = []
+    while len(out) < len(elements):
+        out.append(next(e for e in elements if e not in out
+                        and all(x in out for x in elements if x != e and reach[(x, e)])))
+    return out
+
+
+def even_tuple_members(elements, covers, maxlen: int) -> dict:
+    """level -> the members of the even-tuple system at level with length at
+    most maxlen, sorted by (length, tuple): every even tuple over the
+    elements, filtered by the definition of membership with the order of
+    `floyd_warshall_leq`.  A tuple is a member only at its second-to-last
+    entry, its last odd entry."""
+    reach = floyd_warshall_leq(elements, covers)
+
+    def member(t) -> bool:
+        odds, evens = t[0::2], t[1::2]
+        return (all(reach[(o, u)] for o, u in zip(odds, evens))
+                and not any(reach[(odds[i], odds[j])]
+                            for i in range(len(odds)) for j in range(i)))
+
+    out: dict = {e: [] for e in elements}
+    for n in range(2, maxlen + 1, 2):
+        for t in itertools.product(elements, repeat=n):
+            if member(t):
+                out[t[-2]].append(t)
+    return {e: sorted(ts, key=lambda t: (len(t), t)) for e, ts in out.items()}
 
 
 def minors_gcd_invariants(m: IntMatrix) -> list[int]:

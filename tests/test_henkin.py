@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -9,8 +10,11 @@ from invsys.errors import (NoStrictUpper, NotComparable, NotMember,
 from invsys.henkin import (cofinal_extract, enumerate_members,
                            family_from_top, henkin_eps, henkin_lift,
                            henkin_member, henkin_system)
+from invsys.generators import random_poset
 from invsys.poset import chain_poset, grid_poset, wedge_poset
 from invsys.setsys import is_surjective, limit_threads
+
+from conftest import even_tuple_members
 
 SMALL_POSETS = [chain_poset(3), chain_poset(5), grid_poset(2, 2),
                 wedge_poset()]
@@ -56,6 +60,24 @@ def test_levels_are_disjoint():
         for level in p.elements:
             for t in enumerate_members(p, level, maxlen=4):
                 assert sum(henkin_member(t, e, p) for e in p.elements) == 1
+
+
+def test_enumerate_members_matches_the_product_oracle():
+    # whole lists, order included, at every level and every maxlen up to 7,
+    # odd ones too: nothing missing, nothing extra
+    rng = random.Random(27)
+    posets = [chain_poset(n) for n in (1, 2, 4)] + [grid_poset(2, 2), grid_poset(2, 3),
+                                                    wedge_poset()]
+    posets += [random_poset(rng, max_elements=5) for _ in range(12)]
+    longest = 0
+    for p in posets:
+        want = even_tuple_members(p.elements, p.covers, maxlen=7)
+        for level in p.elements:
+            for maxlen in range(8):
+                got = enumerate_members(p, level, maxlen)
+                assert got == [t for t in want[level] if len(t) <= maxlen], (p, level, maxlen)
+            longest = max([longest] + [len(t) for t in want[level]])
+    assert longest == 6
 
 
 def test_eps_functoriality_exhaustive():

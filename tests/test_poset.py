@@ -8,7 +8,7 @@ from invsys.errors import CycleDetected, UnknownElement
 from invsys.generators import random_poset
 from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
 
-from conftest import floyd_warshall_leq
+from conftest import floyd_warshall_leq, naive_linear_extension
 
 
 def test_validate_rejects_cycles():
@@ -91,6 +91,20 @@ def test_linear_extension_is_consistent():
             for b in p.elements:
                 if p.lt(a, b):
                     assert pos[a] < pos[b]
+
+
+def test_linear_extension_matches_the_rescan_oracle():
+    # elements declared in random order, so the declared order is seldom
+    # itself a linear extension and the choice among ready elements matters
+    rng = random.Random(4)
+    reordered = 0
+    for _ in range(120):
+        q = random_poset(rng, max_elements=9)
+        p = validate_poset(rng.sample(q.elements, len(q.elements)), q.covers)
+        order = p.linear_extension()
+        assert order == naive_linear_extension(p.elements, p.covers)
+        reordered += order != list(p.elements)
+    assert reordered > 40
 
 
 def test_chains_enumeration():

@@ -16,7 +16,8 @@ from invsys.setsys import (Thread, count_threads, fiber_subsystem,
                            thread_from_top, universal_images, validate_system,
                            validate_tower)
 
-from conftest import brute_force_threads, surjectivity_oracle
+from conftest import (brute_force_threads, naive_universal_images,
+                      surjectivity_oracle)
 
 
 def diamond():
@@ -411,12 +412,17 @@ def test_fiber_subsystem_empty_fiber():
         fiber_subsystem(e_sys, s_sys, level_maps, Thread.of({"1": 1, "2": 1}))
 
 
+def disjoint_wedge():
+    """The wedge c < a, c < b, where each element at c is the image of one top."""
+    return validate_system(wedge_poset(), {"a": ("a0",), "b": ("b0",), "c": ("c0", "c1")},
+                           {("c", "a"): {"a0": "c0"}, ("c", "b"): {"b0": "c1"}})
+
+
 def test_universal_images_non_directed_reaches_fixed_point():
-    # the wedge c < a, c < b: c's two elements are each the image of only
-    # one top, so the intersection at c is empty, and then nothing on top
-    # can map into it; no thread exists
-    s = validate_system(wedge_poset(), {"a": ("a0",), "b": ("b0",), "c": ("c0", "c1")},
-                        {("c", "a"): {"a0": "c0"}, ("c", "b"): {"b0": "c1"}})
+    # c's two elements are each the image of only one top, so the
+    # intersection at c is empty, and then nothing on top can map into it;
+    # no thread exists
+    s = disjoint_wedge()
     r, meta = universal_images(s)
     assert all(r.carriers[e] == () for e in "abc")
     assert all(meta.values())
@@ -438,6 +444,46 @@ def test_universal_images_keeps_every_thread_on_forests():
             assert set(bmap.values()) <= set(r.carriers[lo])
         want = sorted(t.assignment for t in brute_force_threads(s))
         assert sorted(t.assignment for t in brute_force_threads(r)) == want
+
+
+def two_tops_over_a_merge():
+    """The forest i < c < j < a, j < b, c < d.  Tops a and b leave only 1 at
+    j; the bond j -> c merges 0 and 2, so c keeps 0 and 1 and the image of
+    j misses just 0 there, and so, through the identity c -> i, at i."""
+    base = validate_poset(["i", "c", "j", "a", "b", "d"],
+                          [("i", "c"), ("c", "j"), ("j", "a"), ("j", "b"), ("c", "d")])
+    three = (0, 1, 2)
+    return validate_system(base, {"i": three, "c": three, "j": three, "a": ("p", "q"),
+                                  "b": ("r", "s"), "d": ("t", "u")},
+                           {("i", "c"): {0: 0, 1: 1, 2: 2}, ("c", "j"): {0: 0, 1: 1, 2: 0},
+                            ("j", "a"): {"p": 0, "q": 1}, ("j", "b"): {"r": 1, "s": 2},
+                            ("c", "d"): {"t": 0, "u": 1}})
+
+
+def test_universal_images_below_an_image_that_misses_one_element():
+    r, meta = universal_images(two_tops_over_a_merge())
+    assert (r.carriers["j"], r.carriers["c"], r.carriers["i"]) == ((1,), (0, 1), (0, 1))
+    assert meta[("i", "c")] and not meta[("c", "j")] and not meta[("i", "j")]
+
+
+def test_universal_images_match_the_composition_oracle():
+    rng = random.Random(26)
+    systems = [disjoint_wedge(), two_tops_over_a_merge(), *_random_set_systems(rng)]
+    systems += [random_tower(rng, horizon=rng.randint(7, 20), max_carrier=6) for _ in range(20)]
+    # restricted bonds that are not onto need a base without a maximum
+    systems += [subseed_system(rng, random_poset(rng, max_elements=8), points=6)
+                for _ in range(100)]
+    shrunk = not_onto = 0
+    for s in systems:
+        r, meta = universal_images(s)
+        carriers, want = naive_universal_images(s)
+        assert r.carriers == carriers
+        assert list(meta.items()) == list(want.items())
+        assert r.cover_bonds == {(lo, hi): {x: bmap[x] for x in carriers[hi]}
+                                 for (lo, hi), bmap in s.cover_bonds.items()}
+        shrunk += carriers != s.carriers
+        not_onto += not all(meta.values())
+    assert shrunk > 100 and not_onto > 5
 
 
 def test_surjective_generator_makes_nontrivial_instances():

@@ -390,6 +390,16 @@ def test_cli_rejects_a_horizon_on_the_images_of_a_system(files, capsys):
                      capsys) == "error: BadOption: --horizon applies to a tower, not to a system\n"
 
 
+def test_cli_images_of_a_named_system_on_a_file_of_towers(files, capsys):
+    # a name is looked up among the systems, as `surjective` looks it up,
+    # not ignored in favour of the file's one tower
+    assert _rejected(["images", "--system", "NOPE", files["tower"]],
+                     capsys) == "error: BadOption: no system named NOPE\n"
+    assert _rejected(["images", "--system", "S", "--tower", "T", files["system"]],
+                     capsys) == "error: BadOption: give --system or --tower, not both\n"
+    assert main(["images", files["tower"]]) == 0
+
+
 def test_cli_rejects_unknown_henkin_level(files, capsys):
     err = _rejected(["henkin", "enumerate", "--poset", files["wedge"],
                      "--level", "zzz"], capsys)
