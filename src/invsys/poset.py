@@ -90,11 +90,6 @@ class Poset:
     def strict_uppers(self, a: str) -> list[str]:
         return [b for b in self.elements if self.lt(a, b)]
 
-    def comparable_pairs(self) -> list[tuple[str, str]]:
-        """Every pair a < b, in element order of a, then of b."""
-        return [(a, b) for a in self.elements for b in self.elements
-                if b != a and b in self._up[a]]
-
     def upper_bounds(self, a: str, b: str) -> list[str]:
         common = self._up[a] & self._up[b]
         return [e for e in self.elements if e in common]
@@ -216,7 +211,9 @@ def validate_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -
     """Build a poset from labels and cover pairs.
 
     Raises UnknownElement for covers over undeclared labels, ValueError on
-    duplicate labels, and CycleDetected when the closure is not antisymmetric.
+    duplicate labels, and CycleDetected when the closure is not antisymmetric;
+    its message names the first declared element on a cycle and the first
+    declared element on a cycle with it, whatever the order of the up-sets.
     """
     elements = list(elements)
     if len(set(elements)) != len(elements):
@@ -230,6 +227,7 @@ def validate_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -
     for a in elements:
         for b in p._up[a]:
             if b != a and a in p._up[b]:
+                b = next(c for c in elements if c != a and c in p._up[a] and a in p._up[c])
                 raise CycleDetected(f"{a} and {b} lie on a cycle")
     return p
 

@@ -6,6 +6,8 @@ nothing more: the SetSystem on the chain "0" < "1" < ... < "H" of
 `tower_chain`, with level n at the element str(n), built by
 `validate_tower`.  Every function here takes any set system, and
 `is_surjective` any Diagram; `ml_report` alone needs a tower.
+`universal_images` returns the restricted system, and whether its
+restricted bonds are onto is `is_surjective` of it, a check of its covers.
 
 Threads are never found by search.  A thread is fixed by its values at the
 maximal elements, so `count_threads` sums out a small factor graph over
@@ -333,64 +335,41 @@ def ml_report(t: SetSystem) -> MLReport:
     return MLReport(h, tuple(reversed(entries)))
 
 
-def universal_images(sys: SetSystem):
-    """Restrict every carrier to the intersection of incoming images.
+def universal_images(sys: SetSystem) -> SetSystem:
+    """The system restricted to its universal images.
 
-    Over a poset base the carriers then shrink to the largest subsets that
-    every cover bond maps into each other, so the result is again a system.
-    Returns (restricted system, metadata) where metadata maps each
-    comparable pair, in the order of `comparable_pairs`, to the
-    surjectivity verdict of its restricted bond.
+    Every carrier is cut to the intersection of the images of the carriers
+    above it; over a poset base the carriers then shrink to the largest
+    subsets that every cover bond maps into each other, so the result is
+    again a system.  Its restricted bonds are all onto exactly when
+    `is_surjective` holds for it: composites of onto cover bonds are onto.
 
-    No composite bond is built.  An image is pushed down from its element
-    one cover bond at a time, along whichever cover path reaches an element
-    first: the system is functorial, so every path gives the same set.
+    No composite bond is built.  The image of a maximal carrier is pushed
+    down one cover bond at a time, along whichever cover path reaches an
+    element first: the system is functorial, so every path gives the same
+    set.  The image from an element contains the image from every element
+    above it, so the maximal elements give the whole intersection; off a
+    directed base x must also map to kept elements at the lower covers.
     """
     base = sys.base
-
-    def push(top: str, start: set, full: dict | None = None):
-        """(images, filled): the image of start, a subset of carrier(top), at
-        the elements below top.  Given full, the push goes no further down
-        from an element e whose image is full[e]; such elements are filled."""
-        images, stack, filled = {top: start}, [top], []
+    common: dict[str, set] = {}
+    for m in base.maximal_elements():
+        images, stack = {m: set(sys.carriers[m])}, [m]
         while stack:
             hi = stack.pop()
             for lo in base.lower_covers[hi]:
                 if lo not in images:
                     images[lo] = {sys.cover_bonds[(lo, hi)][x] for x in images[hi]}
-                    if full is not None and images[lo] == full[lo]:
-                        filled.append(lo)
-                    else:
-                        stack.append(lo)
-        return images, filled
-
-    # An image in j from an element contains the image from every element
-    # above it, so the maximal elements give the whole intersection; off a
-    # directed base x must also map to kept elements at the lower covers.
-    common: dict[str, set] = {}
-    for m in base.maximal_elements():
-        for e, image in push(m, set(sys.carriers[m]))[0].items():
+                    stack.append(lo)
+        for e, image in images.items():
             common[e] = common[e] & image if e in common else image
-    order = base.linear_extension()
     keep: dict[str, set] = {}
-    for j in order:
+    for j in base.linear_extension():
         keep[j] = {x for x in common[j]
                    if all(sys.cover_bonds[(lo, j)][x] in keep[lo]
                           for lo in base.lower_covers[j])}
-    restricted = sys.restrict({i: tuple(x for x in sys.carriers[i] if x in keep[i])
-                               for i in base.elements})
-    # onto[j][i]: is the restricted bond (i, j) onto?  Where the image from j
-    # fills the restricted carrier of c, every answer below c is the one
-    # from c, and c comes before j in order.
-    onto: dict[str, dict[str, bool]] = {}
-    for j in order:
-        images, filled = push(j, keep[j], keep)
-        onto[j] = {}
-        for c in filled:
-            onto[j].update(onto[c])
-        onto[j].update((i, image == keep[i]) for i, image in images.items() if i != j)
-    meta = {(i, j): onto[j][i] for i, j in base.comparable_pairs()}
-    return restricted, meta
+    return sys.restrict({i: tuple(x for x in sys.carriers[i] if x in keep[i])
+                         for i in base.elements})
 
 
 def fiber_subsystem(e_sys: SetSystem, s_sys: SetSystem,

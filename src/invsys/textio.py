@@ -86,16 +86,22 @@ class Document:
     absystems: dict[str, AbSystem] = field(default_factory=dict)
     sequences: dict[str, SequenceDecl] = field(default_factory=dict)
 
-    def sole(self, kind: str, name: Optional[str] = None):
-        table = getattr(self, kind)
+    def sole(self, kinds: str | tuple[str, ...], name: Optional[str] = None):
+        """The block named name in the tables of kinds, the first table that
+        has it winning; or, when name is None, the one block of those kinds."""
+        kinds = (kinds,) if isinstance(kinds, str) else kinds
+        tables = [getattr(self, k) for k in kinds]
+        what = " or ".join(k[:-1] for k in kinds)
         if name is not None:
-            if name not in table:
-                raise BadOption(f"no {kind[:-1]} named {name}")
-            return table[name]
-        if len(table) != 1:
-            raise BadOption(f"file must contain exactly one {kind[:-1]} "
-                            f"(found {len(table)}); pass a name")
-        return next(iter(table.values()))
+            for table in tables:
+                if name in table:
+                    return table[name]
+            raise BadOption(f"no {what} named {name}")
+        found = [block for table in tables for block in table.values()]
+        if len(found) != 1:
+            raise BadOption(f"file must contain exactly one {what} "
+                            f"(found {len(found)}); pass a name")
+        return found[0]
 
 
 @dataclass

@@ -85,7 +85,9 @@ def surjectivity_oracle(s) -> tuple[bool, "tuple[str, str] | None"]:
 
 
 def naive_universal_images(s: SetSystem) -> tuple[dict, dict]:
-    """(restricted carriers, meta) of `universal_images`, from the definition.
+    """(restricted carriers, meta) from the definition: the carriers of the
+    system `universal_images` returns, and a verdict for every comparable
+    pair that its cover check must agree with.
 
     Each carrier is cut to the images of every carrier above it, each
     composed by `composite_along_path`; then, until nothing changes, an

@@ -30,7 +30,7 @@ from invsys.setsys import (is_surjective, is_thread, limit_threads,
                            universal_images)
 
 from conftest import (brute_force_threads, minors_gcd_invariants,
-                      random_int_matrix)
+                      naive_universal_images, random_int_matrix)
 
 
 def _report(num: int, text: str):
@@ -88,8 +88,9 @@ def test_criterion_3_ml_stable_towers_have_surjective_images():
         assert t.base == tower_chain(12)
         if not ml_report(t).stable_everywhere():
             continue
-        _, meta = universal_images(t)
-        bad = [pair for pair, ok in meta.items() if not ok]
+        ok, cover = is_surjective(universal_images(t))
+        assert ok, f"restricted bond not onto at {cover}"
+        bad = [pair for pair, onto in naive_universal_images(t)[1].items() if not onto]
         assert not bad, f"restricted bonds not onto at {bad}"
         checked += 1
     _report(3, "100 ML-stable towers: all restricted universal-image "

@@ -18,6 +18,19 @@ def test_validate_rejects_cycles():
         validate_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
 
 
+@pytest.mark.parametrize("elements, covers, named", [
+    ("x y z w", "x y, y z, z w, w x", "x and y"),
+    ("p w z y x", "p w, x y, y z, z x", "z and y"),  # p lies on no cycle
+    ("a b c d", "a b, b a, c d, d c", "a and b"),
+], ids=["one-cycle", "after-an-acyclic-element", "two-cycles"])
+def test_cycle_error_names_the_first_declared_elements(elements, covers, named):
+    # the first declared element on a cycle, and the first declared element
+    # on a cycle with it, not whichever its up-set yields first
+    pairs = [tuple(c.split()) for c in covers.split(", ")]
+    with pytest.raises(CycleDetected, match=f"^{named} lie on a cycle$"):
+        validate_poset(elements.split(), pairs)
+
+
 def test_validate_rejects_unknown_labels():
     with pytest.raises(UnknownElement):
         validate_poset(["a"], [("a", "z")])

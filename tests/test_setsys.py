@@ -312,24 +312,24 @@ def test_ml_report_needs_a_tower_chain(base):
 
 def test_universal_images_clipdec():
     t = clipdec_tower(10, 5)
-    r, meta = universal_images(t)
+    r = universal_images(t)
     # far enough below the horizon the intersection collapses to {0};
     # the last width-1 levels see too few images to collapse
     for n in range(7):
         assert r.carriers[str(n)] == (0,)
     assert r.carriers["10"] == (0, 1, 2, 3, 4)
-    assert all(meta.values())
+    assert is_surjective(r) == (True, None)
 
 
 def test_universal_images_poset_case():
     p = chain_poset(3)
     s = validate_system(p, {"1": (0, 1), "2": (0, 1), "3": (0,)},
                         {("1", "2"): {0: 0, 1: 1}, ("2", "3"): {0: 0}})
-    r, meta = universal_images(s)
+    r = universal_images(s)
     assert r.carriers["1"] == (0,)
     assert r.carriers["2"] == (0,)
     assert r.carriers["3"] == (0,)
-    assert all(meta.values())
+    assert is_surjective(r) == (True, None)
 
 
 def test_ml_stable_implies_surjective_universal_images():
@@ -339,8 +339,7 @@ def test_ml_stable_implies_surjective_universal_images():
         t = random_tower(rng)
         if not ml_report(t).stable_everywhere():
             continue
-        _, meta = universal_images(t)
-        assert all(meta.values())
+        assert is_surjective(universal_images(t)) == (True, None)
         seen += 1
 
 
@@ -423,9 +422,9 @@ def test_universal_images_non_directed_reaches_fixed_point():
     # intersection at c is empty, and then nothing on top can map into it;
     # no thread exists
     s = disjoint_wedge()
-    r, meta = universal_images(s)
+    r = universal_images(s)
     assert all(r.carriers[e] == () for e in "abc")
-    assert all(meta.values())
+    assert is_surjective(r) == (True, None)
     assert brute_force_threads(s) == []
     for (lo, hi), bmap in r.cover_bonds.items():
         assert set(bmap) == set(r.carriers[hi])
@@ -439,7 +438,7 @@ def test_universal_images_keeps_every_thread_on_forests():
     for _ in range(60):
         p = random_forest_poset(rng, max_elements=5)
         s = random_set_system(rng, p, max_carrier=4)
-        r, _ = universal_images(s)
+        r = universal_images(s)
         for (lo, hi), bmap in r.cover_bonds.items():
             assert set(bmap.values()) <= set(r.carriers[lo])
         want = sorted(t.assignment for t in brute_force_threads(s))
@@ -461,9 +460,14 @@ def two_tops_over_a_merge():
 
 
 def test_universal_images_below_an_image_that_misses_one_element():
-    r, meta = universal_images(two_tops_over_a_merge())
+    # the restricted bond i -> c is onto and c -> j is not: the first
+    # cover that fails is the witness, and the oracle agrees on it
+    s = two_tops_over_a_merge()
+    r = universal_images(s)
     assert (r.carriers["j"], r.carriers["c"], r.carriers["i"]) == ((1,), (0, 1), (0, 1))
-    assert meta[("i", "c")] and not meta[("c", "j")] and not meta[("i", "j")]
+    assert is_surjective(r) == (False, ("c", "j"))
+    want = naive_universal_images(s)[1]
+    assert want[("i", "c")] and want[("c", "j")] is False
 
 
 def test_universal_images_match_the_composition_oracle():
@@ -475,14 +479,16 @@ def test_universal_images_match_the_composition_oracle():
                 for _ in range(100)]
     shrunk = not_onto = 0
     for s in systems:
-        r, meta = universal_images(s)
+        r = universal_images(s)
         carriers, want = naive_universal_images(s)
         assert r.carriers == carriers
-        assert list(meta.items()) == list(want.items())
+        ok, cover = is_surjective(r)
+        assert ok == all(want.values())
+        assert ok or want[cover] is False
         assert r.cover_bonds == {(lo, hi): {x: bmap[x] for x in carriers[hi]}
                                  for (lo, hi), bmap in s.cover_bonds.items()}
         shrunk += carriers != s.carriers
-        not_onto += not all(meta.values())
+        not_onto += not ok
     assert shrunk > 100 and not_onto > 5
 
 

@@ -400,6 +400,100 @@ def test_cli_images_of_a_named_system_on_a_file_of_towers(files, capsys):
     assert main(["images", files["tower"]]) == 0
 
 
+# two systems over a forest, without a tower; in S the restricted bond
+# j -> c of the universal images is not onto
+TWO_SYSTEMS_TXT = """\
+poset F
+elements: i c j a b d
+covers: i < c, c < j, j < a, j < b, c < d
+system S over F
+set i: { 0 1 2 }
+set c: { 0 1 2 }
+set j: { 0 1 2 }
+set a: { p q }
+set b: { r s }
+set d: { t u }
+map c -> i: 0 -> 0, 1 -> 1, 2 -> 2
+map j -> c: 0 -> 0, 1 -> 1, 2 -> 0
+map a -> j: p -> 0, q -> 1
+map b -> j: r -> 1, s -> 2
+map d -> c: t -> 0, u -> 1
+system R over F
+set i: { 0 }
+set c: { 0 }
+set j: { 0 }
+set a: { 0 }
+set b: { 0 }
+set d: { 0 }
+map c -> i: 0 -> 0
+map j -> c: 0 -> 0
+map a -> j: 0 -> 0
+map b -> j: 0 -> 0
+map d -> c: 0 -> 0
+"""
+
+
+@pytest.fixture
+def two_systems(tmp_path):
+    fp = tmp_path / "two.system"
+    fp.write_text(TWO_SYSTEMS_TXT)
+    return str(fp)
+
+
+def test_cli_surjective_looks_names_up_among_systems_and_towers(files, two_systems, capsys):
+    # one lookup over both tables, so each error names both kinds
+    for argv in (["surjective", "--system", "NOPE", two_systems],
+                 ["surjective", "--system", "NOPE", files["tower"]]):
+        assert _rejected(argv, capsys) == "error: BadOption: no system or tower named NOPE\n"
+    assert _rejected(["surjective", two_systems], capsys) == (
+        "error: BadOption: file must contain exactly one system or tower (found 2); "
+        "pass a name\n")
+    assert main(["surjective", "--system", "R", two_systems]) == 0
+    assert main(["surjective", "--system", "T", files["tower"]]) == 1
+    assert main(["surjective", files["tower"]]) == 1
+
+
+def test_cli_images_on_a_forest_with_a_non_onto_restricted_bond(two_systems, capsys):
+    # the verdict is the cover check of the restricted system; pairs_checked
+    # counts the comparable pairs, which that check decides
+    assert main(["--json", "images", "--system", "S", two_systems]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["data"] == {"carrier_sizes": {"a": 1, "b": 1, "c": 2, "d": 2, "i": 2, "j": 1},
+                               "pairs_checked": 11}
+    assert payload["verdicts"] == {"restricted_bonds_surjective": False}
+
+
+def test_cli_json_output_is_the_same_under_every_hash_seed(two_systems, tmp_path):
+    # stdout, stderr and exit status of each command, one process per hash
+    # seed; sets and dicts iterate in a seed-dependent order
+    cyclic = tmp_path / "cyclic.poset"
+    cyclic.write_text("poset C\nelements: x y z w\ncovers: x < y, y < z, z < w, w < x\n")
+    commands = [["validate", str(cyclic)],
+                ["images", "--system", "S", two_systems],
+                ["limit", "--system", "S", two_systems],
+                ["surjective", "--system", "NOPE", two_systems],
+                ["surjective", two_systems]]
+    code = ("import contextlib, io, json, sys; from invsys.cli import main\n"
+            "runs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        status = main(['--json', *argv])\n"
+            "    runs.append([status, out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(runs))\n")
+    outputs = []
+    for seed in range(4):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED=str(seed))
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(json.loads(proc.stdout))
+    assert all(runs == outputs[0] for runs in outputs[1:])
+    cycle, images, limit, *lookups = outputs[0]
+    assert cycle == [2, "", "error: CycleDetected: x and y lie on a cycle\n"]
+    assert images[0] == 1 and limit[0] == 0
+    assert [status for status, _, _ in lookups] == [2, 2]
+
+
 def test_cli_rejects_unknown_henkin_level(files, capsys):
     err = _rejected(["henkin", "enumerate", "--poset", files["wedge"],
                      "--level", "zzz"], capsys)
