@@ -58,12 +58,15 @@ class RunReport:
 
 
 def _load(path: str, report: RunReport) -> Document:
+    """The file read once as bytes, its \\r\\n and \\r newlines made \\n (so
+    the digest in report.inputs is that of the text that is parsed)."""
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    report.inputs[path] = hashlib.sha256(data).hexdigest()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(exc.object[:exc.start].count(b"\n") + 1, "not UTF-8 text")
-    report.inputs[path] = hashlib.sha256(text.encode()).hexdigest()
+        raise ParseError(data[:exc.start].count(b"\n") + 1, "not UTF-8 text")
     return parse_document(text)
 
 

@@ -37,13 +37,7 @@ from typing import Iterable, Optional, Sequence
 class IntMatrix:
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        if any(len(r) != self.cols for r in self.entries):
-            raise ValueError("ragged rows")
+    entries: tuple[tuple[int, ...], ...]  # unchecked: textio rejects ragged literals
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":

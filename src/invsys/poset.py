@@ -30,20 +30,12 @@ class Poset:
 
     @cached_property
     def _up(self) -> dict[str, frozenset[str]]:
-        """label -> set of labels >= label (reflexive), computed on first use."""
-        succ: dict[str, set[str]] = {e: set() for e in self.elements}
-        for lo, hi in self.covers:
-            succ[lo].add(hi)
-        up = {}
-        for e in self.elements:
-            seen = {e}
-            stack = [e]
-            while stack:
-                for n in succ[stack.pop()]:
-                    if n not in seen:
-                        seen.add(n)
-                        stack.append(n)
-            up[e] = frozenset(seen)
+        """label -> set of labels >= label (reflexive), computed on first use:
+        each is the union of its upper covers' up-sets, taken from the top
+        of the linear extension down.  Raises CycleDetected on cyclic covers."""
+        up: dict[str, frozenset[str]] = {}
+        for e in reversed(self.linear_extension()):
+            up[e] = frozenset((e,)).union(*[up[hi] for hi in self.upper_covers[e]])
         return up
 
     @cached_property
@@ -177,7 +169,7 @@ class Poset:
                 waiting[hi] -= 1
                 if not waiting[hi]:
                     heapq.heappush(ready, self._index[hi])
-        if len(out) < len(self.elements):  # pragma: no cover - acyclic by construction
+        if len(out) < len(self.elements):  # the rest lie on or above a cycle
             raise CycleDetected("no linear extension")
         return out
 
@@ -224,12 +216,27 @@ def validate_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -
         if lo not in known or hi not in known:
             raise UnknownElement(f"cover {lo} < {hi} references undeclared element")
     p = Poset(elements, covers)
-    for a in elements:
-        for b in p._up[a]:
-            if b != a and a in p._up[b]:
-                b = next(c for c in elements if c != a and c in p._up[a] and a in p._up[c])
-                raise CycleDetected(f"{a} and {b} lie on a cycle")
+    try:
+        p._up
+    except CycleDetected:
+        raise _cycle_error(p) from None
     return p
+
+
+def _cycle_error(p: Poset) -> CycleDetected:
+    """The error for cyclic covers, found from every element's reachable set."""
+    reach = {}
+    for e in p.elements:  # a depth-first search from each element
+        seen, stack = {e}, [e]
+        while stack:
+            for n in p.upper_covers[stack.pop()]:
+                if n not in seen:
+                    seen.add(n)
+                    stack.append(n)
+        reach[e] = seen
+    a, b = next((a, b) for a in p.elements for b in p.elements
+                if b != a and b in reach[a] and a in reach[b])
+    return CycleDetected(f"{a} and {b} lie on a cycle")
 
 
 def chain_poset(n: int) -> Poset:

@@ -21,6 +21,7 @@ import heapq
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Sequence
 
 from .diagram import Diagram
@@ -42,11 +43,15 @@ class SetSystem(Diagram):
                          {k: dict(v) for k, v in cover_bonds.items()})
         self.carriers = self.objects
 
+    @cached_property
+    def _carrier_sets(self) -> dict[str, frozenset]:
+        """Each carrier as a set, built once for every bond that meets it."""
+        return {e: frozenset(c) for e, c in self.carriers.items()}
+
     def check(self, lower: str, upper: str, bmap: BondMap) -> None:
-        if set(bmap) != set(self.carriers[upper]):
+        if bmap.keys() != self._carrier_sets[upper]:
             raise NotFunction(f"bond {upper} -> {lower} is not total on carrier({upper})")
-        target = set(self.carriers[lower])
-        if any(v not in target for v in bmap.values()):
+        if not self._carrier_sets[lower].issuperset(bmap.values()):
             raise NotFunction(f"bond {upper} -> {lower} maps outside carrier({lower})")
 
     def identity(self, e: str) -> BondMap:
@@ -59,7 +64,7 @@ class SetSystem(Diagram):
         return f == g
 
     def is_onto(self, bmap: BondMap, lower: str) -> bool:
-        return set(bmap.values()) == set(self.carriers[lower])
+        return self._carrier_sets[lower] == set(bmap.values())
 
     def restrict(self, carriers: dict[str, tuple]) -> "SetSystem":
         """The subsystem on subsets of the carriers that the bonds map into each other."""
@@ -315,7 +320,8 @@ def ml_report(t: SetSystem) -> MLReport:
     the horizon (or is the trivial one-term chain at the top); when the
     chain is still moving at the horizon the verdict is honest about the
     truncation rather than claiming a failure of the eventual-stability
-    condition.  The image chains are pushed down one step at a time.
+    condition.  The image chains are pushed down one step at a time, each
+    distinct image once: equal images push to equal images.
     Raises ValueError unless t is a system on a tower_chain.
     """
     h = len(t.base.elements) - 1
@@ -325,8 +331,11 @@ def ml_report(t: SetSystem) -> MLReport:
     images: list[frozenset] = []  # the image chain of the level above
     for n in range(h, -1, -1):
         step = t.cover_bonds.get((str(n), str(n + 1)))  # None at the top, where images is []
-        images = [frozenset(t.carriers[str(n)])] + [frozenset(step[x] for x in image)
-                                                    for image in images]
+        pushed: dict[frozenset, frozenset] = {}
+        for image in images:
+            if image not in pushed:
+                pushed[image] = frozenset(map(step.__getitem__, image))
+        images = [frozenset(t.carriers[str(n)])] + [pushed[image] for image in images]
         stab = h
         while stab > n and images[stab - 1 - n] == images[-1]:
             stab -= 1

@@ -3,10 +3,19 @@
 One declaration per line, '#' starts a comment, labels match
 [A-Za-z0-9_()]+.  Top-level `group` lines come first; then each block opens
 with a header line (poset / system / tower / absystem / sequence) and owns
-the lines up to the next header.  The diagram blocks (system, tower and
-absystem; a tower's base is the chain "0" < ... < "H") are read by one path:
-one object line per element and one `map` line per cover, each declared
-once.  A sequence has one `map u at E` and one `map v at E` per element.
+the lines up to the next header.  No two blocks of one kind, and no two
+top-level groups, have the same name.  The diagram blocks (system, tower
+and absystem; a tower's base is the chain "0" < ... < "H") are read by one
+path: one object line per element and one `map` line per cover, each
+declared once.  A sequence has one `map u at E` and one `map v at E` per
+element.
+
+Each line is read with one compiled pattern: `fullmatch` accepts the whole
+line, its label, rule or cover list included, and `split` or `findall`
+takes the tokens out.  Consecutive tokens always need a separator that no
+token contains, so every pattern runs in time linear in the line.  Only a
+line that its pattern rejects is read again token by token, to name in its
+error the first bad label, rule or cover, or a repeated one before it.
 """
 
 from __future__ import annotations
@@ -24,14 +33,19 @@ from .poset import Poset, validate_poset
 from .setsys import SetSystem, tower_chain, validate_system, validate_tower
 
 LABEL = r"[A-Za-z0-9_()]+"
-_LABEL_RE = re.compile(rf"^{LABEL}$")
+_LABEL_RE = re.compile(LABEL)
+_LABELS = rf"\s*(?:{LABEL}(?:\s+{LABEL})*)?\s*"  # labels parted by whitespace
+# one rule x -> y or cover x < y, and a comma-separated list of them
+_RULE = re.compile(rf"({LABEL})\s*->\s*({LABEL})")
+_COVER = re.compile(rf"({LABEL})\s*<\s*({LABEL})")
+_RULES = rf"\s*{_RULE.pattern}\s*(?:,\s*{_RULE.pattern}\s*)*"
 
 
-def _header(usage: str) -> tuple[str, re.Pattern]:
-    """A header's usage and pattern: upper-case words are labels, H a horizon."""
+def _header(usage: str) -> tuple[re.Pattern, str]:
+    """A header's pattern and usage: upper-case words are labels, H a horizon."""
     words = (r"(\d+)" if w == "H" else f"({LABEL})" if w.isupper() else w
              for w in usage.split())
-    return usage, re.compile("^" + r"\s+".join(words) + "$")
+    return re.compile(r"\s+".join(words)), usage
 
 
 _HEADERS = {usage.split()[0]: _header(usage) for usage in (
@@ -39,23 +53,26 @@ _HEADERS = {usage.split()[0]: _header(usage) for usage in (
     "absystem NAME over POSET", "sequence NAME over POSET systems A B C")}
 
 _GROUP_BODY = r"gens\s+(\d+)\s+relations\s+(.*)"
-_GROUP_LINE = re.compile(rf"^group\s+({LABEL})\s+{_GROUP_BODY}$")  # a top-level group
+_GROUP_LINE = re.compile(rf"group\s+({LABEL})\s+{_GROUP_BODY}")  # a top-level group
 _WORDS = {"system": "set", "tower": "set", "absystem": "group"}  # object line keyword
-# object and arrow lines of the diagrams of sets and of groups, and their usage
+# the object and arrow lines of the diagrams of sets and of groups, and their
+# usage; for sets, _SET_LINE and _BOND_LINE accept a line, and these looser
+# patterns only tell a line with a bad label or rule from a malformed one
 _OBJECT_LINES = {
-    "set": (re.compile(rf"^set\s+({LABEL})\s*:\s*\{{(.*)\}}$"), "set ELEM: { x y z }"),
-    "group": (re.compile(rf"^group\s+({LABEL})\s*:\s*{_GROUP_BODY}$"),
+    "set": (re.compile(rf"set\s+({LABEL})\s*:\s*\{{(.*)\}}"), "set ELEM: { x y z }"),
+    "group": (re.compile(rf"group\s+({LABEL})\s*:\s*{_GROUP_BODY}"),
               "group ELEM: gens K relations [[..]]")}
 _ARROW_LINES = {
-    "set": (re.compile(rf"^map\s+({LABEL})\s*->\s*({LABEL})\s*:\s*(.*)$"),
+    "set": (re.compile(rf"map\s+({LABEL})\s*->\s*({LABEL})\s*:\s*(.*)"),
             "map UPPER -> LOWER: x -> y, ..."),
-    "group": (re.compile(rf"^map\s+({LABEL})\s*->\s*({LABEL})\s*:\s*matrix\s+(.*)$"),
+    "group": (re.compile(rf"map\s+({LABEL})\s*->\s*({LABEL})\s*:\s*matrix\s+(.*)"),
               "map UPPER -> LOWER: matrix [[..]]")}
-_CLIPDEC_LINE = re.compile(r"^map\s+all\s*:\s*clipdec$")
-_LEVEL_MAP_LINE = re.compile(rf"^map\s+(u|v)\s+at\s+({LABEL})\s*:\s*matrix\s+(.*)$")
-_POSET_LINE = re.compile(r"^(elements|covers):(.*)$")
-_COVER = re.compile(rf"^\s*({LABEL})\s*<\s*({LABEL})\s*$")
-_RULE = re.compile(rf"^\s*({LABEL})\s*->\s*({LABEL})\s*$")
+_SET_LINE = re.compile(rf"set\s+({LABEL})\s*:\s*\{{({_LABELS})\}}")
+_BOND_LINE = re.compile(rf"map\s+({LABEL})\s*->\s*({LABEL})\s*:({_RULES})")
+_CLIPDEC_LINE = re.compile(r"map\s+all\s*:\s*clipdec")
+_LEVEL_MAP_LINE = re.compile(rf"map\s+(u|v)\s+at\s+({LABEL})\s*:\s*matrix\s+(.*)")
+_POSET_LINES = {"elements": re.compile(_LABELS), "covers": re.compile(
+    rf"\s*(?:{_COVER.pattern}\s*(?:,\s*{_COVER.pattern}\s*)*)?")}
 # a matrix literal: bracketed rows of signed decimal integers, nothing else
 _INT = r"[+-]?(?:0|[1-9][0-9]*)"  # no leading zeros
 _ROW = rf"\[\s*(?:{_INT}(?:\s*,\s*{_INT})*)?\s*\]"
@@ -108,64 +125,106 @@ class Document:
 class _Block:
     """One block of a file: its header, its objects keyed by element, its
     arrows keyed by (lower, upper) (a sequence: by (u or v, element)), and
-    the line number and text of each declaration."""
+    the line number of each declaration."""
     kind: str
     name: str
     line: int
     args: tuple  # the rest of the header: POSET, H, or POSET A B C
     objects: dict = field(default_factory=dict)
     arrows: dict = field(default_factory=dict)
-    lines: dict = field(default_factory=dict)  # (table, key) -> (line number, declaration)
+    lines: dict = field(default_factory=dict)  # (table, key) -> line number
 
-    def declare(self, table: str, key, value, lineno: int, what: str):
+    def declare(self, table: str, key, value, lineno: int):
         if (table, key) in self.lines:
-            first = self.lines[(table, key)][0]
-            raise ParseError(lineno, f"{what} is already declared at line {first}")
+            first = self.lines[(table, key)]
+            raise ParseError(lineno, f"{self.what(table, key)} is already declared "
+                                     f"at line {first}")
         getattr(self, table)[key] = value
-        self.lines[(table, key)] = lineno, what
+        self.lines[(table, key)] = lineno
+
+    def what(self, table: str, key) -> str:
+        """The line that declares key in table, as errors name it."""
+        if table == "objects":
+            return f"{_WORDS.get(self.kind, 'element')} {key}"
+        if self.kind == "poset":
+            return f"cover {key[0]} < {key[1]}"
+        if self.kind == "sequence":
+            return f"map {key[0]} at {key[1]}"
+        return "map all" if key == "all" else f"map {key[1]} -> {key[0]}"
 
 
-def _check_label(tok: str, lineno: int) -> str:
-    if not _LABEL_RE.match(tok):
-        raise ParseError(lineno, f"bad label {tok!r}")
-    return tok
+def _match(pattern: re.Pattern, usage: str, line: str, lineno: int) -> re.Match:
+    """The match of the whole line; a line that does not match is an error."""
+    m = pattern.fullmatch(line)
+    if m is None:
+        raise ParseError(lineno, f"expected: {usage}")
+    return m
 
 
-def _parse_object(word: str, m: re.Match, lineno: int):
-    """The object of a line matched by _OBJECT_LINES[word] or _GROUP_LINE: a
-    carrier tuple for `set`, an FgAbGroup for `group`."""
-    if word == "set":
-        labels = tuple(_check_label(t, lineno) for t in m[2].split())
-        if len(set(labels)) != len(labels):
-            raise ParseError(lineno, "a carrier lists a label twice")
-        return labels
+def _token(tok: str, pattern: re.Pattern, what: str, lineno: int) -> re.Match:
+    """One token of a line read token by token; a bad one is an error."""
+    m = pattern.fullmatch(tok.strip())
+    if m is None:
+        raise ParseError(lineno, f"{what} {tok.strip()!r}")
+    return m
+
+
+def _group(m: re.Match, lineno: int) -> FgAbGroup:
+    """The group of a line matched by _GROUP_LINE or _OBJECT_LINES["group"]."""
     rows = _parse_matrix(m[3], lineno)
     try:
         return FgAbGroup(int(m[2]), IntMatrix.from_rows(rows, cols=int(m[2])))
-    except ValueError as exc:  # ragged rows, or rows not as wide as the generators
+    except ValueError as exc:  # rows not as wide as the generators
         raise ParseError(lineno, str(exc))
 
 
-def _parse_rules(body: str, lineno: int) -> dict[str, str]:
+def _carrier(line: str, lineno: int) -> tuple[str, tuple]:
+    """The element and the carrier of a `set` line."""
+    m = _SET_LINE.fullmatch(line)
+    if m is None:  # name the first bad label
+        m = _match(*_OBJECT_LINES["set"], line, lineno)
+        for tok in m[2].split():
+            _token(tok, _LABEL_RE, "bad label", lineno)
+    labels = tuple(m[2].split())
+    if len(set(labels)) != len(labels):
+        raise ParseError(lineno, "a carrier lists a label twice")
+    return m[1], labels
+
+
+def _bond(line: str, lineno: int) -> tuple[re.Match, dict[str, str]]:
+    """The match and the bond of a `map` line of rules."""
+    m = _BOND_LINE.fullmatch(line)
+    if m is not None:
+        pairs = _RULE.findall(m[3])
+        bmap = dict(pairs)
+        if len(bmap) == len(pairs):
+            return m, bmap
+    else:  # name the first bad rule, unless a repeated one comes before it
+        m = _match(*_ARROW_LINES["set"], line, lineno)
+        pairs = (_token(rule, _RULE, "bad map rule", lineno).groups()
+                 for rule in m[3].split(","))
     bmap = {}
-    for rule in body.split(","):
-        m = _RULE.match(rule)
-        if not m:
-            raise ParseError(lineno, f"bad map rule {rule.strip()!r}")
-        if m.group(1) in bmap:
-            raise ParseError(lineno, f"two rules for {m.group(1)}")
-        bmap[m.group(1)] = m.group(2)
-    return bmap
+    for x, y in pairs:
+        if x in bmap:
+            raise ParseError(lineno, f"two rules for {x}")
+        bmap[x] = y
+    return m, bmap
 
 
-def _parse_matrix(text: str, lineno: int) -> list[list[int]]:
+def _parse_matrix(text: str, lineno: int, what: str = "") -> list[list[int]]:
+    """The rows of a matrix literal, all of one length; what names the
+    line's declaration in a ragged-rows error."""
     text = text.strip()
     if _MATRIX.fullmatch(text):
         try:
-            return [[int(x) for x in row.split(",")] if row.strip() else []
+            rows = [[int(x) for x in row.split(",")] if row.strip() else []
                     for row in _MATRIX_ROW.findall(text[1:-1])]
         except ValueError:  # an integer longer than int() reads
             pass
+        else:
+            if any(len(row) != len(rows[0]) for row in rows):
+                raise ParseError(lineno, f"{what}: ragged rows" if what else "ragged rows")
+            return rows
     shown = text if len(text) <= _SHOWN else text[:_SHOWN - 3] + "..."
     raise ParseError(lineno, f"bad matrix literal {shown!r}: expected a list of "
                              "rows of decimal integers, as in [[1, -2], [0, 3]]")
@@ -180,34 +239,35 @@ def _hom(b: _Block, key, source: FgAbGroup, target: FgAbGroup, valid: bool = Fal
             raise ValueError("does not respect relations")
         return h
     except ValueError as exc:
-        lineno, what = b.lines[("arrows", key)]
-        raise ParseError(lineno, f"{what}: {exc}")
+        raise ParseError(b.lines[("arrows", key)], f"{b.what('arrows', key)}: {exc}")
 
 
 def parse_document(text: str) -> Document:
     doc = Document()
     block: Optional[_Block] = None
+    named: dict[tuple[str, str], int] = {}  # (kind, name) -> line of its header
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        head = line.split()[0]
+        head = line.split(None, 1)[0]
         if head in _HEADERS:
             _close_block(block, doc)
-            usage, pattern = _HEADERS[head]
-            m = pattern.match(line)
-            if not m:
-                raise ParseError(lineno, f"expected: {usage}")
-            block = _Block(head, m[1], lineno, m.groups()[1:])
+            m = _match(*_HEADERS[head], line, lineno)
         elif head == "group" and block is None:
-            m = _GROUP_LINE.match(line)
-            if not m:
-                raise ParseError(lineno, "expected: group NAME gens K relations [[..]]")
-            doc.groups[m[1]] = _parse_object("group", m, lineno)
+            m = _match(_GROUP_LINE, "group NAME gens K relations [[..]]", line, lineno)
         elif block is not None:
             _parse_block_line(block, line, lineno)
+            continue
         else:
             raise ParseError(lineno, f"unexpected declaration {line!r}")
+        first = named.setdefault((head, m[1]), lineno)
+        if first != lineno:
+            raise ParseError(lineno, f"{head} {m[1]} is already declared at line {first}")
+        if head == "group":
+            doc.groups[m[1]] = _group(m, lineno)
+        else:
+            block = _Block(head, m[1], lineno, m.groups()[1:])
     _close_block(block, doc)
     return doc
 
@@ -215,37 +275,40 @@ def parse_document(text: str) -> Document:
 def _parse_block_line(b: _Block, line: str, lineno: int):
     word = _WORDS.get(b.kind)  # None in a poset or a sequence
     if b.kind == "poset":
-        m = _POSET_LINE.match(line)
-        if not m:
+        head, colon, body = line.partition(":")
+        if head not in _POSET_LINES or not colon:
             raise ParseError(lineno, f"unexpected poset line {line!r}")
-        for tok in (m[2].split() if m[1] == "elements" else ()):
-            b.declare("objects", _check_label(tok, lineno), None, lineno, f"element {tok}")
-        for pair in (m[2].split(",") if m[1] == "covers" and m[2].strip() else ()):
-            c = _COVER.match(pair)
-            if not c:
-                raise ParseError(lineno, f"bad cover {pair.strip()!r}")
-            b.declare("arrows", (c[1], c[2]), None, lineno, f"cover {c[1]} < {c[2]}")
+        listed = _POSET_LINES[head].fullmatch(body) is not None
+        # a line its pattern rejects is read token by token, declaring as it
+        # goes, so that a repeated key before the first bad token is named
+        if head == "elements":
+            table, keys = "objects", (body.split() if listed else (
+                _token(tok, _LABEL_RE, "bad label", lineno)[0] for tok in body.split()))
+        else:
+            table, keys = "arrows", (_COVER.findall(body) if listed else (
+                _token(pair, _COVER, "bad cover", lineno).groups() for pair in body.split(",")))
+        for key in keys:
+            b.declare(table, key, None, lineno)
     elif b.kind == "sequence":
-        m = _LEVEL_MAP_LINE.match(line)
-        if not m:
-            raise ParseError(lineno, "expected: map u at ELEM: matrix [[..]]")
-        b.declare("arrows", (m[1], m[2]), _parse_matrix(m[3], lineno), lineno,
-                  f"map {m[1]} at {m[2]}")
+        m = _match(_LEVEL_MAP_LINE, "map u at ELEM: matrix [[..]]", line, lineno)
+        key = m[1], m[2]
+        b.declare("arrows", key, _parse_matrix(m[3], lineno, b.what("arrows", key)), lineno)
     elif line.startswith(word + " "):
-        pattern, usage = _OBJECT_LINES[word]
-        m = pattern.match(line)
-        if not m:
-            raise ParseError(lineno, f"expected: {usage}")
-        b.declare("objects", m[1], _parse_object(word, m, lineno), lineno, f"{word} {m[1]}")
-    elif b.kind == "tower" and _CLIPDEC_LINE.match(line):
-        b.declare("arrows", "all", "clipdec", lineno, "map all")
+        if word == "set":
+            elem, obj = _carrier(line, lineno)
+        else:
+            m = _match(*_OBJECT_LINES[word], line, lineno)
+            elem, obj = m[1], _group(m, lineno)
+        b.declare("objects", elem, obj, lineno)
+    elif b.kind == "tower" and _CLIPDEC_LINE.fullmatch(line):
+        b.declare("arrows", "all", "clipdec", lineno)
     elif line.startswith("map "):
-        pattern, usage = _ARROW_LINES[word]
-        m = pattern.match(line)
-        if not m:
-            raise ParseError(lineno, f"expected: {usage}")
-        body = (_parse_rules if word == "set" else _parse_matrix)(m[3], lineno)
-        b.declare("arrows", (m[2], m[1]), body, lineno, f"map {m[1]} -> {m[2]}")
+        if word == "set":
+            m, arrow = _bond(line, lineno)
+        else:
+            m = _match(*_ARROW_LINES[word], line, lineno)
+            arrow = _parse_matrix(m[3], lineno, b.what("arrows", (m[2], m[1])))
+        b.declare("arrows", (m[2], m[1]), arrow, lineno)
     else:
         raise ParseError(lineno, f"unexpected {b.kind} line {line!r}")
 
@@ -286,8 +349,8 @@ def _close_block(b: Optional[_Block], doc: Document):
     except KeyError as exc:
         raise ParseError(b.line, f"unknown reference {exc}")
     except (ValueError, NotFunction) as exc:  # Diagram.validate names a failing cover
-        cover = getattr(exc, "cover", None)
-        raise ParseError(b.lines.get(("arrows", cover), (b.line,))[0], str(exc))
+        raise ParseError(b.lines.get(("arrows", getattr(exc, "cover", None)), b.line),
+                         str(exc))
 
 
 def _tower_defaults(b: _Block, chain: Poset):
@@ -305,7 +368,7 @@ def _tower_defaults(b: _Block, chain: Poset):
             continue
         bad = next((x for x in b.objects[lo] + b.objects[hi] if not x.isdigit()), None)
         if bad is not None:
-            raise ParseError(line[0], f"map all: clipdec needs integer carriers, got {bad!r}")
+            raise ParseError(line, f"map all: clipdec needs integer carriers, got {bad!r}")
         floor = min((int(x) for x in b.objects[lo]), default=0)
         b.arrows[(lo, hi)] = {x: str(max(int(x) - 1, floor)) for x in b.objects[hi]}
         b.lines[("arrows", (lo, hi))] = line
@@ -314,22 +377,20 @@ def _tower_defaults(b: _Block, chain: Poset):
 def _check_tables(b: _Block, base: Poset, over: str):
     """Every object on an element of the base and every arrow on a cover (a
     sequence: on an element), each at its own line; none of them missing."""
-    if b.kind == "sequence":  # table -> (wanted keys in order, name of a key)
-        wanted = {"arrows": ([(t, e) for t in "uv" for e in base.elements],
-                             lambda key: f"map {key[0]} at {key[1]}")}
+    if b.kind == "sequence":  # table -> wanted keys, in order
+        wanted = {"arrows": [(t, e) for t in "uv" for e in base.elements]}
     else:
-        wanted = {"objects": (base.elements, lambda e: f"{_WORDS[b.kind]} {e}"),
-                  "arrows": (base.covers, lambda key: f"map {key[1]} -> {key[0]}")}
-    for table, (keys, name) in wanted.items():
+        wanted = {"objects": base.elements, "arrows": base.covers}
+    for table, keys in wanted.items():
         declared, allowed = getattr(b, table), set(keys)
         noun = "cover" if table == "arrows" and b.kind != "sequence" else "element"
         for key in declared:
             if key not in allowed:
-                lineno, what = b.lines[(table, key)]
-                raise ParseError(lineno, f"{what}: no such {noun} in {over}")
+                raise ParseError(b.lines[(table, key)],
+                                 f"{b.what(table, key)}: no such {noun} in {over}")
         if len(declared) < len(allowed):  # declared keys are distinct and allowed
             missing = next(key for key in keys if key not in declared)
-            raise ParseError(b.line, f"{b.kind} {b.name} has no {name(missing)} line")
+            raise ParseError(b.line, f"{b.kind} {b.name} has no {b.what(table, missing)} line")
 
 
 # -- serialization --------------------------------------------------------

@@ -6,7 +6,8 @@ surjectivity and universal images, a rescan of the elements for the linear
 extension, minors-gcd for invariant factors, permutation expansion for
 determinants, counting cochains for the order of a derived limit, the
 presented subquotient of cocycles by coboundaries that `derived.cohomology`
-replaced, and the Smith-form solve that the echelon form replaced.  They
+replaced, the Smith-form solve that the echelon form replaced, and the
+reader that matched every label, rule and cover of a file on its own.  They
 exist so the library code is checked against an independent computation,
 not against itself.
 """
@@ -16,9 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
+from invsys import textio
 from invsys.abgroups import FgAbGroup, subquotient
 from invsys.derived import AbSystem, CochainComplex
+from invsys.errors import ParseError
 from invsys.intlinalg import (IntMatrix, lattice_contains, relative_kernel,
                               smith_normal_form)
 from invsys.poset import Poset, validate_poset
@@ -280,3 +284,95 @@ def cochain_count_order(sys: AbSystem, m: int, n: int) -> int:
     if n == 0:
         return kernel_size(0)
     return kernel_size(n) * kernel_size(n - 1) // m ** len(flags[n])
+
+
+_LABEL = re.compile(rf"^{textio.LABEL}$")
+_SET = re.compile(rf"^set\s+({textio.LABEL})\s*:\s*\{{(.*)\}}$")
+_MAP = re.compile(rf"^map\s+({textio.LABEL})\s*->\s*({textio.LABEL})\s*:\s*(.*)$")
+_RULE = re.compile(rf"^\s*({textio.LABEL})\s*->\s*({textio.LABEL})\s*$")
+_POSET_LINE = re.compile(r"^(elements|covers):(.*)$")
+_COVER = re.compile(rf"^\s*({textio.LABEL})\s*<\s*({textio.LABEL})\s*$")
+
+
+def per_token_document(text: str) -> textio.Document:
+    """What `textio.parse_document` reads, read token by token: each line
+    split into all its words, and every label, rule and cover matched and
+    declared on its own, in order.  Header, group and matrix lines, which
+    hold no token lists, and the closing checks of a block are textio's."""
+    doc, block, named = textio.Document(), None, {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head = line.split()[0]
+        if head in textio._HEADERS:
+            textio._close_block(block, doc)
+            pattern, usage = textio._HEADERS[head]
+        elif head == "group" and block is None:
+            pattern, usage = textio._GROUP_LINE, "group NAME gens K relations [[..]]"
+        elif block is not None:
+            _per_token_line(block, line, lineno)
+            continue
+        else:
+            raise ParseError(lineno, f"unexpected declaration {line!r}")
+        m = pattern.fullmatch(line)
+        if not m:
+            raise ParseError(lineno, f"expected: {usage}")
+        if (head, m[1]) in named:
+            raise ParseError(lineno, f"{head} {m[1]} is already declared "
+                                     f"at line {named[(head, m[1])]}")
+        named[(head, m[1])] = lineno
+        if head == "group":
+            doc.groups[m[1]] = textio._group(m, lineno)
+        else:
+            block = textio._Block(head, m[1], lineno, m.groups()[1:])
+    textio._close_block(block, doc)
+    return doc
+
+
+def _label(tok: str, lineno: int) -> str:
+    if not _LABEL.match(tok):
+        raise ParseError(lineno, f"bad label {tok!r}")
+    return tok
+
+
+def _per_token_line(b, line: str, lineno: int) -> None:
+    word = textio._WORDS.get(b.kind)
+    if b.kind == "poset":
+        m = _POSET_LINE.match(line)
+        if not m:
+            raise ParseError(lineno, f"unexpected poset line {line!r}")
+        for tok in (m[2].split() if m[1] == "elements" else ()):
+            b.declare("objects", _label(tok, lineno), None, lineno)
+        for pair in (m[2].split(",") if m[1] == "covers" and m[2].strip() else ()):
+            c = _COVER.match(pair)
+            if not c:
+                raise ParseError(lineno, f"bad cover {pair.strip()!r}")
+            b.declare("arrows", (c[1], c[2]), None, lineno)
+    elif word != "set":  # an absystem or a sequence: matrix lines, no token lists
+        textio._parse_block_line(b, line, lineno)
+    elif line.startswith("set "):
+        m = _SET.match(line)
+        if not m:
+            raise ParseError(lineno, "expected: set ELEM: { x y z }")
+        labels = tuple(_label(t, lineno) for t in m[2].split())
+        if len(set(labels)) != len(labels):
+            raise ParseError(lineno, "a carrier lists a label twice")
+        b.declare("objects", m[1], labels, lineno)
+    elif b.kind == "tower" and re.match(r"^map\s+all\s*:\s*clipdec$", line):
+        b.declare("arrows", "all", "clipdec", lineno)
+    elif line.startswith("map "):
+        m = _MAP.match(line)
+        if not m:
+            raise ParseError(lineno, "expected: map UPPER -> LOWER: x -> y, ...")
+        bmap = {}
+        for rule in m[3].split(","):
+            r = _RULE.match(rule)
+            if not r:
+                raise ParseError(lineno, f"bad map rule {rule.strip()!r}")
+            if r[1] in bmap:
+                raise ParseError(lineno, f"two rules for {r[1]}")
+            bmap[r[1]] = r[2]
+        b.declare("arrows", (m[2], m[1]), bmap, lineno)
+    else:
+        raise ParseError(lineno, f"unexpected {b.kind} line {line!r}")

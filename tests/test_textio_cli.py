@@ -638,6 +638,36 @@ def test_cli_rejects_bad_declaration_with_its_line(tmp_path, capsys, text, old, 
     assert _rejected(["validate", str(fp)], capsys) == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text, again, message", [
+    (WEDGE_TXT, WEDGE_TXT, "line 4: poset W is already declared at line 1"),
+    (WEDGE_SYSTEM, WEDGE_SYSTEM[len(WEDGE_TXT):],
+     "line 12: system S is already declared at line 5"),
+    (CLIPDEC_TOWER, CLIPDEC_TOWER, "line 4: tower T is already declared at line 1"),
+    (WEDGE_ABSYSTEM, WEDGE_ABSYSTEM[len(WEDGE_TXT):],
+     "line 12: absystem A is already declared at line 5"),
+    (WEDGE_SEQUENCE, WEDGE_SEQUENCE[len(WEDGE_ABSYSTEM):],
+     "line 20: sequence Q is already declared at line 12"),
+    ("group G gens 1 relations []\n", "group G gens 1 relations [[2]]\n",
+     "line 2: group G is already declared at line 1"),
+], ids=["poset", "system", "tower", "absystem", "sequence", "group"])
+def test_cli_rejects_a_block_name_taken_by_a_block_of_its_kind(tmp_path, capsys, text, again,
+                                                               message):
+    # the second block used to replace the first without a word
+    fp = tmp_path / "twice.txt"
+    fp.write_text(text + again)
+    for command in ("validate", "limit"):
+        assert _rejected([command, str(fp)], capsys) == f"error: {message}\n"
+
+
+def test_cli_a_name_may_be_shared_by_blocks_of_different_kinds(tmp_path, capsys):
+    fp = tmp_path / "shared.txt"
+    fp.write_text(WEDGE_SYSTEM.replace("system S", "system W")
+                  + CLIPDEC_TOWER.replace("tower T", "tower W"))
+    assert main(["--json", "validate", str(fp)]) == 0
+    data = json.loads(capsys.readouterr().out)["data"]
+    assert data["posets"] == data["systems"] == data["towers"] == ["W"]
+
+
 @pytest.mark.parametrize("text, old, new", [
     ("", "", "group G gens 1 relations [[True]]\n"),
     ("", "", "group G gens 1 relations [[0x2]]\n"),
