@@ -5,19 +5,16 @@ homomorphism is an integer matrix on generators that must carry every
 source relator into the target's relation lattice.  Membership, kernels,
 images and exactness reduce to the cached column echelon forms of the
 relevant lattices; group invariants to transform-free invariant factors.
-Only `FiniteGroupElements` needs the Smith basis with its transforms.
+No Smith transform is computed here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
-from typing import Optional, Sequence
 
-from .intlinalg import (IntMatrix, in_lattice, inverse_unimodular,
-                        invariant_factors, lattice_contains, relative_kernel,
-                        smith_normal_form)
+from .intlinalg import (IntMatrix, in_lattice, invariant_factors, lattice_contains,
+                        relative_kernel)
 
 
 @dataclass(frozen=True)
@@ -59,17 +56,6 @@ def group_invariants(g: FgAbGroup) -> tuple[int, list[int]]:
 def is_trivial_group(g: FgAbGroup) -> bool:
     rank, torsion = group_invariants(g)
     return rank == 0 and not torsion
-
-
-def group_order(g: FgAbGroup) -> Optional[int]:
-    """Number of elements, or None when the group is infinite."""
-    rank, torsion = group_invariants(g)
-    if rank > 0:
-        return None
-    out = 1
-    for f in torsion:
-        out *= f
-    return out
 
 
 @dataclass(frozen=True)
@@ -178,85 +164,10 @@ def is_exact_at(f: AbHom, g: AbHom) -> bool:
 
 
 def invariants_embed(small: tuple[int, list[int]], big: tuple[int, list[int]]) -> bool:
-    """Necessary-and-sufficient test for an embedding between f.g. groups.
-
-    Ranks must not drop, and for each prime power p^k the number of cyclic
-    summands of order divisible by p^k must not drop either.
-    """
-    rank_s, tors_s = small
-    rank_b, tors_b = big
-    if rank_s > rank_b:
-        return False
-
-    def primes(factors):
-        ps = set()
-        for f in factors:
-            n, p = f, 2
-            while n > 1:
-                while n % p == 0:
-                    n //= p
-                    ps.add(p)
-                p += 1
-        return ps
-
-    def val(n, p):
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    for p in primes(tors_s):
-        k = 1
-        while True:
-            cnt_s = sum(1 for f in tors_s if val(f, p) >= k)
-            if cnt_s == 0:
-                break
-            cnt_b = sum(1 for f in tors_b if val(f, p) >= k)
-            if cnt_s > cnt_b:
-                return False
-            k += 1
-    return True
-
-
-class FiniteGroupElements:
-    """Element enumeration and canonical forms for a finite presented group.
-
-    Canonical coordinates live in the Smith basis of the relation lattice:
-    coordinate i ranges over Z/d_i.  Only usable when the group is finite.
-    """
-
-    def __init__(self, g: FgAbGroup):
-        if group_order(g) is None:
-            raise ValueError("group is infinite")
-        self.group = g
-        lat = g.relation_lattice()  # ngens x nrel
-        u, d, _ = smith_normal_form(lat)
-        self.u = u
-        self.uinv = inverse_unimodular(u) if g.ngens else IntMatrix.identity(0)
-        self.diag = [d.entries[i][i] if i < lat.cols else 0 for i in range(g.ngens)]
-        assert all(di > 0 for di in self.diag), "finite group must have full-rank relations"
-
-    def canon(self, x: Sequence[int]) -> tuple[int, ...]:
-        """Canonical form of a generator-coordinate vector."""
-        y = self.u.apply(x)
-        return tuple(yi % di for yi, di in zip(y, self.diag))
-
-    def elements(self) -> list[tuple[int, ...]]:
-        """All elements in canonical coordinates."""
-        return [tuple(t) for t in product(*(range(d) for d in self.diag))]
-
-    def to_gen_coords(self, canon: Sequence[int]) -> tuple[int, ...]:
-        return self.uinv.apply(canon)
-
-
-@lru_cache(maxsize=1024)
-def finite_elements(g: FgAbGroup) -> FiniteGroupElements:
-    return FiniteGroupElements(g)
-
-
-def apply_hom_canon(h: AbHom, canon: Sequence[int]) -> tuple[int, ...]:
-    """Apply a hom between finite groups in canonical coordinates."""
-    src = finite_elements(h.source)
-    tgt = finite_elements(h.target)
-    return tgt.canon(h.matrix.apply(src.to_gen_coords(canon)))
+    """Whether a group with invariants `small` embeds in one with `big`, both
+    as `group_invariants` gives them.  Ranks must not drop, and the torsion
+    factors, aligned from the largest, must each divide their partner: at
+    every prime p, the containment of the partitions of the p-parts."""
+    (rank_s, tors_s), (rank_b, tors_b) = small, big
+    return (rank_s <= rank_b and len(tors_s) <= len(tors_b)
+            and all(b % s == 0 for s, b in zip(reversed(tors_s), reversed(tors_b))))

@@ -7,9 +7,10 @@ differential combines the bond into the new smallest element with the
 alternating sum of flag-face omissions.  Degrees above the longest chain
 vanish, so the complex is finite.
 
-`derived_limit` and `limit_exactness_check` build that complex over the
-cofinal core of the base (`Poset.cofinal_core`), which has the same limits
-in every degree; `nerve_complex` and `h0_with_basis` keep the full base.
+`derived_limit`, `scd_finite` and `limit_exactness_check` build that
+complex over the cofinal core of the base (`Poset.cofinal_core`), which
+has the same limits in every degree; `nerve_complex` and `h0_with_basis`
+keep the full base.
 
 Write L(k) for the block relation lattice of C(k) (columns: the relators of
 each flag's group) and d for the differentials, stored sparse by column.
@@ -48,11 +49,13 @@ from .poset import Poset
 
 
 class AbSystem(Diagram):
-    """Inverse system of finitely generated abelian groups over a poset."""
+    """Inverse system of finitely generated abelian groups over a poset.  The
+    groups are re-keyed in base order; the bond dict is kept, not copied: a
+    system never mutates its bonds."""
 
     def __init__(self, base: Poset, groups: dict[str, FgAbGroup],
                  cover_bonds: dict[tuple[str, str], AbHom]):
-        super().__init__(base, {e: groups[e] for e in base.elements}, dict(cover_bonds))
+        super().__init__(base, {e: groups[e] for e in base.elements}, cover_bonds)
         self.groups = self.objects
 
     def group(self, e: str) -> FgAbGroup:
@@ -253,21 +256,14 @@ def induced_limit_hom(level_maps: dict[str, AbHom],
     """
     h0_s, z_s, cx_s = src_h0
     h0_t, z_t, cx_t = tgt_h0
-    # block-diagonal level map on C(0), whose blocks follow the 1-element flags
-    rows = [[0] * cx_s.dims[0] for _ in range(cx_t.dims[0])]
-    ro = co = 0
-    for (e,) in cx_s.flags[0]:
-        m = level_maps[e].matrix
-        for a in range(m.rows):
-            for b in range(m.cols):
-                rows[ro + a][co + b] = m.entries[a][b]
-        ro += m.rows
-        co += m.cols
-    big = IntMatrix.from_rows(rows, cols=cx_s.dims[0])
-    cols = []
+    # each level map acts on its own block of C(0), one per 1-element flag
+    blocks = [(off, level_maps[e].matrix)
+              for (e,), (off, _) in zip(cx_s.flags[0], cx_s.blocks[0])]
     aug = z_t.hstack(cx_t.lattice(0))
+    cols = []
     for j in range(z_s.cols):
-        image = big.apply(z_s.col(j))
+        z = z_s.col(j)
+        image = [y for off, m in blocks for y in m.apply(z[off:off + m.cols])]
         sol = solve(aug, image)
         assert sol is not None, "level map does not preserve compatible families"
         cols.append(sol[: z_t.cols])
@@ -393,15 +389,14 @@ def scd_finite(base: Poset, trials: int, seed: int) -> int:
     from .generators import random_surjective_absystem
     rng = random.Random(seed)
     best = 0
-    # no derived limit lies above the top nerve degree of the cofinal core
-    top = base.induced(base.cofinal_core()).longest_chain()
     systems = [scd_witness_system(base)]
     systems += [random_surjective_absystem(rng, base) for _ in range(trials)]
     for sys in systems:
-        for n in range(top - 1, 0, -1):
-            if n <= best:
-                break
-            if not is_trivial_group(derived_limit(sys, n)):
+        cx = nerve_complex(_on_core(sys))  # one complex for every degree
+        for n in range(cx.top_degree, best, -1):
+            if not is_trivial_group(cohomology(cx, n)):
                 best = n
                 break
+        if best == cx.top_degree:  # no derived limit lies above it
+            break
     return best

@@ -54,8 +54,7 @@ class Diagram:
                 if via is None:
                     first, via = path, lo
                 elif not self.equal(first, path):
-                    raise FunctorialityViolation(lower, via, top,
-                                                 f"paths through {via} and {lo} disagree")
+                    raise FunctorialityViolation(f"paths through {via} and {lo} disagree")
             self._composites[(lower, top)] = first
         return self._composites[(lower, upper)]
 

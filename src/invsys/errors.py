@@ -22,9 +22,7 @@ class NotFunction(InvsysError):
 
 
 class FunctorialityViolation(InvsysError):
-    def __init__(self, i, j, k, message=None):
-        self.triple = (i, j, k)
-        super().__init__(message or f"bond({i},{j}) o bond({j},{k}) != bond({i},{k})")
+    """Two cover paths between the same elements compose to different bonds."""
 
 
 class BudgetExceeded(InvsysError):

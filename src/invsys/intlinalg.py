@@ -18,8 +18,9 @@ the trailing submatrix, ties broken in row-major order, to the diagonal and
 divides its row and column by it; a remainder, or an entry the pivot does
 not divide, starts another round, so the pivot shrinks until it divides
 everything after it.  The choice keeps the run deterministic and the
-entries tame.  Only a diagonal basis needs the transforms:
-`inverse_unimodular` and the canonical forms of finite groups.
+entries tame.  No other routine of the package asks for the transforms:
+lattice work goes through the echelon form, and invariants through
+`sparse_invariant_factors`, which keeps none.
 
 `sparse_invariant_factors` (and `invariant_factors`, `rank`) give the
 diagonal alone: unit pivots are eliminated on sparse rows first, and the
@@ -429,11 +430,3 @@ def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
     ech = echelon_form(outer)
     return all(ech.substitute(col) is not None for col in zip(*inner.entries))
 
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a unimodular matrix: its Smith form is the
-    identity, so U*m*V = 1 and the inverse is V*U."""
-    if not is_unimodular(m):
-        raise ValueError("matrix is not unimodular")
-    u, _, v = smith_normal_form(m)
-    return v.mul(u)

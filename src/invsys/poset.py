@@ -82,16 +82,6 @@ class Poset:
     def strict_uppers(self, a: str) -> list[str]:
         return [b for b in self.elements if self.lt(a, b)]
 
-    def upper_bounds(self, a: str, b: str) -> list[str]:
-        common = self._up[a] & self._up[b]
-        return [e for e in self.elements if e in common]
-
-    def is_directed(self) -> bool:
-        """Every pair of elements has a common upper bound."""
-        return all(self.upper_bounds(a, b)
-                   for i, a in enumerate(self.elements)
-                   for b in self.elements[i + 1:])
-
     def maximal_elements(self) -> list[str]:
         """All x with nothing strictly above; ties in declared label order."""
         return [x for x in self.elements if len(self._up[x]) == 1]
@@ -102,23 +92,6 @@ class Poset:
         if len(maxima) == 1 and all(self.leq(x, maxima[0]) for x in self.elements):
             return maxima[0]
         return None
-
-    def cofinal_chain(self) -> Optional[list[str]]:
-        """An ascending chain dominating every element, or None.
-
-        For a finite poset such a chain exists iff a maximum exists; the
-        returned chain walks covers from a minimal element up to the top.
-        """
-        top = self.has_maximum()
-        if top is None:
-            return None
-        chain = [top]
-        cur = top
-        while self.lower_covers[cur]:
-            cur = min(self.lower_covers[cur], key=self._index.__getitem__)
-            chain.append(cur)
-        chain.reverse()
-        return chain
 
     def cofinal_core(self) -> list[str]:
         """The elements left after deleting each x whose strict up-set, among

@@ -35,12 +35,13 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 class SetSystem(Diagram):
-    """Inverse system of finite sets over a poset."""
+    """Inverse system of finite sets over a poset.  The carriers are re-keyed
+    in base order; the bond dicts are kept, not copied: a system never
+    mutates its bonds."""
 
     def __init__(self, base: Poset, carriers: dict[str, tuple],
                  cover_bonds: dict[tuple[str, str], BondMap]):
-        super().__init__(base, {e: tuple(carriers[e]) for e in base.elements},
-                         {k: dict(v) for k, v in cover_bonds.items()})
+        super().__init__(base, {e: tuple(carriers[e]) for e in base.elements}, cover_bonds)
         self.carriers = self.objects
 
     @cached_property

@@ -3,13 +3,15 @@
 The oracles here are deliberately naive re-derivations: product filtering
 for limits and for Henkin members, composition along a cover path for
 surjectivity and universal images, a rescan of the elements for the linear
-extension, minors-gcd for invariant factors, permutation expansion for
-determinants, counting cochains for the order of a derived limit, the
-presented subquotient of cocycles by coboundaries that `derived.cohomology`
-replaced, the Smith-form solve that the echelon form replaced, and the
-reader that matched every label, rule and cover of a file on its own.  They
-exist so the library code is checked against an independent computation,
-not against itself.
+extension, pairwise upper bounds for directedness, minors-gcd for invariant
+factors, permutation expansion for determinants, element enumeration in the
+Smith basis for finite groups, counting cochains for the order of a derived
+limit, counting cyclic summands prime power by prime power for embeddings,
+the presented subquotient of cocycles by coboundaries that
+`derived.cohomology` replaced, the Smith-form solve that the echelon form
+replaced, and the reader that matched every label, rule and cover of a file
+on its own.  They exist so the library code is checked against an
+independent computation, not against itself.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import itertools
 import math
 import random
 import re
+from functools import lru_cache
 
 from invsys import textio
-from invsys.abgroups import FgAbGroup, subquotient
+from invsys.abgroups import AbHom, FgAbGroup, group_invariants, subquotient
 from invsys.derived import AbSystem, CochainComplex
 from invsys.errors import ParseError
 from invsys.intlinalg import (IntMatrix, lattice_contains, relative_kernel,
@@ -208,6 +211,109 @@ def smith_solve(m: IntMatrix, b) -> "tuple[int, ...] | None":
         elif c[i]:
             return None
     return v.apply(y)
+
+
+def upper_bounds(p: Poset, a: str, b: str) -> list[str]:
+    """The common upper bounds of a and b, in declared order."""
+    return [e for e in p.elements if p.leq(a, e) and p.leq(b, e)]
+
+
+def is_directed(p: Poset) -> bool:
+    """Every pair of elements has a common upper bound."""
+    return all(upper_bounds(p, a, b)
+               for i, a in enumerate(p.elements) for b in p.elements[i + 1:])
+
+
+def group_order(g: FgAbGroup) -> "int | None":
+    """Number of elements, or None when the group is infinite."""
+    rank, torsion = group_invariants(g)
+    return None if rank else math.prod(torsion)
+
+
+class FiniteGroupElements:
+    """Element enumeration and canonical forms for a finite presented group.
+
+    Canonical coordinates live in the Smith basis of the relation lattice:
+    coordinate i ranges over Z/d_i.  Only usable when the group is finite.
+    """
+
+    def __init__(self, g: FgAbGroup):
+        if group_order(g) is None:
+            raise ValueError("group is infinite")
+        self.group = g
+        lat = g.relation_lattice()  # ngens x nrel
+        u, d, _ = smith_normal_form(lat)
+        self.u = u
+        self.diag = [d.entries[i][i] if i < lat.cols else 0 for i in range(g.ngens)]
+        assert all(di > 0 for di in self.diag), "finite group must have full-rank relations"
+
+    def canon(self, x) -> tuple[int, ...]:
+        """Canonical form of a generator-coordinate vector."""
+        y = self.u.apply(x)
+        return tuple(yi % di for yi, di in zip(y, self.diag))
+
+    def elements(self) -> list[tuple[int, ...]]:
+        """All elements in canonical coordinates."""
+        return list(itertools.product(*(range(d) for d in self.diag)))
+
+    def to_gen_coords(self, canon) -> tuple[int, ...]:
+        """Generator coordinates of a canonical form: the solution x of
+        U x = canon, which exists as U is unimodular."""
+        return smith_solve(self.u, canon)
+
+
+@lru_cache(maxsize=1024)
+def finite_elements(g: FgAbGroup) -> FiniteGroupElements:
+    return FiniteGroupElements(g)
+
+
+def apply_hom_canon(h: AbHom, canon) -> tuple[int, ...]:
+    """Apply a hom between finite groups in canonical coordinates."""
+    src = finite_elements(h.source)
+    tgt = finite_elements(h.target)
+    return tgt.canon(h.matrix.apply(src.to_gen_coords(canon)))
+
+
+def invariants_embed_by_prime_powers(small: tuple[int, list[int]],
+                                     big: tuple[int, list[int]]) -> bool:
+    """Whether a group with the invariants `small` embeds in one with `big`:
+    ranks must not drop, and for each prime power p^k the number of cyclic
+    summands of order divisible by p^k must not drop either.  The primes
+    come from trial division of the factors."""
+    rank_s, tors_s = small
+    rank_b, tors_b = big
+    if rank_s > rank_b:
+        return False
+
+    def primes(factors):
+        ps = set()
+        for f in factors:
+            n, p = f, 2
+            while n > 1:
+                while n % p == 0:
+                    n //= p
+                    ps.add(p)
+                p += 1
+        return ps
+
+    def val(n, p):
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        return v
+
+    for p in primes(tors_s):
+        k = 1
+        while True:
+            cnt_s = sum(1 for f in tors_s if val(f, p) >= k)
+            if cnt_s == 0:
+                break
+            cnt_b = sum(1 for f in tors_b if val(f, p) >= k)
+            if cnt_s > cnt_b:
+                return False
+            k += 1
+    return True
 
 
 def floyd_warshall_leq(elements, covers):

@@ -5,15 +5,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invsys.abgroups import (AbHom, FgAbGroup, apply_hom_canon, finite_elements,
-                             group_invariants, group_order, hom_cokernel,
+from invsys.abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
                              hom_compose, hom_equal, hom_image, hom_is_valid,
                              hom_kernel, invariants_embed, is_exact_at,
                              is_injective, is_surjective_hom, is_trivial_group,
                              subquotient)
 from invsys.intlinalg import IntMatrix
 
-from conftest import random_int_matrix
+from conftest import (apply_hom_canon, finite_elements, group_order,
+                      invariants_embed_by_prime_powers, random_int_matrix)
 
 
 def test_invariants_of_standard_groups():
@@ -187,6 +187,22 @@ def test_invariants_embed():
     assert not invariants_embed((1, []), (0, [100]))
     assert invariants_embed((1, [3]), (2, [3, 3]))
     assert not invariants_embed((0, [9]), (0, [3, 3]))
+    # against the prime-power count, on divisibility chains of every shape
+    rng = random.Random(12)
+
+    def invariants():
+        factors, d = [], rng.choice([2, 3, 4, 6, 9, 12])
+        for _ in range(rng.randint(0, 4)):
+            factors.append(d)
+            d *= rng.choice([1, 1, 2, 3, 4, 5])
+        return rng.randint(0, 2), factors
+
+    verdicts = []
+    for _ in range(3000):
+        small, big = invariants(), invariants()
+        verdicts.append(invariants_embed(small, big))
+        assert verdicts[-1] == invariants_embed_by_prime_powers(small, big), (small, big)
+    assert 300 < sum(verdicts) < 2700
 
 
 def test_finite_elements_enumeration():

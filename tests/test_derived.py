@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from invsys.abgroups import (AbHom, FgAbGroup, finite_elements,
-                             apply_hom_canon, group_invariants, group_order,
-                             hom_cokernel, invariants_embed, is_exact_at,
-                             is_injective, is_trivial_group)
+from invsys.abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
+                             invariants_embed, is_exact_at, is_injective,
+                             is_trivial_group)
 from invsys.derived import (CochainComplex, ExactnessReport, cohomology,
                             derived_limit, h0_with_basis, induced_limit_hom,
                             limit_exactness_check,
@@ -20,8 +19,9 @@ from invsys.intlinalg import IntMatrix, SparseMatrix
 from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
 from invsys.setsys import is_surjective, limit_threads, validate_system
 
-from conftest import (cochain_count_order, minors_gcd_invariants,
-                      presented_cohomology, sphere_model, surjectivity_oracle)
+from conftest import (apply_hom_canon, cochain_count_order, finite_elements,
+                      group_order, minors_gcd_invariants, presented_cohomology,
+                      sphere_model, surjectivity_oracle)
 
 
 def test_differential_squares_to_zero():
@@ -269,10 +269,9 @@ def test_exactness_check_builds_one_nerve_complex_per_system(monkeypatch):
 
 
 def test_exactness_check_computes_no_smith_form(monkeypatch):
-    # membership, solves and kernels all go through the echelon form; the
-    # Smith transforms serve only finite-group canonical forms and inverses
+    # membership, solves and kernels all go through the echelon form, and
+    # invariants through the transform-free diagonal
     import invsys
-    import invsys.abgroups
     import invsys.intlinalg
     calls = []
 
@@ -280,13 +279,12 @@ def test_exactness_check_computes_no_smith_form(monkeypatch):
         calls.append(m)
         return _smith(m)
 
-    for module in (invsys, invsys.intlinalg, invsys.abgroups):
+    for module in (invsys, invsys.intlinalg):
         monkeypatch.setattr(module, "smith_normal_form", counting)
     rep = limit_exactness_check(*_wedge_sequence())
     assert rep.ok and not calls
-    # the counter is live: a finite group's canonical form does call it
-    finite_elements.cache_clear()
-    finite_elements(FgAbGroup.cyclic(6))
+    # the counter is live
+    invsys.intlinalg.smith_normal_form(IntMatrix.from_rows([[6]]))
     assert calls
 
 

@@ -738,6 +738,20 @@ def test_cli_rejects_sequence_map_that_is_not_a_hom(tmp_path, capsys):
             "error: line 13: map u at a: does not respect relations\n"
 
 
+@pytest.mark.parametrize("u, v, message", [
+    ("[[0]]", "[[1]]", "u at c is not injective"),
+    ("[[2]]", "[[1]]", "sequence at c is not exact in the middle"),
+    ("[[1]]", "[[0]]", "v at c is not surjective"),
+], ids=["u-not-injective", "not-exact-in-the-middle", "v-not-surjective"])
+def test_cli_rejects_a_sequence_that_is_not_levelwise_exact(tmp_path, capsys, u, v, message):
+    # Z -> Z -> Z at c: 0, 2 and id, id and 0 are homs that break one condition each
+    fp = tmp_path / "seq.txt"
+    fp.write_text(WEDGE_SEQUENCE.replace("map u at c: matrix [[1]]", f"map u at c: matrix {u}")
+                  .replace("map v at c: matrix [[1]]", f"map v at c: matrix {v}"))
+    for argv in (["exactness", str(fp)], ["--json", "exactness", str(fp)]):
+        assert _rejected(argv, capsys) == f"error: NotLevelwiseExact: {message}\n"
+
+
 def test_cli_stops_quietly_when_the_reader_leaves(tmp_path):
     fp = tmp_path / "t.tower"
     fp.write_text("tower T horizon 40\nset all: { 0 1 2 }\nmap all: clipdec\n")
