@@ -1,14 +1,16 @@
 """Free-abelian apparatus over a chain truncation {1..N}.
 
 One free abelian group on pair generators g(i,j) (i <= j) carries, for each
-level a, the subgroup spanned by the triangle relators
+level a, the subgroup H_a spanned by the triangle relators
 g(i,j) + g(j,k) - g(i,k) with a <= i < j < k <= N.  Cosets of that subgroup
 are the points of a transitive action at level a; the bond toward a lower
 level translates by the connecting generator.  The collapse homomorphism
 sends g(i,j) to f(i) - f(j); it kills every triangle relator and lands in
 the zero-coefficient-sum part of the f-span, which is the algebraic heart
-of the cofinality contradiction.  Membership is decided only inside the
-truncation: a sound but truncated decision procedure.
+of the cofinality contradiction.  Membership in H_a is exact: H_a is the
+cycle space of the complete graph on {a..N} (`h_subgroup_member`), so N
+only bounds the support an element may mention, and raising it changes no
+answer.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import random
 from dataclasses import dataclass
 
 from .errors import LevelMismatch, SupportExceedsBound
-from .intlinalg import IntMatrix, in_lattice
 
 Gen = tuple  # ("g", i, j) or ("f", i)
 
@@ -90,28 +91,25 @@ def h_relators(alpha: int, n: int) -> list[FreeAbElement]:
 
 
 def h_subgroup_member(e: FreeAbElement, alpha: int, n: int) -> bool:
-    """Whether e lies in the relator span at level alpha, inside {1..N}.
+    """Whether e lies in H_alpha, the span of the triangle relators with
+    indices in {alpha..n}; raises SupportExceedsBound when e mentions an
+    index outside 1..n.
 
-    Decided by integer solvability over the finitely many relators in
-    range; raises SupportExceedsBound when e mentions larger indices.
+    Read g(i,j) as the edge from i to j.  H_alpha is the cycle space of the
+    complete graph on {alpha..n}, so e lies in it exactly when every
+    generator of e is some g(i,j) with alpha <= i < j <= n and d_map(e) is
+    zero.  Every relator is a cycle, so d_map kills H_alpha.  Conversely,
+    subtract c_ij t(alpha,i,j) for each edge g(i,j) of e with i > alpha:
+    what is left lies on the star edges g(alpha,j), where d_map is
+    injective, so it is 0.  The t(alpha,i,j) are the fundamental cycles of
+    that star (Biggs, Algebraic Graph Theory, ch. 4-5).
     """
     for gn in e.support():
         if gn[0] != "g":
             return False
         if gn[2] > n or gn[1] < 1:
             raise SupportExceedsBound(f"generator {gn} outside truncation 1..{n}")
-    rels = h_relators(alpha, n)
-    coords = sorted({gn for r in rels for gn in r.support()} | set(e.support()))
-    index = {gn: i for i, gn in enumerate(coords)}
-
-    def vec(el: FreeAbElement) -> list[int]:
-        v = [0] * len(coords)
-        for gn, c in el.coeffs:
-            v[index[gn]] = c
-        return v
-
-    lat = IntMatrix.from_cols([vec(r) for r in rels], rows=len(coords))
-    return in_lattice(lat, vec(e))
+    return all(alpha <= i < j for _, i, j in e.support()) and d_map(e).is_zero()
 
 
 def d_map(e: FreeAbElement) -> FreeAbElement:

@@ -124,7 +124,7 @@ DEFAULT_FLAG_BUDGET = 20000
 
 def nerve_complex(sys: AbSystem) -> CochainComplex:
     base = sys.base
-    top = base.longest_chain()
+    top = max(base.longest_chain(), 1)  # an empty base has C(0) = 0, no generators
     flags: list[list[tuple[str, ...]]] = []
     for n in range(top):  # checked per length: a base far over budget stops early
         flags.append(base.chains(n + 1))
@@ -382,11 +382,15 @@ def scd_finite(base: Poset, trials: int, seed: int) -> int:
 
     Runs `trials` randomly generated surjective systems plus the
     deterministic witness probe, and returns the largest degree with a
-    nonzero derived limit seen.  A sample, not a proof.
+    nonzero derived limit seen.  A sample, not a proof; 0 at once when no
+    two elements of the cofinal core are comparable.
     """
     import random
 
     from .generators import random_surjective_absystem
+    core = base.cofinal_core()
+    if not any(base.lt(x, y) for x in core for y in core):  # no degree above 0
+        return 0
     rng = random.Random(seed)
     best = 0
     systems = [scd_witness_system(base)]

@@ -30,7 +30,7 @@ same loop runs on what is left without recording transforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 
@@ -124,43 +124,9 @@ class SparseMatrix:
         return {i: z for i, z in out.items() if z}
 
     def dense(self) -> IntMatrix:
-        """The same matrix as an IntMatrix, built once."""
-        return self._dense
-
-    @cached_property
-    def _dense(self) -> IntMatrix:
+        """The same matrix as an IntMatrix."""
         return IntMatrix.from_cols([[col.get(i, 0) for i in range(self.rows)]
                                     for col in self.columns], rows=self.rows)
-
-
-def det(m: IntMatrix) -> int:
-    """Determinant by fraction-free Bareiss elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    return m.rows == m.cols and det(m) in (1, -1)
 
 
 def _diagonalise(a: list[list[int]], u: list[list[int]], v: list[list[int]]) -> None:
@@ -213,13 +179,11 @@ def _diagonalise(a: list[list[int]], u: list[list[int]], v: list[list[int]]) -> 
         t += 1
 
 
-@lru_cache(maxsize=8192)
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U*m*V = D in Smith normal form.
 
     D is diagonal with nonnegative entries d1 | d2 | ...; U and V are
-    unimodular.  Cached: IntMatrix is hashable and callers re-solve against
-    the same matrix repeatedly.
+    unimodular.  Not cached: no command computes it.
     """
     r, c = m.rows, m.cols
     a = [list(row) for row in m.entries]
@@ -344,7 +308,8 @@ def echelon_form(m: IntMatrix) -> Echelon:
     divides the others of the row with remainder, its column taken from
     theirs, until one nonzero entry is left; that column, made positive,
     is the next pivot (Cohen, A Course in Computational Algebraic Number
-    Theory, 2.4.2-2.4.3).  Cached like `smith_normal_form`.
+    Theory, 2.4.2-2.4.3).  Cached: IntMatrix is hashable, and the
+    membership tests and solves of one map go through the same form.
     """
     r, c = m.rows, m.cols
     a = [list(col) for col in zip(*m.entries)] if r else [[] for _ in range(c)]

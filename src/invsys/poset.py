@@ -96,7 +96,8 @@ class Poset:
     def cofinal_core(self) -> list[str]:
         """The elements left after deleting each x whose strict up-set, among
         the elements still left, has a maximum or a minimum; the walk goes in
-        declared order and repeats until no element qualifies.
+        declared order and repeats until no element qualifies.  Computed once
+        per poset.
 
         Such an up-set is a cone, hence contractible, so by homotopy
         cofinality (Bousfield-Kan 1972, XI.9) an inverse system over this
@@ -104,6 +105,10 @@ class Poset:
         degree.  The dual rule on down-sets is not safe for general
         coefficients: it deletes both tops of the wedge and loses its lim^1.
         """
+        return list(self._core)
+
+    @cached_property
+    def _core(self) -> tuple[str, ...]:
         kept = dict.fromkeys(self.elements)  # an ordered set
         shrank = True
         while shrank:
@@ -115,7 +120,7 @@ class Poset:
                        for m in above):
                     del kept[x]
                     shrank = True
-        return list(kept)
+        return tuple(kept)
 
     def induced(self, keep: Sequence[str]) -> "Poset":
         """The subposet on keep, in keep's order, with the induced order's covers."""

@@ -4,13 +4,14 @@ The oracles here are deliberately naive re-derivations: product filtering
 for limits and for Henkin members, composition along a cover path for
 surjectivity and universal images, a rescan of the elements for the linear
 extension, pairwise upper bounds for directedness, minors-gcd for invariant
-factors, permutation expansion for determinants, element enumeration in the
-Smith basis for finite groups, counting cochains for the order of a derived
-limit, counting cyclic summands prime power by prime power for embeddings,
-the presented subquotient of cocycles by coboundaries that
-`derived.cohomology` replaced, the Smith-form solve that the echelon form
-replaced, and the reader that matched every label, rule and cover of a file
-on its own.  They exist so the library code is checked against an
+factors, permutation expansion and rational elimination for determinants,
+element enumeration in the Smith basis for finite groups, counting cochains
+for the order of a derived limit, counting cyclic summands prime power by
+prime power for embeddings, the presented subquotient of cocycles by
+coboundaries that `derived.cohomology` replaced, the Smith-form solve that
+the echelon form replaced, the relator lattice that the cycle criterion of
+`bergman` replaced, and the reader that matched every label, rule and cover
+of a file on its own.  They exist so the library code is checked against an
 independent computation, not against itself.
 """
 
@@ -20,14 +21,16 @@ import itertools
 import math
 import random
 import re
+from fractions import Fraction
 from functools import lru_cache
 
 from invsys import textio
 from invsys.abgroups import AbHom, FgAbGroup, group_invariants, subquotient
+from invsys.bergman import FreeAbElement, h_relators
 from invsys.derived import AbSystem, CochainComplex
-from invsys.errors import ParseError
-from invsys.intlinalg import (IntMatrix, lattice_contains, relative_kernel,
-                              smith_normal_form)
+from invsys.errors import ParseError, SupportExceedsBound
+from invsys.intlinalg import (IntMatrix, in_lattice, lattice_contains,
+                              relative_kernel, smith_normal_form)
 from invsys.poset import Poset, validate_poset
 from invsys.setsys import SetSystem, Thread
 
@@ -196,6 +199,29 @@ def _det_perm(rows: list[list[int]]) -> int:
     return total
 
 
+def det(rows) -> int:
+    """Determinant of a square matrix, given by its rows, by Gaussian
+    elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant of non-square matrix")
+    out = Fraction(1)
+    for j in range(n):
+        p = next((i for i in range(j, n) if a[i][j]), None)
+        if p is None:
+            return 0
+        if p != j:
+            a[j], a[p] = a[p], a[j]
+            out = -out
+        out *= a[j][j]
+        for i in range(j + 1, n):
+            q = a[i][j] / a[j][j]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+    return int(out)
+
+
 def smith_solve(m: IntMatrix, b) -> "tuple[int, ...] | None":
     """One integer solution x of m x = b, or None, through the Smith form
     U m V = D: D y = U b is solved entry by entry and x = V y."""
@@ -211,6 +237,30 @@ def smith_solve(m: IntMatrix, b) -> "tuple[int, ...] | None":
         elif c[i]:
             return None
     return v.apply(y)
+
+
+def lattice_h_subgroup_member(e: FreeAbElement, alpha: int, n: int) -> bool:
+    """Whether e lies in the span of the triangle relators with indices in
+    {alpha..n}, by integer solvability over all of them: the relators are
+    the columns of a lattice, and e is tested against its echelon form.
+    Raises SupportExceedsBound when e mentions an index outside 1..n."""
+    for gn in e.support():
+        if gn[0] != "g":
+            return False
+        if gn[2] > n or gn[1] < 1:
+            raise SupportExceedsBound(f"generator {gn} outside truncation 1..{n}")
+    rels = h_relators(alpha, n)
+    coords = sorted({gn for r in rels for gn in r.support()} | set(e.support()))
+    index = {gn: i for i, gn in enumerate(coords)}
+
+    def vec(el: FreeAbElement) -> list[int]:
+        v = [0] * len(coords)
+        for gn, c in el.coeffs:
+            v[index[gn]] = c
+        return v
+
+    lat = IntMatrix.from_cols([vec(r) for r in rels], rows=len(coords))
+    return in_lattice(lat, vec(e))
 
 
 def upper_bounds(p: Poset, a: str, b: str) -> list[str]:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +14,8 @@ from invsys.bergman import (CosetElement, FreeAbElement, bergman_demo,
                             random_h_combination, translate,
                             triangle_relator)
 from invsys.errors import LevelMismatch, SupportExceedsBound
+
+from conftest import lattice_h_subgroup_member
 
 
 def test_free_elements_are_an_abelian_group():
@@ -35,6 +41,54 @@ def test_triangle_relator_membership():
 def test_membership_rejects_out_of_range_support():
     with pytest.raises(SupportExceedsBound):
         h_subgroup_member(FreeAbElement.gen(g(1, 9)), 1, 4)
+
+
+def _seeded_element(rng: random.Random, alpha: int, n: int) -> FreeAbElement:
+    """A combination of relators of level alpha, or of a random level that
+    has some, then often a stray term: a pair generator, a g(i, i), an f
+    generator, or one outside the truncation."""
+    rels = h_relators(max(alpha, 1), n)
+    if not rels or rng.random() < 0.5:
+        rels = h_relators(rng.randint(1, max(n - 2, 1)), n)
+    out = FreeAbElement.zero()
+    for _ in range(rng.randint(1, 4) if rels else 0):
+        out = out.add(rng.choice(rels).scale(rng.choice([-3, -2, -1, 1, 2, 3])))
+    i = rng.randint(1, n)
+    stray = rng.choice([None, None, None, g(i, rng.randint(i, n)), g(i, i), f(i),
+                        g(i, n + 1)])
+    if stray is not None:
+        out = out.add(FreeAbElement.gen(stray).scale(rng.choice([-2, -1, 1, 2])))
+    return out
+
+
+def test_membership_agrees_with_the_relator_lattice():
+    rng = random.Random(44)
+    answers = []
+    for _ in range(4000):
+        n = rng.randint(1, 7)
+        alpha = rng.randint(0, n + 1)  # alpha > n - 2 has no relators
+        e = _seeded_element(rng, alpha, n)
+        try:
+            expected = lattice_h_subgroup_member(e, alpha, n)
+        except SupportExceedsBound:
+            with pytest.raises(SupportExceedsBound):
+                h_subgroup_member(e, alpha, n)
+            continue
+        assert h_subgroup_member(e, alpha, n) == expected, (e, alpha, n)
+        answers.append((expected, e.is_zero()))
+    assert len(answers) > 3000
+    assert sum(member and not zero for member, zero in answers) > 0.15 * len(answers)
+
+
+def test_cli_bergman_demo_at_n_28_is_quick():
+    # 3,276 relators: echelon form of a lattice over all of them takes minutes
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "invsys.cli", "--json", "bergman",
+                           "demo", "--n", "28"], env=env, capture_output=True,
+                          text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    verdicts = json.loads(proc.stdout)["verdicts"]
+    assert len(verdicts) == 12 and all(verdicts.values())
 
 
 def test_d_map_kills_relators():

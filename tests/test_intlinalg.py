@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from invsys.abgroups import AbHom, FgAbGroup
 from invsys.derived import nerve_complex, validate_absystem
 from invsys.generators import random_unimodular
-from invsys.intlinalg import (IntMatrix, det, echelon_form, in_lattice,
-                              invariant_factors, is_unimodular, kernel_basis, rank,
+from invsys.intlinalg import (IntMatrix, echelon_form, in_lattice,
+                              invariant_factors, kernel_basis, rank,
                               relative_kernel, smith_normal_form, solve)
 from invsys.poset import chain_poset, grid_poset
 
-from conftest import minors_gcd_invariants, random_int_matrix, smith_solve
+from conftest import (_det_perm, det, minors_gcd_invariants, random_int_matrix,
+                      smith_solve)
 
 matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -29,7 +30,7 @@ matrices = st.integers(1, 5).flatmap(
 def snf_checks(m: IntMatrix):
     u, d, v = smith_normal_form(m)
     assert u.mul(m).mul(v).entries == d.entries
-    assert is_unimodular(u) and is_unimodular(v)
+    assert det(u.entries) in (1, -1) and det(v.entries) in (1, -1)
     diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
     for i in range(d.rows):
         for j in range(d.cols):
@@ -144,13 +145,18 @@ def test_random_unimodular_builds_the_inverse_alongside():
 
 
 def test_det_examples():
-    assert det(IntMatrix.from_rows([[2, 0], [0, 3]])) == 6
-    assert det(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
+    # the rational-elimination oracle against permutation expansion
+    assert det([[2, 0], [0, 3]]) == 6
+    assert det([[1, 2], [2, 4]]) == 0
+    assert det([[0, 1], [1, 0]]) == -1  # needs a row swap
     rng = random.Random(9)
     for _ in range(30):
         m = random_int_matrix(rng, 3, 3)
-        from conftest import _det_perm
-        assert det(m) == _det_perm([list(r) for r in m.entries])
+        assert det(m.entries) == _det_perm([list(r) for r in m.entries])
+    for n in (1, 2, 4, 5):
+        for _ in range(10):
+            m = random_int_matrix(rng, n, n, -2, 2)
+            assert det(m.entries) == _det_perm([list(r) for r in m.entries])
 
 
 def test_rank_examples():
@@ -167,7 +173,7 @@ small_matrices = st.integers(1, 5).flatmap(
 
 
 def _minor(m: IntMatrix, rs, cs) -> int:
-    return det(IntMatrix.from_rows([[m.entries[i][j] for j in cs] for i in rs]))
+    return det([[m.entries[i][j] for j in cs] for i in rs])
 
 
 def _rational_rank(m: IntMatrix) -> int:
@@ -249,7 +255,7 @@ def test_echelon_membership_and_solve_against_smith_oracle(case):
     assert list(ech.pivots) == sorted(set(ech.pivots)) and len(ech.pivots) == rank(m)
     for i, col in zip(ech.pivots, ech.columns):
         assert col[i] > 0 and not any(col[:i])
-    assert is_unimodular(IntMatrix.from_cols(ech.transform, rows=c))
+    assert det(ech.transform) in (1, -1)  # its transpose has the same determinant
 
 
 @settings(max_examples=100, deadline=None)

@@ -278,6 +278,49 @@ def test_cli_exactness(tmp_path, capsys):
     assert "ok: True" in capsys.readouterr().out
 
 
+def test_cli_exactness_over_an_empty_base(tmp_path, capsys):
+    fp = tmp_path / "empty.sequence"
+    fp.write_text("poset E\nelements:\nabsystem A over E\n"
+                  "sequence Q over E systems A A A\n")
+    assert main(["--json", "exactness", str(fp)]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and all(report["verdicts"].values())
+    assert set(report["data"].values()) == {"free rank 0, torsion []"}
+    for n in (0, 1, 3):
+        assert main(["--json", "derived", "--n", str(n), str(fp)]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert data == {f"lim^{n} invariants": "free rank 0, torsion []"}
+    assert main(["--json", "scd", str(fp)]) == 0
+    assert json.loads(capsys.readouterr().out)["data"] == {"scd_lower_bound": 0,
+                                                            "trials": 20}
+
+
+def test_cli_exactness_finds_each_cofinal_core_once(tmp_path, capsys, monkeypatch):
+    # the three systems of a sequence share one base, so one core per file
+    from functools import cached_property
+
+    calls = []
+
+    def counting(p, _core=Poset.__dict__["_core"].func):
+        calls.append(p)
+        return _core(p)
+
+    core = cached_property(counting)
+    core.__set_name__(Poset, "_core")
+    monkeypatch.setattr(Poset, "_core", core)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    commands = [(case, c) for case in workloads.build("exactness", 1) for c in case.commands]
+    monkeypatch.chdir(tmp_path)
+    for case, command in commands:
+        for name, text in case.files.items():
+            (tmp_path / name).write_text(text)
+        assert main(["--json", *command.argv]) == 0
+    capsys.readouterr()
+    assert len(commands) == len(calls) == 7
+
+
 TORSION_SEQUENCE = """\
 poset W
 elements: a b c
