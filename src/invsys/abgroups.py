@@ -3,9 +3,9 @@
 A group is Z^ngens modulo the row lattice of a relation matrix; a
 homomorphism is an integer matrix on generators that must carry every
 source relator into the target's relation lattice.  Membership, kernels,
-images and exactness reduce to the cached column echelon forms of the
-relevant lattices; group invariants to transform-free invariant factors.
-No Smith transform is computed here.
+images, exactness and subquotients (presented on an echelon basis) reduce
+to the cached column echelon forms of the relevant lattices; invariants to
+transform-free invariant factors.  No Smith transform is computed here.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .intlinalg import (IntMatrix, in_lattice, invariant_factors, lattice_contains,
-                        relative_kernel)
+from .intlinalg import (IntMatrix, echelon_form, in_lattice, invariant_factors,
+                        lattice_contains, relative_kernel)
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,15 @@ def hom_equal(f: AbHom, g: AbHom) -> bool:
 def subquotient(gens: IntMatrix, sub: IntMatrix) -> FgAbGroup:
     """(span of gens columns) / (span of sub columns) as a presented group.
 
-    The quotient is presented on the given generating columns; its relators
-    are exactly the integer combinations of the generators that fall into
-    the sub-lattice.
+    Its generators are the columns of `echelon_form(gens)`, a basis of the
+    span, and its relators the coordinates of sub's columns in that basis,
+    by forward substitution; ValueError when one lies outside the span.
     """
-    rel = relative_kernel(gens, sub)
-    return FgAbGroup(gens.cols, rel.transpose())
+    ech = echelon_form(gens)
+    rels = [ech.substitute(sub.col(j)) for j in range(sub.cols)]
+    if None in rels:
+        raise ValueError("sub is not contained in the span of gens")
+    return FgAbGroup(len(ech.pivots), IntMatrix.from_rows(rels, cols=len(ech.pivots)))
 
 
 def _kernel_lattice(h: AbHom) -> IntMatrix:

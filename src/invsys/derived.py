@@ -8,9 +8,9 @@ alternating sum of flag-face omissions.  Degrees above the longest chain
 vanish, so the complex is finite.
 
 `derived_limit`, `scd_finite` and `limit_exactness_check` build that
-complex over the cofinal core of the base (`Poset.cofinal_core`), which
-has the same limits in every degree; `nerve_complex` and `h0_with_basis`
-keep the full base.
+complex over the cofinal core of the base (`Poset.core_poset`, induced once
+per base), which has the same limits in every degree; `nerve_complex` and
+`h0_with_basis` keep the base they are given.
 
 Write L(k) for the block relation lattice of C(k) (columns: the relators of
 each flag's group) and d for the differentials, stored sparse by column.
@@ -28,14 +28,14 @@ dim C(n) + #L(n+1) - rank D - rank A and its torsion is the invariant
 factors of A other than 1.  Both come from `sparse_invariant_factors`
 (unit pivots, then the Smith pivot loop on the residual, no transforms).
 The block solves are the check that coboundaries are cocycles.  They, the
-kernel bases and the H^0 bases of `h0_with_basis`, which the exactness
-report needs as maps, come from cached column echelon forms
-(`intlinalg.echelon_form`); no Smith transform is computed here.
+kernel bases and the echelon H^0 bases of `h0_with_basis`, in which the
+exactness report reads its maps by forward substitution, come from cached
+column echelon forms (`intlinalg.echelon_form`); no Smith transform here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
                        hom_compose, hom_equal, hom_is_valid, invariants_embed,
@@ -43,8 +43,8 @@ from .abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
                        is_trivial_group, subquotient)
 from .diagram import Diagram
 from .errors import BudgetExceeded, NotLevelwiseExact, SquaresDoNotCommute
-from .intlinalg import (IntMatrix, SparseMatrix, kernel_basis, relative_kernel,
-                        solve, sparse_invariant_factors)
+from .intlinalg import (IntMatrix, SparseMatrix, echelon_form, kernel_basis,
+                        relative_kernel, solve, sparse_invariant_factors)
 from .poset import Poset
 
 
@@ -97,8 +97,6 @@ class CochainComplex:
     blocks: list[list[tuple[int, FgAbGroup]]]
     dims: list[int]
     diff: list[SparseMatrix]
-    _lattices: dict[int, IntMatrix] = field(default_factory=dict, init=False, repr=False,
-                                            compare=False)
 
     @property
     def top_degree(self) -> int:
@@ -110,13 +108,10 @@ class CochainComplex:
                 for off, g in self.blocks[n] for row in g.relations.entries]
 
     def lattice(self, n: int) -> IntMatrix:
-        """L(n) as a dense matrix of columns, built once; no rows above the
-        top degree."""
+        """L(n) as a dense matrix of columns; no rows above the top degree."""
         if n > self.top_degree:
             return IntMatrix.zeros(0, 0)
-        if n not in self._lattices:
-            self._lattices[n] = SparseMatrix(self.dims[n], tuple(self.relations(n))).dense()
-        return self._lattices[n]
+        return SparseMatrix(self.dims[n], tuple(self.relations(n))).dense()
 
 
 DEFAULT_FLAG_BUDGET = 20000
@@ -226,13 +221,12 @@ def _on_core(sys: AbSystem) -> AbSystem:
     The bonds of the restriction are composites of sys, whose functoriality
     is already checked, so the restriction is not validated again.
     """
-    keep = sys.base.cofinal_core()
-    if len(keep) == len(sys.base.elements):
+    sub = sys.base.core_poset
+    if sub is sys.base:
         return sys
-    sub = sys.base.induced(keep)
     core = AbSystem(sub, sys.groups, {cov: sys.bond(*cov) for cov in sub.covers})
     core._composites = {(lo, hi): sys.bond(lo, hi)
-                        for lo in keep for hi in keep if sys.base.lt(lo, hi)}
+                        for lo in sub.elements for hi in sub.elements if sys.base.lt(lo, hi)}
     return core
 
 
@@ -241,10 +235,11 @@ def derived_limit(sys: AbSystem, n: int) -> FgAbGroup:
 
 
 def h0_with_basis(sys: AbSystem) -> tuple[FgAbGroup, IntMatrix, CochainComplex]:
-    """H^0 together with its generating columns inside C(0)."""
+    """H^0 with its generators in C(0), the echelon basis of the 0-cocycles."""
     cx = nerve_complex(sys)
     z = relative_kernel(cx.diff[0].dense(), cx.lattice(1))  # the 0-cocycles
-    return subquotient(z, cx.lattice(0)), z, cx
+    basis = IntMatrix.from_cols(echelon_form(z).columns, rows=cx.dims[0])
+    return subquotient(z, cx.lattice(0)), basis, cx
 
 
 def induced_limit_hom(level_maps: dict[str, AbHom],
@@ -255,18 +250,18 @@ def induced_limit_hom(level_maps: dict[str, AbHom],
     src_h0 and tgt_h0 are what h0_with_basis returns for the two systems.
     """
     h0_s, z_s, cx_s = src_h0
-    h0_t, z_t, cx_t = tgt_h0
+    h0_t, z_t, _ = tgt_h0
     # each level map acts on its own block of C(0), one per 1-element flag
     blocks = [(off, level_maps[e].matrix)
               for (e,), (off, _) in zip(cx_s.flags[0], cx_s.blocks[0])]
-    aug = z_t.hstack(cx_t.lattice(0))
+    ech = echelon_form(z_t)  # z_t is its own echelon form: E y = image gives y
     cols = []
     for j in range(z_s.cols):
         z = z_s.col(j)
         image = [y for off, m in blocks for y in m.apply(z[off:off + m.cols])]
-        sol = solve(aug, image)
-        assert sol is not None, "level map does not preserve compatible families"
-        cols.append(sol[: z_t.cols])
+        coords = ech.substitute(image)
+        assert coords is not None, "level map does not preserve compatible families"
+        cols.append(coords)
     mat = IntMatrix.from_cols(cols, rows=z_t.cols)
     h = AbHom(h0_s, h0_t, mat)
     assert hom_is_valid(h)
@@ -343,7 +338,7 @@ def limit_exactness_check(a: AbSystem, b: AbSystem, c: AbSystem,
     lim_v = induced_limit_hom(v, h0_b, h0_c)
     lim1_a = cohomology(h0_a[2], 1)
     coker_v = hom_cokernel(lim_v)
-    report = ExactnessReport(
+    return ExactnessReport(
         lim_a=group_invariants(lim_u.source),
         lim_b=group_invariants(lim_u.target),
         lim_c=group_invariants(lim_v.target),
@@ -357,7 +352,6 @@ def limit_exactness_check(a: AbSystem, b: AbSystem, c: AbSystem,
         a_surjective=a.first_non_onto() is None,
         base_has_maximum=base.has_maximum() is not None,
     )
-    return report
 
 
 def scd_witness_system(base: Poset) -> AbSystem:
@@ -388,8 +382,7 @@ def scd_finite(base: Poset, trials: int, seed: int) -> int:
     import random
 
     from .generators import random_surjective_absystem
-    core = base.cofinal_core()
-    if not any(base.lt(x, y) for x in core for y in core):  # no degree above 0
+    if not base.core_poset.covers:  # no degree above 0
         return 0
     rng = random.Random(seed)
     best = 0

@@ -87,17 +87,16 @@ class Poset:
         return [x for x in self.elements if len(self._up[x]) == 1]
 
     def has_maximum(self) -> Optional[str]:
-        """The unique top element, or None."""
+        """The unique top element, or None.  Every element of a finite poset
+        lies below a maximal one, so a sole maximal element is the top."""
         maxima = self.maximal_elements()
-        if len(maxima) == 1 and all(self.leq(x, maxima[0]) for x in self.elements):
-            return maxima[0]
-        return None
+        return maxima[0] if len(maxima) == 1 else None
 
     def cofinal_core(self) -> list[str]:
         """The elements left after deleting each x whose strict up-set, among
         the elements still left, has a maximum or a minimum; the walk goes in
         declared order and repeats until no element qualifies.  Computed once
-        per poset.
+        per poset, as is the subposet it induces, `core_poset`.
 
         Such an up-set is a cone, hence contractible, so by homotopy
         cofinality (Bousfield-Kan 1972, XI.9) an inverse system over this
@@ -121,6 +120,10 @@ class Poset:
                     del kept[x]
                     shrank = True
         return tuple(kept)
+
+    @cached_property
+    def core_poset(self) -> "Poset":  # on cofinal_core(); self if that is all
+        return self if len(self._core) == len(self.elements) else self.induced(self._core)
 
     def induced(self, keep: Sequence[str]) -> "Poset":
         """The subposet on keep, in keep's order, with the induced order's covers."""

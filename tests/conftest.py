@@ -8,7 +8,10 @@ factors, permutation expansion and rational elimination for determinants,
 element enumeration in the Smith basis for finite groups, counting cochains
 for the order of a derived limit, counting cyclic summands prime power by
 prime power for embeddings, the presented subquotient of cocycles by
-coboundaries that `derived.cohomology` replaced, the Smith-form solve that
+coboundaries that `derived.cohomology` replaced, the subquotient on the
+given generators and the exactness report from H^0 on those generators
+and solves against [cocycles | relations] that the echelon basis replaced,
+the Smith-form solve that
 the echelon form replaced, the relator lattice that the cycle criterion of
 `bergman` replaced, and the reader that matched every label, rule and cover
 of a file on its own.  They exist so the library code is checked against an
@@ -25,12 +28,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from invsys import textio
-from invsys.abgroups import AbHom, FgAbGroup, group_invariants, subquotient
+from invsys.abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
+                             hom_is_valid, is_exact_at, is_injective)
 from invsys.bergman import FreeAbElement, h_relators
-from invsys.derived import AbSystem, CochainComplex
+from invsys.derived import (AbSystem, CochainComplex, ExactnessReport, cohomology,
+                            nerve_complex)
 from invsys.errors import ParseError, SupportExceedsBound
 from invsys.intlinalg import (IntMatrix, in_lattice, lattice_contains,
-                              relative_kernel, smith_normal_form)
+                              relative_kernel, smith_normal_form, solve)
 from invsys.poset import Poset, validate_poset
 from invsys.setsys import SetSystem, Thread
 
@@ -395,6 +400,14 @@ def sphere_model(n: int) -> Poset:
     return validate_poset([e for level in levels for e in level], covers)
 
 
+def kernel_subquotient(gens: IntMatrix, sub: IntMatrix) -> FgAbGroup:
+    """(span of gens columns) / (span of sub columns), presented on the given
+    columns of gens: the relators are the integer combinations of them that
+    fall into span(sub), from the kernel of [gens | sub]."""
+    rel = relative_kernel(gens, sub)
+    return FgAbGroup(gens.cols, rel.transpose())
+
+
 def presented_cohomology(cx: CochainComplex, n: int) -> FgAbGroup:
     """H^n as (cocycles modulo the relations) / (coboundaries), presented on
     the generators of the cocycle lattice: the full-transform Smith path."""
@@ -405,7 +418,56 @@ def presented_cohomology(cx: CochainComplex, n: int) -> FgAbGroup:
     if n > 0:
         sub = sub.hstack(cx.diff[n - 1].dense())
     assert lattice_contains(z, sub), "coboundaries must be cocycles"
-    return subquotient(z, sub)
+    return kernel_subquotient(z, sub)
+
+
+def kernel_h0_with_basis(sys: AbSystem) -> tuple[FgAbGroup, IntMatrix, CochainComplex]:
+    """H^0 of the full base, presented on the kernel generators of the
+    0-cocycles, which are returned as the basis."""
+    cx = nerve_complex(sys)
+    z = relative_kernel(cx.diff[0].dense(), cx.lattice(1))
+    return kernel_subquotient(z, cx.lattice(0)), z, cx
+
+
+def solved_limit_hom(level_maps: dict[str, AbHom], src_h0, tgt_h0) -> AbHom:
+    """The induced hom between the H^0 groups of `kernel_h0_with_basis`: each
+    source generator mapped block by block, then solved against the target
+    generators next to the target relations."""
+    h0_s, z_s, cx_s = src_h0
+    h0_t, z_t, cx_t = tgt_h0
+    blocks = [(off, level_maps[e].matrix)
+              for (e,), (off, _) in zip(cx_s.flags[0], cx_s.blocks[0])]
+    aug = z_t.hstack(cx_t.lattice(0))
+    cols = []
+    for j in range(z_s.cols):
+        z = z_s.col(j)
+        image = [y for off, m in blocks for y in m.apply(z[off:off + m.cols])]
+        sol = solve(aug, image)
+        assert sol is not None, "level map does not preserve compatible families"
+        cols.append(sol[: z_t.cols])
+    h = AbHom(h0_s, h0_t, IntMatrix.from_cols(cols, rows=z_t.cols))
+    assert hom_is_valid(h)
+    return h
+
+
+def solved_exactness_report(a: AbSystem, b: AbSystem, c: AbSystem,
+                            u: dict[str, AbHom], v: dict[str, AbHom]) -> ExactnessReport:
+    """The report of `derived.limit_exactness_check` for a level-wise exact
+    sequence, from `kernel_h0_with_basis` and `solved_limit_hom` on the full
+    base, with surjectivity and embeddings decided by the oracles here."""
+    h0_a, h0_b, h0_c = (kernel_h0_with_basis(s) for s in (a, b, c))
+    lim_u = solved_limit_hom(u, h0_a, h0_b)
+    lim_v = solved_limit_hom(v, h0_b, h0_c)
+    lim1_a = group_invariants(cohomology(h0_a[2], 1))
+    coker_v = group_invariants(hom_cokernel(lim_v))
+    return ExactnessReport(
+        lim_a=group_invariants(h0_a[0]), lim_b=group_invariants(h0_b[0]),
+        lim_c=group_invariants(h0_c[0]), lim1_a=lim1_a,
+        u_injective=is_injective(lim_u), exact_at_middle=is_exact_at(lim_u, lim_v),
+        v_surjective=coker_v == (0, []), coker_v=coker_v,
+        coker_embeds_in_lim1=invariants_embed_by_prime_powers(coker_v, lim1_a),
+        a_surjective=surjectivity_oracle(a)[0],
+        base_has_maximum=a.base.has_maximum() is not None)
 
 
 def cochain_count_order(sys: AbSystem, m: int, n: int) -> int:

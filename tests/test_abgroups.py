@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,8 @@ from invsys.abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
 from invsys.intlinalg import IntMatrix
 
 from conftest import (apply_hom_canon, finite_elements, group_order,
-                      invariants_embed_by_prime_powers, random_int_matrix)
+                      invariants_embed_by_prime_powers, kernel_subquotient,
+                      minors_gcd_invariants, random_int_matrix)
 
 
 def test_invariants_of_standard_groups():
@@ -178,6 +180,48 @@ def test_subquotient_example():
     gens = IntMatrix.from_rows([[2]]).transpose()
     sub = IntMatrix.from_rows([[6]]).transpose()
     assert group_invariants(subquotient(gens, sub)) == (0, [3])
+
+
+def test_subquotient_matches_the_kernel_presentation():
+    # sub = gens M lies in span(gens).  gens repeats a column, or has a sum
+    # of two of its columns as another, or neither; sub may have no columns,
+    # and M with a determinant other than +-1 leaves torsion.  The quotient
+    # is presented on a basis of span(gens), so on rank(gens) generators.
+    rng = random.Random(41)
+    pairs = [(IntMatrix.zeros(0, 3), IntMatrix.zeros(0, 2)),
+             (IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0))]
+    for i in range(150):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 3)
+        g = [[rng.randint(-5, 5) for _ in range(rows)] for _ in range(cols)]
+        if i % 3 == 0:
+            g.append(list(g[rng.randrange(cols)]))
+        elif i % 3 == 1:
+            g.append([x + y for x, y in zip(g[0], g[-1])])
+        gens = IntMatrix.from_cols(g, rows=rows)
+        pairs.append((gens, gens.mul(random_int_matrix(rng, gens.cols, rng.randint(0, 3),
+                                                        -3, 3))))
+    torsion = deficient = 0
+    for gens, sub in pairs:
+        q = subquotient(gens, sub)
+        assert q.ngens == len(minors_gcd_invariants(gens))
+        assert q.relations.rows == sub.cols
+        factors = minors_gcd_invariants(q.relations)
+        by_minors = q.ngens - len(factors), [f for f in factors if f != 1]
+        inv = group_invariants(q)
+        assert inv == by_minors == group_invariants(kernel_subquotient(gens, sub))
+        torsion += bool(inv[1])
+        deficient += q.ngens < gens.cols
+    assert torsion > 30 and deficient > 50
+
+
+def test_subquotient_rejects_a_sub_outside_the_span():
+    with pytest.raises(ValueError, match="not contained"):
+        subquotient(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[1]]))
+    # span of (1, 0) and (1, 0) misses (0, 1)
+    with pytest.raises(ValueError, match="not contained"):
+        subquotient(IntMatrix.from_rows([[1, 1], [0, 0]]), IntMatrix.from_rows([[0], [1]]))
+    with pytest.raises(ValueError, match="not contained"):
+        subquotient(IntMatrix.zeros(1, 0), IntMatrix.from_rows([[3]]))
 
 
 def test_invariants_embed():

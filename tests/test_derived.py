@@ -15,13 +15,15 @@ from invsys.derived import (CochainComplex, ExactnessReport, cohomology,
 from invsys.errors import FunctorialityViolation, SquaresDoNotCommute
 from invsys.generators import (random_exact_sequence, random_forest_poset,
                                random_poset, random_surjective_absystem)
-from invsys.intlinalg import IntMatrix, SparseMatrix
+from invsys.intlinalg import IntMatrix, SparseMatrix, echelon_form, in_lattice
 from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
 from invsys.setsys import is_surjective, limit_threads, validate_system
+from invsys.textio import parse_document
 
 from conftest import (apply_hom_canon, cochain_count_order, finite_elements,
-                      group_order, minors_gcd_invariants, presented_cohomology,
-                      sphere_model, surjectivity_oracle)
+                      group_order, kernel_h0_with_basis, minors_gcd_invariants,
+                      presented_cohomology, solved_exactness_report, sphere_model,
+                      surjectivity_oracle)
 
 
 def test_differential_squares_to_zero():
@@ -218,6 +220,28 @@ def test_h0_basis_consistency():
         assert all(x == 0 for x in cx.diff[0].dense().apply(basis.col(j)))
 
 
+def test_h0_basis_is_an_echelon_basis_of_the_cocycles():
+    # the basis is its own echelon form, so its columns are independent, and
+    # each relator of H^0 is the coordinate vector of one relation of C(0)
+    rng = random.Random(42)
+    systems = [random_surjective_absystem(rng, sphere_model(1 + k % 2)) for k in range(4)]
+    for i in range(40):
+        p = random_poset(rng, max_elements=6)
+        systems.append(scd_witness_system(p) if i % 4 == 0 else random_surjective_absystem(rng, p))
+    for s in systems:
+        h0, basis, cx = h0_with_basis(s)
+        columns = tuple(basis.col(j) for j in range(basis.cols))
+        ech = echelon_form(basis)
+        assert ech.columns == columns and len(ech.pivots) == basis.cols == h0.ngens
+        lat = cx.lattice(0)
+        assert h0.relations.rows == lat.cols
+        for j, rel in enumerate(h0.relations.entries):
+            assert basis.apply(rel) == lat.col(j)
+        d0, lat1 = cx.diff[0].dense(), cx.lattice(1)
+        assert all(in_lattice(lat1, d0.apply(col)) for col in columns)  # cocycles
+        assert group_invariants(h0) == group_invariants(kernel_h0_with_basis(s)[0])
+
+
 def _wedge_sequence():
     """0 -> A -> B -> C -> 0 over the wedge c < a, c < b.
 
@@ -370,6 +394,80 @@ def test_exactness_report_matches_the_full_base(ensure_maximum):
         assert limit_exactness_check(*seq) == _full_base_report(*seq)
     assert shrank
     assert limit_exactness_check(*_wedge_sequence()) == _full_base_report(*_wedge_sequence())
+
+
+@pytest.mark.parametrize("ensure_maximum", [True, False])
+def test_exactness_report_matches_the_solved_oracle(ensure_maximum):
+    # the report from echelon bases on the cofinal core against the one from
+    # kernel generators and solves on the full base
+    rng = random.Random(43)
+    for _ in range(12):
+        p = random_poset(rng, max_elements=6, ensure_maximum=ensure_maximum)
+        seq = random_exact_sequence(rng, p)
+        assert limit_exactness_check(*seq) == solved_exactness_report(*seq)
+    assert limit_exactness_check(*_wedge_sequence()) == \
+        solved_exactness_report(*_wedge_sequence())
+
+
+# the circle file of the exactness benchmark at seed 1
+CIRCLE_SEQUENCE = """\
+poset P
+elements: a0 b0 a1 b1
+covers: a0 < a1, a0 < b1, b0 < a1, b0 < b1
+absystem A over P
+group a0: gens 2 relations [[2, 0], [2, 2], [4, 4]]
+group b0: gens 2 relations [[4, -2], [16, -8], [2, 0]]
+group a1: gens 2 relations [[-2, 4]]
+group b1: gens 2 relations [[-2, 4]]
+map a1 -> a0: matrix [[1, 1], [-1, 0]]
+map b1 -> a0: matrix [[3, 2], [2, 1]]
+map a1 -> b0: matrix [[3, 2], [-2, -1]]
+map b1 -> b0: matrix [[4, 3], [-1, -1]]
+absystem B over P
+group a0: gens 3 relations [[2, 0, 0], [2, 2, 0], [4, 4, 0], [0, 0, 2], [0, 0, 4]]
+group b0: gens 3 relations [[4, -2, 0], [16, -8, 0], [2, 0, 0], [0, 0, 2], [0, 0, 8]]
+group a1: gens 3 relations [[-2, 4, 0], [0, 0, 2]]
+group b1: gens 3 relations [[-2, 4, 0], [0, 0, 2]]
+map a1 -> a0: matrix [[1, 1, 0], [-1, 0, 0], [0, 0, 1]]
+map b1 -> a0: matrix [[3, 2, 0], [2, 1, 1], [0, 0, 1]]
+map a1 -> b0: matrix [[3, 2, 1], [-2, -1, -1], [0, 0, 1]]
+map b1 -> b0: matrix [[4, 3, 0], [-1, -1, 0], [0, 0, 1]]
+absystem C over P
+group a0: gens 1 relations [[2], [4]]
+group b0: gens 1 relations [[2], [8]]
+group a1: gens 1 relations [[2]]
+group b1: gens 1 relations [[2]]
+map a1 -> a0: matrix [[1]]
+map b1 -> a0: matrix [[1]]
+map a1 -> b0: matrix [[1]]
+map b1 -> b0: matrix [[1]]
+sequence Q over P systems A B C
+map u at a0: matrix [[1, 0], [0, 1], [0, 0]]
+map u at b0: matrix [[1, 0], [0, 1], [0, 0]]
+map u at a1: matrix [[1, 0], [0, 1], [0, 0]]
+map u at b1: matrix [[1, 0], [0, 1], [0, 0]]
+map v at a0: matrix [[0, 0, 1]]
+map v at b0: matrix [[0, 0, 1]]
+map v at a1: matrix [[0, 0, 1]]
+map v at b1: matrix [[0, 0, 1]]
+"""
+
+
+def test_h0_presentation_sizes_on_the_circle():
+    # (generators, relators) of lim A, lim B, lim C: the echelon basis has
+    # rank C(0) = 12 generators for lim B where the kernel generators of the
+    # 0-cocycles are 18; the circle model has no element the core deletes
+    doc = parse_document(CIRCLE_SEQUENCE)
+    systems = [doc.absystems[name] for name in doc.sole("sequences", "Q").systems]
+    sizes = [(h0.ngens, h0.relations.rows)
+             for h0 in (h0_with_basis(s)[0] for s in systems)]
+    assert sizes == [(8, 8), (12, 14), (4, 6)]
+    assert [(h0.ngens, h0.relations.rows)
+            for h0 in (kernel_h0_with_basis(s)[0] for s in systems)] == \
+        [(11, 11), (18, 20), (7, 9)]
+    assert len(systems[1].base.cofinal_core()) == 4
+    assert all(group_invariants(h0_with_basis(s)[0]) ==
+               group_invariants(kernel_h0_with_basis(s)[0]) for s in systems)
 
 
 def _zm_system(rng, p, m):

@@ -375,7 +375,7 @@ def test_cli_exactness_checks_each_level_map_once(tmp_path, capsys, monkeypatch)
     assert "ok: True" in capsys.readouterr().out
     # a second check of the 12 level maps would add one substitution per
     # source relator: 7 for the u maps and 15 for the v maps
-    assert len(calls) == 219
+    assert len(calls) == 201
     seq = parse_document(TORSION_SEQUENCE).sequences["Q"]
     maps = [*seq.u.values(), *seq.v.values()]
     assert sum(h.source.relations.rows for h in maps) == 22
@@ -383,6 +383,30 @@ def test_cli_exactness_checks_each_level_map_once(tmp_path, capsys, monkeypatch)
     del calls[:]
     assert all(hom_is_valid(h) for h in maps) and not calls
     assert hom_is_valid.cache_info().hits == before.hits + len(maps)
+
+
+def test_cli_exactness_builds_the_core_subposet_once(tmp_path, capsys, monkeypatch):
+    # the three systems of a sequence share one base, and so one cofinal core:
+    # a chain shrinks to its top element, and that subposet is induced once
+    induced = []
+    original = Poset.induced
+
+    def counting(self, keep):
+        induced.append(tuple(keep))
+        return original(self, keep)
+
+    monkeypatch.setattr(Poset, "induced", counting)
+    p = chain_poset(3)
+    a, b, c, u, v = random_exact_sequence(random.Random(19), p)
+    fp = tmp_path / "chain.sequence"
+    fp.write_text(poset_to_text("P", p) + "\n"
+                  + absystem_to_text("A", "P", a) + "\n"
+                  + absystem_to_text("B", "P", b) + "\n"
+                  + absystem_to_text("C", "P", c) + "\n"
+                  + sequence_to_text("Q", "P", ("A", "B", "C"), u, v))
+    assert main(["exactness", str(fp)]) == 0
+    assert "ok: True" in capsys.readouterr().out
+    assert induced == [("3",)]
 
 
 def _rejected(argv, capsys) -> str:
@@ -802,10 +826,11 @@ def test_cli_stops_quietly_when_the_reader_leaves(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     status = subprocess.run(argv, env=env, capture_output=True).returncode
     # the reader closes the pipe before the report is written
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(), err) == (status, b"")
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (status, b"")
     assert status in (0, 1)
 
 
