@@ -5,12 +5,14 @@ cochain complex: degree n is the direct sum, over strictly increasing
 flags i0 < ... < in, of the group at the flag's smallest element, and the
 differential combines the bond into the new smallest element with the
 alternating sum of flag-face omissions.  Degrees above the longest chain
-vanish, so the complex is finite.
+vanish, so the complex is finite.  The flags are the base's cached flag
+list (`Poset.flags`), walked once per base and capped by its budget.
 
 `derived_limit`, `scd_finite` and `limit_exactness_check` build that
 complex over the cofinal core of the base (`Poset.core_poset`, induced once
-per base), which has the same limits in every degree; `nerve_complex` and
-`h0_with_basis` keep the base they are given.
+per base), which has the same limits in every degree, so the systems of one
+base share one core and one flag list; `nerve_complex` and `h0_with_basis`
+keep the base they are given.
 
 Write L(k) for the block relation lattice of C(k) (columns: the relators of
 each flag's group) and d for the differentials, stored sparse by column.
@@ -42,7 +44,7 @@ from .abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
                        is_exact_at, is_injective, is_surjective_hom,
                        is_trivial_group, subquotient)
 from .diagram import Diagram
-from .errors import BudgetExceeded, NotLevelwiseExact, SquaresDoNotCommute
+from .errors import NotLevelwiseExact, SquaresDoNotCommute
 from .intlinalg import (IntMatrix, SparseMatrix, echelon_form, kernel_basis,
                         relative_kernel, solve, sparse_invariant_factors)
 from .poset import Poset
@@ -114,17 +116,9 @@ class CochainComplex:
         return SparseMatrix(self.dims[n], tuple(self.relations(n))).dense()
 
 
-DEFAULT_FLAG_BUDGET = 20000
-
-
 def nerve_complex(sys: AbSystem) -> CochainComplex:
-    base = sys.base
-    top = max(base.longest_chain(), 1)  # an empty base has C(0) = 0, no generators
-    flags: list[list[tuple[str, ...]]] = []
-    for n in range(top):  # checked per length: a base far over budget stops early
-        flags.append(base.chains(n + 1))
-        if sum(map(len, flags)) > DEFAULT_FLAG_BUDGET:
-            raise BudgetExceeded("nerve flag count exceeds budget")
+    flags = sys.base.flags  # [[]] for an empty base: C(0) = 0, no generators
+    top = len(flags)
 
     offsets: list[dict[tuple[str, ...], int]] = []
     blocks: list[list[tuple[int, FgAbGroup]]] = []
@@ -215,7 +209,7 @@ def cohomology(cx: CochainComplex, n: int) -> FgAbGroup:
 
 
 def _on_core(sys: AbSystem) -> AbSystem:
-    """sys restricted to the cofinal core of its base (`Poset.cofinal_core`),
+    """sys restricted to the cofinal core of its base (`Poset.core_poset`),
     which has the same limit in every degree; sys itself when nothing goes.
 
     The bonds of the restriction are composites of sys, whose functoriality
@@ -226,7 +220,7 @@ def _on_core(sys: AbSystem) -> AbSystem:
         return sys
     core = AbSystem(sub, sys.groups, {cov: sys.bond(*cov) for cov in sub.covers})
     core._composites = {(lo, hi): sys.bond(lo, hi)
-                        for lo in sub.elements for hi in sub.elements if sys.base.lt(lo, hi)}
+                        for lo in sub.elements for hi in sub.strict_uppers(lo)}
     return core
 
 

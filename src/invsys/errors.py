@@ -33,10 +33,6 @@ class NoMaximum(InvsysError):
     """The base poset has no maximum element."""
 
 
-class NotCommuting(InvsysError):
-    """A level-wise map does not commute with the bonding maps."""
-
-
 class EmptyFiber(InvsysError):
     """A fiber over a thread value is empty; the level map is not onto."""
 

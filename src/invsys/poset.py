@@ -5,6 +5,10 @@ A poset is given by a list of distinct labels and a list of cover pairs
 covers.  Everything here is finite and immutable after validation; the
 finite analogue of "has a countable cofinal sequence" collapses to "has a
 maximum", which is the only dichotomy a finite poset can exhibit.
+
+The cofinal core (`Poset.core_poset`) and the flags of the nerve
+(`Poset.flags`, one walk along the strict up-sets, capped at
+DEFAULT_FLAG_BUDGET flags) are computed once per poset and cached.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ import heapq
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import CycleDetected, UnknownElement
+from .errors import BudgetExceeded, CycleDetected, UnknownElement
+
+DEFAULT_FLAG_BUDGET = 20000  # flags of one nerve
 
 
 class Poset:
@@ -79,8 +85,15 @@ class Poset:
         """The elements x with a <= x."""
         return self._up[a]
 
+    @cached_property
+    def _above(self) -> dict[str, tuple[str, ...]]:
+        """label -> the labels strictly above it, in declared order."""
+        return {a: tuple(sorted(self._up[a] - {a}, key=self._index.__getitem__))
+                for a in self.elements}
+
     def strict_uppers(self, a: str) -> list[str]:
-        return [b for b in self.elements if self.lt(a, b)]
+        """The elements x with a < x, in declared order."""
+        return list(self._above[a])
 
     def maximal_elements(self) -> list[str]:
         """All x with nothing strictly above; ties in declared label order."""
@@ -92,11 +105,12 @@ class Poset:
         maxima = self.maximal_elements()
         return maxima[0] if len(maxima) == 1 else None
 
-    def cofinal_core(self) -> list[str]:
-        """The elements left after deleting each x whose strict up-set, among
+    @cached_property
+    def core_poset(self) -> "Poset":
+        """The subposet left after deleting each x whose strict up-set, among
         the elements still left, has a maximum or a minimum; the walk goes in
-        declared order and repeats until no element qualifies.  Computed once
-        per poset, as is the subposet it induces, `core_poset`.
+        declared order and repeats until no element qualifies.  self when
+        nothing goes; computed once per poset.
 
         Such an up-set is a cone, hence contractible, so by homotopy
         cofinality (Bousfield-Kan 1972, XI.9) an inverse system over this
@@ -104,26 +118,46 @@ class Poset:
         degree.  The dual rule on down-sets is not safe for general
         coefficients: it deletes both tops of the wedge and loses its lim^1.
         """
-        return list(self._core)
-
-    @cached_property
-    def _core(self) -> tuple[str, ...]:
         kept = dict.fromkeys(self.elements)  # an ordered set
         shrank = True
         while shrank:
             shrank = False
             for x in list(kept):
-                above = [y for y in kept if y != x and y in self._up[x]]
+                above = [y for y in self._above[x] if y in kept]
                 if any(all(m in self._up[y] for y in above)  # m is the maximum
                        or self._up[m].issuperset(above)  # m is the minimum
                        for m in above):
                     del kept[x]
                     shrank = True
-        return tuple(kept)
+        return self if len(kept) == len(self.elements) else self.induced(list(kept))
 
     @cached_property
-    def core_poset(self) -> "Poset":  # on cofinal_core(); self if that is all
-        return self if len(self._core) == len(self.elements) else self.induced(self._core)
+    def flags(self) -> list[list[tuple[str, ...]]]:
+        """flags[k] lists the strictly increasing flags of k + 1 elements, the
+        cells of the nerve, in lexicographic order of declared positions;
+        [[]] for the empty poset.  One depth-first walk from each element in
+        declared order, each flag extended along the strict up-set of its
+        last element; the path is kept on a stack, not in nested calls, as a
+        flag may be longer than the interpreter's recursion limit.  Raises
+        BudgetExceeded on flag DEFAULT_FLAG_BUDGET + 1, so a poset far over
+        budget stops early."""
+        flags: list[list[tuple[str, ...]]] = [[]]
+        count = 0
+        stack = [((), iter(self.elements))]  # each flag on the path, with its extensions
+        while stack:
+            b = next(stack[-1][1], None)
+            if b is None:
+                stack.pop()
+                continue
+            flag = stack[-1][0] + (b,)
+            if len(flag) > len(flags):
+                flags.append([])
+            flags[len(flag) - 1].append(flag)
+            count += 1
+            if count > DEFAULT_FLAG_BUDGET:
+                raise BudgetExceeded("nerve flag count exceeds budget")
+            stack.append((flag, iter(self._above[b])))
+        return flags
 
     def induced(self, keep: Sequence[str]) -> "Poset":
         """The subposet on keep, in keep's order, with the induced order's covers."""
@@ -153,31 +187,6 @@ class Poset:
         if len(out) < len(self.elements):  # the rest lie on or above a cycle
             raise CycleDetected("no linear extension")
         return out
-
-    def chains(self, length: int) -> list[tuple[str, ...]]:
-        """All strictly increasing flags with `length` elements, lex order."""
-        if length == 0:
-            return [()]
-        flags: list[tuple[str, ...]] = []
-
-        def extend(flag: tuple[str, ...]):
-            if len(flag) == length:
-                flags.append(flag)
-                return
-            for e in self.elements:
-                if not flag or self.lt(flag[-1], e):
-                    extend(flag + (e,))
-
-        extend(())
-        return flags
-
-    def longest_chain(self) -> int:
-        """Number of elements in the longest strictly increasing chain."""
-        depth: dict[str, int] = {}
-        for e in self.linear_extension():
-            below = [depth[x] for x in self.elements if self.lt(x, e)]
-            depth[e] = 1 + max(below, default=0)
-        return max(depth.values(), default=0)
 
 
 def validate_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -> Poset:

@@ -25,8 +25,8 @@ from functools import cached_property
 from typing import Hashable, Sequence
 
 from .diagram import Diagram
-from .errors import (BudgetExceeded, EmptyFiber, NoMaximum, NotCommuting,
-                     NotFunction, SigmaNotInjective)
+from .errors import (BudgetExceeded, EmptyFiber, NoMaximum, NotFunction,
+                     SigmaNotInjective, SquaresDoNotCommute)
 from .poset import Poset
 
 BondMap = dict  # carrier(upper) element -> carrier(lower) element
@@ -396,7 +396,7 @@ def fiber_subsystem(e_sys: SetSystem, s_sys: SetSystem,
         raise ValueError("systems must share a base poset")
     cover = e_sys.first_noncommuting_cover(s_sys, level_maps)
     if cover:
-        raise NotCommuting(f"square at cover {cover[0]} < {cover[1]} does not commute")
+        raise SquaresDoNotCommute(f"square at cover {cover[0]} < {cover[1]} does not commute")
     # composites of injective cover bonds are injective
     for (lo, hi), bmap in s_sys.cover_bonds.items():
         if len(set(bmap.values())) != len(bmap):

@@ -6,8 +6,9 @@ surjectivity and universal images, a rescan of the elements for the linear
 extension, pairwise upper bounds for directedness, minors-gcd for invariant
 factors, permutation expansion and rational elimination for determinants,
 element enumeration in the Smith basis for finite groups, counting cochains
-for the order of a derived limit, counting cyclic summands prime power by
-prime power for embeddings, the presented subquotient of cocycles by
+for the order of a derived limit, subset filtering for the flags of a
+poset, counting cyclic summands prime power by prime power for
+embeddings, the presented subquotient of cocycles by
 coboundaries that `derived.cohomology` replaced, the subquotient on the
 given generators and the exactness report from H^0 on those generators
 and solves against [cocycles | relations] that the echelon basis replaced,
@@ -398,6 +399,66 @@ def sphere_model(n: int) -> Poset:
     levels = [(f"a{k}", f"b{k}") for k in range(n + 1)]
     covers = [(lo, hi) for k in range(n) for lo in levels[k] for hi in levels[k + 1]]
     return validate_poset([e for level in levels for e in level], covers)
+
+
+def brute_force_flags(p: Poset) -> list[list[tuple[str, ...]]]:
+    """The strictly increasing flags of p by subset filtering: every subset
+    of the elements whose members are pairwise comparable by leq, placed in
+    a linear extension, grouped by size and each size listed in
+    lexicographic order of declared positions; [[]] for the empty poset."""
+    rank = {e: i for i, e in enumerate(naive_linear_extension(p.elements, p.covers))}
+    declared = {e: i for i, e in enumerate(p.elements)}
+    flags = []
+    for k in range(1, len(p.elements) + 1):
+        found = [tuple(sorted(sub, key=rank.get))
+                 for sub in itertools.combinations(p.elements, k)
+                 if all(p.leq(a, b) or p.leq(b, a) for a, b in itertools.combinations(sub, 2))]
+        if not found:  # no k pairwise comparable elements, so no more of any size
+            break
+        flags.append(sorted(found, key=lambda fl: [declared[e] for e in fl]))
+    return flags or [[]]
+
+
+def face_poset(triangles: list[tuple[str, str, str]]) -> Poset:
+    """The faces of the simplicial complex spanned by the triangles, ordered
+    by inclusion: vertices, then edges, then triangles, each labelled by its
+    vertices joined with "_".  Its nerve is the barycentric subdivision of
+    the complex, so constant Z on it has the complex's cohomology."""
+    faces = sorted({tuple(sorted(f)) for t in triangles
+                    for k in (1, 2, 3) for f in itertools.combinations(t, k)},
+                   key=lambda f: (len(f), f))
+    label = "_".join
+    covers = [(label(lo), label(hi)) for hi in faces if len(hi) > 1
+              for lo in itertools.combinations(hi, len(hi) - 1)]
+    return validate_poset([label(f) for f in faces], covers)
+
+
+def rp2_model() -> Poset:
+    """The real projective plane from its 6-vertex triangulation: 6 vertices,
+    15 edges, 10 triangles.  With constant Z its cohomology is Z, 0, Z/2:
+    connected, first homology Z/2 (so no free H^1), and non-orientable."""
+    return face_poset([tuple(t) for t in
+                       "123 134 145 156 162 235 346 452 563 624".split()])
+
+
+def grid_surface_model(flip: bool) -> Poset:
+    """The 3x3 grid with two triangles per square, its sides glued to a
+    torus, or to a Klein bottle when flip: then the top row is glued to the
+    bottom row turned over, (i, 3) ~ (-i, 0).  9 vertices, 27 edges, 18
+    triangles.  With constant Z the torus has cohomology Z, Z^2, Z; the
+    Klein bottle, with first homology Z + Z/2 and non-orientable, has
+    Z, Z, Z/2."""
+    def vertex(i, j):
+        if j == 3 and flip:
+            i = -i
+        return f"v{i % 3}{j % 3}"
+
+    triangles = []
+    for i in range(3):
+        for j in range(3):
+            triangles.append((vertex(i, j), vertex(i + 1, j), vertex(i + 1, j + 1)))
+            triangles.append((vertex(i, j), vertex(i, j + 1), vertex(i + 1, j + 1)))
+    return face_poset(triangles)
 
 
 def kernel_subquotient(gens: IntMatrix, sub: IntMatrix) -> FgAbGroup:

@@ -121,7 +121,7 @@ def test_truncated_system_validates():
     for p in SMALL_POSETS:
         s = henkin_system(p, maxlen=4)
         ok, _ = is_surjective(s)
-        if p.longest_chain() >= 3:
+        if len(p.flags) >= 3:
             # lifting twice needs 6-tuples, which the truncation cut off
             assert not ok
         for t in limit_threads(s):  # threads, when any, really are threads

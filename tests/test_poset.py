@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
-from invsys.errors import CycleDetected, UnknownElement
+from invsys.errors import BudgetExceeded, CycleDetected, UnknownElement
 from invsys.generators import random_poset
 from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
 
-from conftest import floyd_warshall_leq, is_directed, naive_linear_extension, upper_bounds
+from conftest import (brute_force_flags, floyd_warshall_leq, is_directed,
+                      naive_linear_extension, sphere_model, upper_bounds)
 
 
 def test_validate_rejects_cycles():
@@ -73,7 +75,7 @@ def test_chain_poset_shape():
     p = chain_poset(4)
     assert p.elements == ("1", "2", "3", "4")
     assert p.has_maximum() == "4"
-    assert p.longest_chain() == 4  # counted in elements
+    assert len(p.flags) == 4  # counted in elements
     assert p.leq("1", "4") and not p.leq("4", "1")
 
 
@@ -83,7 +85,7 @@ def test_grid_poset_shape():
     assert p.has_maximum() == "(2_3)"
     assert p.leq("(1_1)", "(2_3)")
     assert not p.leq("(1_3)", "(2_1)")
-    assert p.longest_chain() == 4
+    assert len(p.flags) == 4
 
 
 def test_wedge_poset_not_directed():
@@ -122,9 +124,47 @@ def test_linear_extension_matches_the_rescan_oracle():
 
 def test_chains_enumeration():
     p = chain_poset(3)
-    # strictly increasing flags with the given number of elements
-    assert p.chains(1) == [("1",), ("2",), ("3",)]
-    assert set(p.chains(2)) == {("1", "2"), ("1", "3"), ("2", "3")}
-    assert p.chains(3) == [("1", "2", "3")]
-    assert p.chains(4) == []
+    # strictly increasing flags, grouped by their number of elements
+    assert p.flags == [[("1",), ("2",), ("3",)],
+                       [("1", "2"), ("1", "3"), ("2", "3")],
+                       [("1", "2", "3")]]
+
+
+def test_flags_match_the_subset_oracle():
+    # the lists and their order, on posets declared out of linear-extension
+    # order, so the walk's order is declared order and not the extension's
+    rng = random.Random(21)
+    posets = [validate_poset([], []), validate_poset(["c", "a", "b"], [])]
+    posets += [chain_poset(k) for k in (1, 2, 5)] + [sphere_model(n) for n in range(5)]
+    shuffled = 0
+    for _ in range(150):
+        q = random_poset(rng, max_elements=8)
+        p = validate_poset(rng.sample(q.elements, len(q.elements)), q.covers)
+        shuffled += p.linear_extension() != list(p.elements)
+        posets.append(p)
+    assert shuffled > 50
+    for p in posets:
+        oracle = brute_force_flags(p)
+        assert p.flags == oracle, p
+        longest = max((len(fl) for size in oracle for fl in size), default=0)
+        assert len(p.flags) == max(longest, 1)  # one list, empty, for the empty poset
+    assert validate_poset([], []).flags == [[]]
+    assert [len(size) for size in sphere_model(3).flags] == [8, 24, 32, 16]
+
+
+def test_flags_walk_does_not_recurse_per_element():
+    # the 100-sphere model is far over the flag budget, and the walk goes
+    # 101 elements deep before it lists flag 20,001; a walk with one nested
+    # call per element would pass a recursion limit 50 frames above here
+    p = sphere_model(100)
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        with pytest.raises(BudgetExceeded, match="^nerve flag count exceeds budget$"):
+            p.flags
+    finally:
+        sys.setrecursionlimit(limit)
 

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from invsys.errors import (BudgetExceeded, EmptyFiber, FunctorialityViolation,
-                           MissingBond, NoMaximum, NotCommuting, NotFunction,
-                           SigmaNotInjective)
+                           MissingBond, NoMaximum, NotFunction, SigmaNotInjective,
+                           SquaresDoNotCommute)
 from invsys.generators import (random_forest_poset, random_poset,
                                random_set_system,
                                random_surjective_set_system, random_tower)
@@ -385,7 +385,7 @@ def test_fiber_subsystem_detects_noncommuting_square():
     s_sys = validate_system(p, {"1": (0, 1), "2": (0, 1)},
                             {("1", "2"): {0: 0, 1: 1}})
     level_maps = {"1": {"a0": 0, "a1": 1}, "2": {"b0": 1, "b1": 0}}
-    with pytest.raises(NotCommuting):
+    with pytest.raises(SquaresDoNotCommute):
         fiber_subsystem(e_sys, s_sys, level_maps, Thread.of({"1": 0, "2": 0}))
 
 

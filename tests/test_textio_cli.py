@@ -7,12 +7,13 @@ import shlex
 import subprocess
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 from invsys.cli import COMMANDS, main, parse_args
-from invsys.errors import ParseError
+from invsys.errors import BudgetExceeded, ParseError
 from invsys.generators import (random_exact_sequence, random_poset,
                                random_surjective_absystem,
                                random_surjective_set_system, random_tower)
@@ -297,18 +298,17 @@ def test_cli_exactness_over_an_empty_base(tmp_path, capsys):
 
 
 def test_cli_exactness_finds_each_cofinal_core_once(tmp_path, capsys, monkeypatch):
-    # the three systems of a sequence share one base, so one core per file
-    from functools import cached_property
+    # the three systems of a sequence share one base, so one core and one
+    # walk of the core's flags per file
+    calls = {"core_poset": 0, "flags": 0}
+    for name in calls:
+        def counting(p, _func=Poset.__dict__[name].func, _name=name):
+            calls[_name] += 1
+            return _func(p)
 
-    calls = []
-
-    def counting(p, _core=Poset.__dict__["_core"].func):
-        calls.append(p)
-        return _core(p)
-
-    core = cached_property(counting)
-    core.__set_name__(Poset, "_core")
-    monkeypatch.setattr(Poset, "_core", core)
+        prop = cached_property(counting)
+        prop.__set_name__(Poset, name)
+        monkeypatch.setattr(Poset, name, prop)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import workloads
     commands = [(case, c) for case in workloads.build("exactness", 1) for c in case.commands]
@@ -318,7 +318,7 @@ def test_cli_exactness_finds_each_cofinal_core_once(tmp_path, capsys, monkeypatc
             (tmp_path / name).write_text(text)
         assert main(["--json", *command.argv]) == 0
     capsys.readouterr()
-    assert len(commands) == len(calls) == 7
+    assert len(commands) == 7 and calls == {"core_poset": 7, "flags": 7}
 
 
 TORSION_SEQUENCE = """\
@@ -842,23 +842,28 @@ def _constant_z_file(tmp_path, p: Poset) -> str:
     return str(fp)
 
 
-def test_cli_nerve_budget_is_checked_after_each_flag_length(tmp_path, capsys, monkeypatch):
+def test_cli_nerve_budget_is_checked_per_flag(tmp_path, capsys, monkeypatch):
     # the minimal model of the 11-sphere has no element the cofinal core can
-    # delete; its 24 points carry 3^12 - 1 = 531,440 flags, and the budget of
-    # 20,000 is passed by the 5-element flags, at 35,312 in all
+    # delete; its 24 points carry 3^12 - 1 = 531,440 flags, and the walk
+    # stops at flag 20,001, one past the budget of 20,000: the flags it has
+    # listed are read from its frame when it raises
     fp = _constant_z_file(tmp_path, sphere_model(11))
-    enumerated = []
-    chains = Poset.chains
+    listed = []
 
-    def counting(self, length):
-        flags = chains(self, length)
-        enumerated.append(len(flags))
-        return flags
+    def counting(p, _flags=Poset.__dict__["flags"].func):
+        try:
+            return _flags(p)
+        except BudgetExceeded as exc:
+            walk = exc.__traceback__.tb_next.tb_frame
+            listed.append(sum(map(len, walk.f_locals["flags"])))
+            raise
 
-    monkeypatch.setattr(Poset, "chains", counting)
+    prop = cached_property(counting)
+    prop.__set_name__(Poset, "flags")
+    monkeypatch.setattr(Poset, "flags", prop)
     assert _rejected(["derived", "--n", "1", fp], capsys) == \
         "error: nerve flag count exceeds budget\n"
-    assert sum(enumerated) == 35312
+    assert listed == [20001]
 
 
 def test_cli_derived_limit_over_a_long_chain_is_within_budget(tmp_path, capsys):
