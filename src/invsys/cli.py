@@ -15,7 +15,6 @@ the human format for exactly that reason).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -23,7 +22,14 @@ import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-from . import bergman, henkin
+# CPython's built-in SHA-256: hashlib would load OpenSSL's libcrypto into
+# every process for one digest per input file
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    from _sha256 import sha256  # Python 3.10-3.11
+
+from . import henkin
 from .abgroups import group_invariants, is_trivial_group
 from .derived import derived_limit, limit_exactness_check, scd_finite
 from .errors import BadOption, BudgetExceeded, InvsysError, ParseError
@@ -62,7 +68,7 @@ def _load(path: str, report: RunReport) -> Document:
     the digest in report.inputs is that of the text that is parsed)."""
     with open(path, "rb") as fh:
         data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    report.inputs[path] = hashlib.sha256(data).hexdigest()
+    report.inputs[path] = sha256(data).hexdigest()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -220,6 +226,7 @@ def cmd_henkin(args, report: RunReport) -> int:
 
 
 def cmd_bergman(args, report: RunReport) -> int:
+    from . import bergman  # no other command uses it
     checks = bergman.bergman_demo(_at_least("--n", args.n, 3), seed=args.seed)
     for name, ok in checks:
         report.verdicts[name] = ok

@@ -193,9 +193,10 @@ def validate_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -
     """Build a poset from labels and cover pairs.
 
     Raises UnknownElement for covers over undeclared labels, ValueError on
-    duplicate labels, and CycleDetected when the closure is not antisymmetric;
-    its message names the first declared element on a cycle and the first
-    declared element on a cycle with it, whatever the order of the up-sets.
+    duplicate labels, and CycleDetected for a cover of a label by itself and
+    when the closure is not antisymmetric; for the latter its message names
+    the first declared element on a cycle and the first declared element on
+    a cycle with it, whatever the order of the up-sets.
     """
     elements = list(elements)
     if len(set(elements)) != len(elements):
@@ -205,6 +206,8 @@ def validate_poset(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -
     for lo, hi in covers:
         if lo not in known or hi not in known:
             raise UnknownElement(f"cover {lo} < {hi} references undeclared element")
+        if lo == hi:  # a cycle of one element, which _cycle_error cannot name
+            raise CycleDetected(f"cover {lo} < {hi} relates {lo} to itself")
     p = Poset(elements, covers)
     try:
         p._up

@@ -20,6 +20,12 @@ def test_validate_rejects_cycles():
         validate_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
 
 
+def test_validate_rejects_a_cover_of_a_label_by_itself():
+    # a one-element cycle: no second element lies on it to be named
+    with pytest.raises(CycleDetected, match="^cover a < a relates a to itself$"):
+        validate_poset(["a", "b"], [("b", "a"), ("a", "a")])
+
+
 @pytest.mark.parametrize("elements, covers, named", [
     ("x y z w", "x y, y z, z w, w x", "x and y"),
     ("p w z y x", "p w, x y, y z, z x", "z and y"),  # p lies on no cycle

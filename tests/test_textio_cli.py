@@ -920,6 +920,23 @@ def test_cli_imports_no_argparse(files):
     assert out.splitlines()[-1] == "[]"
 
 
+def test_cli_imports_neither_openssl_nor_bergman():
+    # -S: no site hooks, so only `import invsys.cli` can load these modules
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import invsys.cli; "
+            "print(sorted({'_hashlib', 'hashlib', 'invsys.bergman'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_cli_rejects_a_cover_of_a_label_by_itself(tmp_path, capsys):
+    fp = tmp_path / "loop.poset"
+    fp.write_text("poset P\nelements: a b\ncovers: b < a, a < a\n")
+    assert _rejected(["validate", str(fp)], capsys) == \
+        "error: CycleDetected: cover a < a relates a to itself\n"
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Command line", 1)[1].split("\n#", 1)[0]

@@ -236,12 +236,20 @@ def test_long_bad_lines_are_rejected_in_linear_time(long_line_runs, name):
     assert seconds < 0.1
 
 
-@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
-def test_input_digest_is_that_of_the_text_with_plain_newlines(tmp_path, capsys, newline):
+# over 64 KiB once its newlines are plain, so its digest runs over many blocks
+PADDED_WEDGE = WEDGE + "# a comment line\n" * 4000
+
+
+@pytest.mark.parametrize("text, newline", [(WEDGE, "\r\n"), (WEDGE, "\r"),
+                                           (PADDED_WEDGE, "\r\n")],
+                         ids=["crlf", "cr", "over-64-kib"])
+def test_input_digest_is_that_of_the_text_with_plain_newlines(tmp_path, capsys, text,
+                                                                newline):
     path = tmp_path / "wedge.txt"
-    path.write_bytes(WEDGE.replace("\n", newline).encode())
+    path.write_bytes(text.replace("\n", newline).encode())
     assert main(["--json", "validate", str(path)]) == 0
     digest = json.loads(capsys.readouterr().out)["inputs"][str(path)]
-    assert digest == hashlib.sha256(WEDGE.encode()).hexdigest()
-    assert digest == "d5ddda6716ae6f0ed60d2f55fed8594f18756e277ffa448f630933afa341ebba"
+    assert digest == hashlib.sha256(text.encode()).hexdigest()
+    if text is WEDGE:
+        assert digest == "d5ddda6716ae6f0ed60d2f55fed8594f18756e277ffa448f630933afa341ebba"
 
