@@ -158,10 +158,10 @@ def translate(c: CosetElement, by: FreeAbElement) -> CosetElement:
 
 def random_h_combination(rng: random.Random, alpha: int, n: int) -> FreeAbElement:
     """Random combination of three in-range triangle relators, coefficients in [-3, 3]."""
-    rels = h_relators(alpha, n)
     out = FreeAbElement.zero()
     for _ in range(3):
-        out = out.add(rng.choice(rels).scale(rng.randint(-3, 3)))
+        rel = triangle_relator(*sorted(rng.sample(range(alpha, n + 1), 3)))
+        out = out.add(rel.scale(rng.randint(-3, 3)))
     return out
 
 

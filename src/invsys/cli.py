@@ -89,12 +89,8 @@ def _invariants_str(inv) -> str:
 
 def cmd_validate(args, report: RunReport) -> int:
     doc = _load(args.file, report)
-    report.data["posets"] = sorted(doc.posets)
-    report.data["systems"] = sorted(doc.systems)
-    report.data["towers"] = sorted(doc.towers)
-    report.data["absystems"] = sorted(doc.absystems)
-    report.data["sequences"] = sorted(doc.sequences)
-    report.data["groups"] = sorted(doc.groups)
+    for kind in ("posets", "systems", "towers", "absystems", "sequences", "groups"):
+        report.data[kind] = sorted(getattr(doc, kind))
     report.verdicts["valid"] = True
     return 0
 

@@ -218,10 +218,7 @@ def _on_core(sys: AbSystem) -> AbSystem:
     sub = sys.base.core_poset
     if sub is sys.base:
         return sys
-    core = AbSystem(sub, sys.groups, {cov: sys.bond(*cov) for cov in sub.covers})
-    core._composites = {(lo, hi): sys.bond(lo, hi)
-                        for lo in sub.elements for hi in sub.strict_uppers(lo)}
-    return core
+    return AbSystem(sub, sys.groups, {cov: sys.bond(*cov) for cov in sub.covers})
 
 
 def derived_limit(sys: AbSystem, n: int) -> FgAbGroup:
@@ -355,13 +352,9 @@ def scd_witness_system(base: Poset) -> AbSystem:
     into scd sampling because it is the standard witness for a nonzero
     first derived limit on non-directed shapes (wedge: free rank 1).
     """
-    minimal = [e for e in base.elements
-               if not any(base.lt(x, e) for x in base.elements)]
-    groups = {e: (FgAbGroup.free(1) if e in minimal else FgAbGroup.trivial())
+    groups = {e: (FgAbGroup.trivial() if base.lower_covers[e] else FgAbGroup.free(1))
               for e in base.elements}
-    bonds = {}
-    for (lo, hi) in base.covers:
-        bonds[(lo, hi)] = AbHom.zero(groups[hi], groups[lo])
+    bonds = {(lo, hi): AbHom.zero(groups[hi], groups[lo]) for lo, hi in base.covers}
     return validate_absystem(base, groups, bonds)
 
 

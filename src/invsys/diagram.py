@@ -4,7 +4,7 @@ systems (towers among them, on a chain) and abelian-group systems.
 Every check a system offers walks the covers of its base: validation,
 commuting squares and surjectivity, where composites of onto cover bonds
 are onto, so one non-onto cover is the witness of a non-surjective
-system."""
+system.  Functoriality is checked by `Diagram.validate` alone."""
 
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ class Diagram:
     Subclasses say what an arrow is through five hooks: ``check(lower,
     upper, arrow)`` raises unless arrow is a bond for that cover,
     ``identity(e)``, ``compose(g, f)`` is g after f, ``equal(f, g)``, and
-    ``is_onto(arrow, lower)``.  Composite bonds are computed once along
-    cover paths and cached; computing one checks that every path agrees.
+    ``is_onto(arrow, lower)``.  ``validate`` checks that all cover paths
+    agree, so ``bond`` composes along one of them and caches the result.
     """
 
     def __init__(self, base: Poset, objects: dict, cover_bonds: dict):
@@ -30,41 +30,33 @@ class Diagram:
         self._composites: dict = {}
 
     def bond(self, lower: str, upper: str):
-        """Composite bond from the object at upper to the object at lower."""
+        """Composite bond from the object at upper to the object at lower along
+        the first cover path down, cached; ``validate`` alone checks paths."""
         if lower == upper:
             return self.identity(lower)
         if (lower, upper) in self._composites:
             return self._composites[(lower, upper)]
         if not self.base.lt(lower, upper):
             raise ValueError(f"{lower} is not below {upper}")
-        wanted = [upper]  # a stack, not recursion: cover paths can be long
-        while wanted:
-            top = wanted[-1]
-            below = [lo for lo in self.base.lower_covers[top] if self.base.leq(lower, lo)]
-            missing = [lo for lo in below
-                       if lo != lower and (lower, lo) not in self._composites]
-            if missing:
-                wanted += missing
-                continue
-            wanted.pop()
-            first = via = None
-            for lo in below:
-                step = self.cover_bonds[(lo, top)]
-                path = step if lo == lower else self.compose(self._composites[(lower, lo)], step)
-                if via is None:
-                    first, via = path, lo
-                elif not self.equal(first, path):
-                    raise FunctorialityViolation(f"paths through {via} and {lo} disagree")
-            self._composites[(lower, top)] = first
+        path = [upper]  # a loop, not recursion: cover paths can be long
+        while path[-1] != lower and (lower, path[-1]) not in self._composites:
+            path.append(next(lo for lo in self.base.lower_covers[path[-1]]
+                             if self.base.leq(lower, lo)))
+        for below, top in reversed(list(zip(path[1:], path))):
+            step = self.cover_bonds[(below, top)]
+            self._composites[(lower, top)] = (
+                step if below == lower else self.compose(self._composites[(lower, below)], step))
         return self._composites[(lower, upper)]
 
     def validate(self) -> "Diagram":
         """Check every cover bond, then full functoriality; returns self.
 
         An error from ``check`` carries the failing cover as its ``cover``
-        attribute.  Two cover paths can only part at an element with two or
-        more lower covers, so the composites down from those elements check
-        every path.
+        attribute.  Cover paths part only at an element j with two or more
+        lower covers, and in linear extension order all paths below j agree
+        by then.  So the path through each lower cover b need only agree
+        with ``bond(m, j)`` at each maximal m below b and below a lower cover
+        before b: every x below both lies below such an m.
         """
         covers = set(self.base.covers)
         for cov in self.base.covers:
@@ -78,12 +70,16 @@ class Diagram:
             except (ValueError, InvsysError) as exc:
                 exc.cover = lo, hi
                 raise
-        splits = {j for j, lows in self.base.lower_covers.items() if len(lows) > 1}
-        for j in (self.base.linear_extension() if splits else ()):
-            if j in splits:
-                for i in self.base.elements:
-                    if self.base.lt(i, j):
-                        self.bond(i, j)
+        for j in self.base.linear_extension():
+            earlier: set[str] = set()
+            for b in self.base.lower_covers[j]:
+                for m in self.base.maximal_common_lower_bounds(b, earlier):
+                    if not self.equal(self.bond(m, j),
+                                      self.compose(self.bond(m, b), self.cover_bonds[(b, j)])):
+                        a = next(a for a in self.base.lower_covers[j] if self.base.leq(m, a))
+                        raise FunctorialityViolation(
+                            f"paths from {j} to {m} through {a} and {b} disagree")
+                earlier.add(b)
         return self
 
     def first_non_onto(self) -> tuple[str, str] | None:

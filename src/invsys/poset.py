@@ -26,7 +26,8 @@ class Poset:
     """Finite poset on opaque string labels.
 
     Instances are created through :func:`validate_poset`; direct construction
-    assumes distinct labels and acyclic covers over them.
+    assumes distinct labels and acyclic covers over them.  ``covers`` may
+    also hold a < c beside a < b < c, as `generators.random_poset` emits.
     """
 
     def __init__(self, elements: Sequence[str], covers: Sequence[tuple[str, str]]):
@@ -84,6 +85,19 @@ class Poset:
     def up_set(self, a: str) -> frozenset[str]:
         """The elements x with a <= x."""
         return self._up[a]
+
+    def maximal_common_lower_bounds(self, a: str, bs: set[str]) -> list[str]:
+        """The maximal x with x <= a and x <= b for some b in bs, so [a] when
+        a <= some b: a walk down the covers from a stops at each such x."""
+        found, seen, stack = [], {a}, [a] if bs else []
+        while stack:
+            x = stack.pop()
+            if not self._up[x].isdisjoint(bs):
+                found.append(x)
+            else:
+                stack += [lo for lo in self.lower_covers[x] if lo not in seen]
+                seen.update(self.lower_covers[x])
+        return [x for x in found if not any(y != x and y in self._up[x] for y in found)]
 
     @cached_property
     def _above(self) -> dict[str, tuple[str, ...]]:

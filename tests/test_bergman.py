@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from invsys import bergman
 from invsys.bergman import (CosetElement, FreeAbElement, bergman_demo,
                             coset_equal, d_map, f, g, gset_bond,
                             h_relators, h_subgroup_member,
@@ -153,6 +154,16 @@ def test_relator_counts():
     assert len(h_relators(1, 4)) == 4
     assert len(h_relators(2, 4)) == 1
     assert h_relators(3, 4) == []
+
+
+def test_demo_draws_relators_without_listing_them(monkeypatch):
+    # the (n - alpha + 1 choose 3) relators are never listed: a random
+    # combination draws each of its three from three sampled indices
+    def refuse(alpha, n):
+        raise AssertionError("listed every relator")
+    monkeypatch.setattr(bergman, "h_relators", refuse)
+    checks = bergman_demo(5)
+    assert checks and all(ok for _, ok in checks)
 
 
 def test_demo_checks_all_pass():

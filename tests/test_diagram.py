@@ -12,13 +12,15 @@ import random
 import pytest
 
 from invsys.abgroups import AbHom, FgAbGroup, hom_compose, hom_equal
-from invsys.derived import validate_absystem
+from invsys.derived import AbSystem, validate_absystem
 from invsys.errors import FunctorialityViolation
 from invsys.generators import random_forest_poset, random_poset
 from invsys.intlinalg import IntMatrix
 from invsys.poset import grid_poset, validate_poset
 from invsys.setsys import (SetSystem, is_surjective, ml_report, universal_images,
                            validate_system, validate_tower)
+
+from conftest import sphere_model
 
 
 def cover_paths(p, lower, upper):
@@ -114,6 +116,18 @@ def test_validate_absystem_accepts_exactly_when_all_cover_paths_agree():
     assert 20 < sum(verdicts) < len(verdicts) - 20
 
 
+@pytest.mark.parametrize("swapped", ["a0", "b0"])
+def test_validation_compares_at_every_maximal_common_lower_bound(swapped):
+    # on the model of the 2-sphere the routes from a2 through a1 and
+    # through b1 meet again at a0 and at b0; swapping the bond from a1 to
+    # one of them makes the routes disagree there and nowhere else
+    p = sphere_model(2)
+    bonds = {cov: {0: 0, 1: 1} for cov in p.covers}
+    bonds[(swapped, "a1")] = {0: 1, 1: 0}
+    with pytest.raises(FunctorialityViolation, match=f"^paths from a2 to {swapped} through "):
+        validate_system(p, {e: (0, 1) for e in p.elements}, bonds)
+
+
 @pytest.mark.parametrize("shape", ["chain", "forest"])
 def test_validation_composes_nothing_without_splits(monkeypatch, shape):
     calls = []
@@ -130,6 +144,22 @@ def test_validation_composes_nothing_without_splits(monkeypatch, shape):
             carriers = {e: (0, 1) for e in p.elements}
             validate_system(p, carriers, {cov: {0: 1, 1: 1} for cov in p.covers})
     assert calls == []
+
+
+def test_validation_composes_linearly_on_a_sphere_model(monkeypatch):
+    # each of the 198 elements above level 1 is a split whose two lower
+    # covers meet in the two points below them: two comparisons of two
+    # composites each, where composing every pair below each split makes
+    # 39,600 calls
+    calls = []
+    compose = AbSystem.compose
+    monkeypatch.setattr(AbSystem, "compose",
+                        lambda self, g, f: calls.append(1) or compose(self, g, f))
+    p = sphere_model(100)
+    z = FgAbGroup.free(1)
+    validate_absystem(p, {e: z for e in p.elements},
+                      {cov: AbHom.identity(z) for cov in p.covers})
+    assert 0 < len(calls) <= 10 * len(p.elements)
 
 
 def test_tower_of_horizon_200_matches_pushdown_oracle():

@@ -55,6 +55,27 @@ def test_leq_matches_reachability_oracle():
                 assert p.lt(a, b) == (a != b and reach[(a, b)])
 
 
+def test_maximal_common_lower_bounds_match_the_reachability_oracle():
+    # random posets may list a comparable pair as a cover, (p0, p2) beside
+    # (p0, p1) and (p1, p2); the walk must still stop at a when a <= b
+    rng = random.Random(6)
+    for _ in range(80):
+        p = random_poset(rng, max_elements=7)
+        reach = floyd_warshall_leq(p.elements, p.covers)
+        for a in p.elements:
+            for bs in [set()] + [{b} for b in p.elements] + [
+                    set(rng.sample(p.elements, min(3, len(p.elements))))]:
+                common = [x for x in p.elements
+                          if reach[(x, a)] and any(reach[(x, b)] for b in bs)]
+                want = {x for x in common
+                        if not any(y != x and reach[(x, y)] for y in common)}
+                got = p.maximal_common_lower_bounds(a, bs)
+                assert len(got) == len(set(got)) and set(got) == want, (p, a, bs)
+    p = validate_poset(["x", "y", "z"], [("x", "z"), ("x", "y"), ("y", "z")])
+    assert p.maximal_common_lower_bounds("x", {"y"}) == ["x"]
+    assert p.maximal_common_lower_bounds("y", {"x"}) == ["x"]
+
+
 def test_directed_iff_maximum():
     # on a finite poset both sides reduce to the same element, so the
     # predicates must agree on every instance
