@@ -82,14 +82,6 @@ def triangle_relator(i: int, j: int, k: int) -> FreeAbElement:
     return FreeAbElement.of({g(i, j): 1, g(j, k): 1, g(i, k): -1})
 
 
-def h_relators(alpha: int, n: int) -> list[FreeAbElement]:
-    """All triangle relators with indices in {alpha..n}."""
-    return [triangle_relator(i, j, k)
-            for i in range(alpha, n + 1)
-            for j in range(i + 1, n + 1)
-            for k in range(j + 1, n + 1)]
-
-
 def h_subgroup_member(e: FreeAbElement, alpha: int, n: int) -> bool:
     """Whether e lies in H_alpha, the span of the triangle relators with
     indices in {alpha..n}; raises SupportExceedsBound when e mentions an
@@ -211,27 +203,19 @@ def bergman_demo(n: int = 5, seed: int = 0) -> list[tuple[str, bool]]:
     # c_i telescopes the consecutive generators from i up to the top
     family = {i: FreeAbElement.of({g(l, l + 1): 1 for l in range(i, n)})
               for i in range(1, n + 1)}
-    pattern_ok = True
+    collapsed = {i: d_map(c) for i, c in family.items()}
+    pattern_ok = ident_ok = True
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             probe = FreeAbElement.gen(g(i, j)).add(family[j]).sub(family[i])
-            if not h_subgroup_member(probe, i, n):
-                pattern_ok = False
+            pattern_ok &= h_subgroup_member(probe, i, n)
+            ident_ok &= (d_map(probe).is_zero() and collapsed[i].sub(collapsed[j])
+                         == FreeAbElement.of({f(i): 1, f(j): -1}))
     checks.append(("membership pattern holds for the pushed-down family",
                    pattern_ok))
-    ident_ok = True
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            probe = FreeAbElement.gen(g(i, j)).add(family[j]).sub(family[i])
-            if not d_map(probe).is_zero():
-                ident_ok = False
-            lhs = d_map(family[i]).sub(d_map(family[j]))
-            if lhs != FreeAbElement.of({f(i): 1, f(j): -1}):
-                ident_ok = False
     checks.append(("collapse kills the membership pattern, giving the "
                    "difference identity D(c_i) - D(c_j) = f_i - f_j", ident_ok))
-    endpoint_ok = all(d_map(family[i]).coefficient_sum() == 0
-                      for i in range(1, n + 1))
+    endpoint_ok = all(c.coefficient_sum() == 0 for c in collapsed.values())
     checks.append(("every collapsed family member has coefficient sum zero, so "
                    "none can equal a single basis vector", endpoint_ok))
     return checks

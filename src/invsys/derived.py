@@ -5,14 +5,14 @@ cochain complex: degree n is the direct sum, over strictly increasing
 flags i0 < ... < in, of the group at the flag's smallest element, and the
 differential combines the bond into the new smallest element with the
 alternating sum of flag-face omissions.  Degrees above the longest chain
-vanish, so the complex is finite.  The flags are the base's cached flag
-list (`Poset.flags`), walked once per base and capped by its budget.
+vanish, so the complex is finite.
 
-`derived_limit`, `scd_finite` and `limit_exactness_check` build that
-complex over the cofinal core of the base (`Poset.core_poset`, induced once
-per base), which has the same limits in every degree, so the systems of one
-base share one core and one flag list; `nerve_complex` and `h0_with_basis`
-keep the base they are given.
+`nerve_complex` builds that complex over the cofinal core of the base
+(`Poset.core`), which has the same limits in every degree: its flags are
+the base's cached `Poset.core_flags`, walked once per base and capped by
+its budget, and its bonds are those of the system it is given.  So the
+systems of one base share one core and one flag list, and no restricted
+system is built.
 
 Write L(k) for the block relation lattice of C(k) (columns: the relators of
 each flag's group) and d for the differentials, stored sparse by column.
@@ -117,7 +117,7 @@ class CochainComplex:
 
 
 def nerve_complex(sys: AbSystem) -> CochainComplex:
-    flags = sys.base.flags  # [[]] for an empty base: C(0) = 0, no generators
+    flags = sys.base.core_flags  # [[]] for an empty base: C(0) = 0, no generators
     top = len(flags)
 
     offsets: list[dict[tuple[str, ...], int]] = []
@@ -208,25 +208,13 @@ def cohomology(cx: CochainComplex, n: int) -> FgAbGroup:
         [[f if j == i else 0 for j in range(ngens)] for i, f in enumerate(torsion)], cols=ngens))
 
 
-def _on_core(sys: AbSystem) -> AbSystem:
-    """sys restricted to the cofinal core of its base (`Poset.core_poset`),
-    which has the same limit in every degree; sys itself when nothing goes.
-
-    The bonds of the restriction are composites of sys, whose functoriality
-    is already checked, so the restriction is not validated again.
-    """
-    sub = sys.base.core_poset
-    if sub is sys.base:
-        return sys
-    return AbSystem(sub, sys.groups, {cov: sys.bond(*cov) for cov in sub.covers})
-
-
 def derived_limit(sys: AbSystem, n: int) -> FgAbGroup:
-    return cohomology(nerve_complex(_on_core(sys)), n)
+    return cohomology(nerve_complex(sys), n)
 
 
 def h0_with_basis(sys: AbSystem) -> tuple[FgAbGroup, IntMatrix, CochainComplex]:
-    """H^0 with its generators in C(0), the echelon basis of the 0-cocycles."""
+    """H^0 with its generators in C(0), the echelon basis of the 0-cocycles
+    on the cofinal core."""
     cx = nerve_complex(sys)
     z = relative_kernel(cx.diff[0].dense(), cx.lattice(1))  # the 0-cocycles
     basis = IntMatrix.from_cols(echelon_form(z).columns, rows=cx.dims[0])
@@ -324,7 +312,7 @@ def limit_exactness_check(a: AbSystem, b: AbSystem, c: AbSystem,
     # one nerve complex per system, over the cofinal core of the base: H^0 of
     # each, and lim^1 of a from the same complex; restricting is an
     # isomorphism on H^0, so the level maps simply restrict
-    h0_a, h0_b, h0_c = (h0_with_basis(_on_core(s)) for s in (a, b, c))
+    h0_a, h0_b, h0_c = (h0_with_basis(s) for s in (a, b, c))
     lim_u = induced_limit_hom(u, h0_a, h0_b)
     lim_v = induced_limit_hom(v, h0_b, h0_c)
     lim1_a = cohomology(h0_a[2], 1)
@@ -369,14 +357,14 @@ def scd_finite(base: Poset, trials: int, seed: int) -> int:
     import random
 
     from .generators import random_surjective_absystem
-    if not base.core_poset.covers:  # no degree above 0
+    if len(base.core_flags) == 1:  # no degree above 0
         return 0
     rng = random.Random(seed)
     best = 0
     systems = [scd_witness_system(base)]
     systems += [random_surjective_absystem(rng, base) for _ in range(trials)]
     for sys in systems:
-        cx = nerve_complex(_on_core(sys))  # one complex for every degree
+        cx = nerve_complex(sys)  # one complex for every degree
         for n in range(cx.top_degree, best, -1):
             if not is_trivial_group(cohomology(cx, n)):
                 best = n

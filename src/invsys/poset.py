@@ -6,9 +6,10 @@ covers.  Everything here is finite and immutable after validation; the
 finite analogue of "has a countable cofinal sequence" collapses to "has a
 maximum", which is the only dichotomy a finite poset can exhibit.
 
-The cofinal core (`Poset.core_poset`) and the flags of the nerve
-(`Poset.flags`, one walk along the strict up-sets, capped at
-DEFAULT_FLAG_BUDGET flags) are computed once per poset and cached.
+The cofinal core (`Poset.core`, a tuple of elements) and the flags of
+the nerve inside it (`Poset.core_flags`, one walk along the strict
+up-sets filtered by the core, capped at DEFAULT_FLAG_BUDGET flags) are
+computed once per poset and cached; no subposet is built for the core.
 """
 
 from __future__ import annotations
@@ -120,11 +121,16 @@ class Poset:
         return maxima[0] if len(maxima) == 1 else None
 
     @cached_property
-    def core_poset(self) -> "Poset":
-        """The subposet left after deleting each x whose strict up-set, among
-        the elements still left, has a maximum or a minimum; the walk goes in
-        declared order and repeats until no element qualifies.  self when
-        nothing goes; computed once per poset.
+    def core(self) -> tuple[str, ...]:
+        """The cofinal core, in declared order: the elements left after
+        deleting each x whose strict up-set, among the elements still left,
+        has a maximum or a minimum; the walk goes in declared order and
+        repeats until no element qualifies.  Computed once per poset.
+
+        Maximal elements are never deleted, so x's up-set has a maximum
+        exactly when one maximal element lies above x; a minimum, if there
+        is one, is the element left above x with the largest up-set, so one
+        superset test decides it.  Each x costs O(|above x|).
 
         Such an up-set is a cone, hence contractible, so by homotopy
         cofinality (Bousfield-Kan 1972, XI.9) an inverse system over this
@@ -132,32 +138,38 @@ class Poset:
         degree.  The dual rule on down-sets is not safe for general
         coefficients: it deletes both tops of the wedge and loses its lim^1.
         """
+        tops = set(self.maximal_elements())
+        size = {y: len(up) for y, up in self._up.items()}
         kept = dict.fromkeys(self.elements)  # an ordered set
         shrank = True
         while shrank:
             shrank = False
             for x in list(kept):
                 above = [y for y in self._above[x] if y in kept]
-                if any(all(m in self._up[y] for y in above)  # m is the maximum
-                       or self._up[m].issuperset(above)  # m is the minimum
-                       for m in above):
+                if not above:  # x is maximal
+                    continue
+                lowest = max(above, key=size.__getitem__)
+                if len(tops.intersection(above)) == 1 or self._up[lowest].issuperset(above):
                     del kept[x]
                     shrank = True
-        return self if len(kept) == len(self.elements) else self.induced(list(kept))
+        return tuple(kept)
 
     @cached_property
-    def flags(self) -> list[list[tuple[str, ...]]]:
-        """flags[k] lists the strictly increasing flags of k + 1 elements, the
-        cells of the nerve, in lexicographic order of declared positions;
-        [[]] for the empty poset.  One depth-first walk from each element in
-        declared order, each flag extended along the strict up-set of its
-        last element; the path is kept on a stack, not in nested calls, as a
-        flag may be longer than the interpreter's recursion limit.  Raises
-        BudgetExceeded on flag DEFAULT_FLAG_BUDGET + 1, so a poset far over
-        budget stops early."""
+    def core_flags(self) -> list[list[tuple[str, ...]]]:
+        """core_flags[k] lists the strictly increasing flags of k + 1 elements
+        of the core, the cells of the nerve that derived limits are computed
+        on, in lexicographic order of declared positions; [[]] for the empty
+        poset.  One depth-first walk from each core element in declared
+        order, each flag extended along the strict up-set of its last
+        element within the core; the path is kept on a stack, not in nested
+        calls, as a flag may be longer than the interpreter's recursion
+        limit.  Raises BudgetExceeded on flag DEFAULT_FLAG_BUDGET + 1, so a
+        core far over budget stops early."""
+        core = set(self.core)
+        above = {b: [y for y in self._above[b] if y in core] for b in self.core}
         flags: list[list[tuple[str, ...]]] = [[]]
         count = 0
-        stack = [((), iter(self.elements))]  # each flag on the path, with its extensions
+        stack = [((), iter(self.core))]  # each flag on the path, with its extensions
         while stack:
             b = next(stack[-1][1], None)
             if b is None:
@@ -170,17 +182,8 @@ class Poset:
             count += 1
             if count > DEFAULT_FLAG_BUDGET:
                 raise BudgetExceeded("nerve flag count exceeds budget")
-            stack.append((flag, iter(self._above[b])))
+            stack.append((flag, iter(above[b])))
         return flags
-
-    def induced(self, keep: Sequence[str]) -> "Poset":
-        """The subposet on keep, in keep's order, with the induced order's covers."""
-        covers = []
-        for lo in keep:
-            above = [hi for hi in keep if hi != lo and hi in self._up[lo]]
-            covers += [(lo, hi) for hi in above
-                       if not any(mid != hi and hi in self._up[mid] for mid in above)]
-        return Poset(keep, covers)
 
     # -- structural helpers ----------------------------------------------
 

@@ -7,16 +7,18 @@ extension, pairwise upper bounds for directedness, minors-gcd for invariant
 factors, permutation expansion and rational elimination for determinants,
 element enumeration in the Smith basis for finite groups, counting cochains
 for the order of a derived limit, subset filtering for the flags of a
-poset, counting cyclic summands prime power by prime power for
-embeddings, the presented subquotient of cocycles by
-coboundaries that `derived.cohomology` replaced, the subquotient on the
-given generators and the exactness report from H^0 on those generators
-and solves against [cocycles | relations] that the echelon basis replaced,
-the Smith-form solve that
-the echelon form replaced, the relator lattice that the cycle criterion of
-`bergman` replaced, and the reader that matched every label, rule and cover
-of a file on its own.  They exist so the library code is checked against an
-independent computation, not against itself.
+poset and the nerve complex over every one of them that the cofinal core
+replaced, the scan of each up-set for a maximum or a minimum that
+`Poset.core` replaced, counting cyclic summands prime power by prime power
+for embeddings, the presented subquotient of cocycles by coboundaries that
+`derived.cohomology` replaced, the subquotient on the given generators and
+the exactness report from H^0 on those generators and solves against
+[cocycles | relations] that the echelon basis replaced, the Smith-form
+solve that the echelon form replaced, the triangle relators and their
+lattice that the cycle criterion of `bergman` replaced, and the reader
+that matched every label, rule and cover of a file on its own.  They exist
+so the library code is checked against an independent computation, not
+against itself.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from functools import lru_cache
 from invsys import textio
 from invsys.abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
                              hom_is_valid, is_exact_at, is_injective)
-from invsys.bergman import FreeAbElement, h_relators
-from invsys.derived import (AbSystem, CochainComplex, ExactnessReport, cohomology,
-                            nerve_complex)
+from invsys.bergman import FreeAbElement, triangle_relator
+from invsys.derived import AbSystem, CochainComplex, ExactnessReport, cohomology
 from invsys.errors import ParseError, SupportExceedsBound
-from invsys.intlinalg import (IntMatrix, in_lattice, lattice_contains,
-                              relative_kernel, smith_normal_form, solve)
+from invsys.intlinalg import (IntMatrix, SparseMatrix, in_lattice,
+                              lattice_contains, relative_kernel,
+                              smith_normal_form, solve)
 from invsys.poset import Poset, validate_poset
 from invsys.setsys import SetSystem, Thread
 
@@ -245,6 +247,14 @@ def smith_solve(m: IntMatrix, b) -> "tuple[int, ...] | None":
     return v.apply(y)
 
 
+def h_relators(alpha: int, n: int) -> list[FreeAbElement]:
+    """All triangle relators with indices in {alpha..n}."""
+    return [triangle_relator(i, j, k)
+            for i in range(alpha, n + 1)
+            for j in range(i + 1, n + 1)
+            for k in range(j + 1, n + 1)]
+
+
 def lattice_h_subgroup_member(e: FreeAbElement, alpha: int, n: int) -> bool:
     """Whether e lies in the span of the triangle relators with indices in
     {alpha..n}, by integer solvability over all of them: the relators are
@@ -401,17 +411,19 @@ def sphere_model(n: int) -> Poset:
     return validate_poset([e for level in levels for e in level], covers)
 
 
-def brute_force_flags(p: Poset) -> list[list[tuple[str, ...]]]:
-    """The strictly increasing flags of p by subset filtering: every subset
-    of the elements whose members are pairwise comparable by leq, placed in
-    a linear extension, grouped by size and each size listed in
-    lexicographic order of declared positions; [[]] for the empty poset."""
+def brute_force_flags(p: Poset, among=None) -> list[list[tuple[str, ...]]]:
+    """The strictly increasing flags of p within the elements among (all of
+    p by default) by subset filtering: every subset whose members are
+    pairwise comparable by leq, placed in a linear extension, grouped by
+    size and each size listed in lexicographic order of declared
+    positions; [[]] when there are no elements."""
+    among = p.elements if among is None else among
     rank = {e: i for i, e in enumerate(naive_linear_extension(p.elements, p.covers))}
     declared = {e: i for i, e in enumerate(p.elements)}
     flags = []
-    for k in range(1, len(p.elements) + 1):
+    for k in range(1, len(among) + 1):
         found = [tuple(sorted(sub, key=rank.get))
-                 for sub in itertools.combinations(p.elements, k)
+                 for sub in itertools.combinations(among, k)
                  if all(p.leq(a, b) or p.leq(b, a) for a, b in itertools.combinations(sub, 2))]
         if not found:  # no k pairwise comparable elements, so no more of any size
             break
@@ -482,10 +494,62 @@ def presented_cohomology(cx: CochainComplex, n: int) -> FgAbGroup:
     return kernel_subquotient(z, sub)
 
 
+def cone_deletion_core(p: Poset) -> tuple[str, ...]:
+    """The cofinal core by the rule of `Poset.core`, each test a scan: x goes
+    when some m among the elements left strictly above it is their maximum
+    (every one of them lies below m) or their minimum (m lies below every
+    one of them); declared order, repeated until nothing goes."""
+    kept = list(p.elements)
+    shrank = True
+    while shrank:
+        shrank = False
+        for x in list(kept):
+            above = [y for y in kept if p.lt(x, y)]
+            if any(all(p.leq(y, m) for y in above) or all(p.leq(m, y) for y in above)
+                   for m in above):
+                kept.remove(x)
+                shrank = True
+    return tuple(kept)
+
+
+def full_nerve_complex(sys: AbSystem) -> CochainComplex:
+    """The normalized nerve complex of sys over every flag of its base, not
+    only the cofinal core's: the flags of `brute_force_flags`, the bond
+    into each flag's smallest element from `composite_along_path`, and the
+    differential written entry by entry.  The cochain on flag t of degree
+    n + 1 receives the bond t[1] -> t[0] from the flag t[1:] and (-1)^k
+    times the identity from each inner face, the flag without t[k]."""
+    flags = brute_force_flags(sys.base)
+    blocks, dims = [], []
+    for level in flags:
+        sizes = [sys.group(fl[0]).ngens for fl in level]
+        offsets = list(itertools.accumulate(sizes, initial=0))
+        blocks.append([(off, sys.group(fl[0])) for off, fl in zip(offsets, level)])
+        dims.append(offsets[-1])
+    start = [{fl: off for fl, (off, _) in zip(level, layout)}
+             for level, layout in zip(flags, blocks)]
+    diff = []
+    for n in range(len(flags)):
+        upper = flags[n + 1] if n + 1 < len(flags) else []
+        cols: list[dict[int, int]] = [{} for _ in range(dims[n])]
+        for t in upper:
+            row = start[n + 1][t]
+            bond = composite_along_path(sys, t[0], t[1]).matrix
+            for a in range(bond.rows):
+                for b in range(bond.cols):
+                    if bond.entries[a][b]:
+                        cols[start[n][t[1:]] + b][row + a] = bond.entries[a][b]
+            for k in range(1, n + 2):
+                for a in range(sys.group(t[0]).ngens):
+                    cols[start[n][t[:k] + t[k + 1:]] + a][row + a] = (-1) ** k
+        diff.append(SparseMatrix(dims[n + 1] if upper else 0, tuple(cols)))
+    return CochainComplex(flags, blocks, dims, diff)
+
+
 def kernel_h0_with_basis(sys: AbSystem) -> tuple[FgAbGroup, IntMatrix, CochainComplex]:
     """H^0 of the full base, presented on the kernel generators of the
-    0-cocycles, which are returned as the basis."""
-    cx = nerve_complex(sys)
+    0-cocycles of `full_nerve_complex`, which are returned as the basis."""
+    cx = full_nerve_complex(sys)
     z = relative_kernel(cx.diff[0].dense(), cx.lattice(1))
     return kernel_subquotient(z, cx.lattice(0)), z, cx
 

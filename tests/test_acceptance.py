@@ -29,8 +29,9 @@ from invsys.setsys import (is_surjective, is_thread, limit_threads,
                            ml_report, thread_from_top, tower_chain,
                            universal_images)
 
-from conftest import (brute_force_threads, det, minors_gcd_invariants,
-                      naive_universal_images, random_int_matrix)
+from conftest import (brute_force_flags, brute_force_threads, det,
+                      minors_gcd_invariants, naive_universal_images,
+                      random_int_matrix)
 
 
 def _report(num: int, text: str):
@@ -108,7 +109,7 @@ def test_criterion_4_derived_limits_vanish_for_surjective_systems():
         for e in p.elements:
             assert s.group(e).ngens <= 3
             assert all(d <= 8 for d in group_invariants(s.group(e))[1])
-        for n in range(1, max(2, len(p.flags))):
+        for n in range(1, max(2, len(brute_force_flags(p)))):
             got = derived_limit(s, n)
             assert is_trivial_group(got), \
                 f"instance {k}: degree {n} gives {group_invariants(got)}"

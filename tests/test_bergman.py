@@ -11,12 +11,11 @@ import pytest
 from invsys import bergman
 from invsys.bergman import (CosetElement, FreeAbElement, bergman_demo,
                             coset_equal, d_map, f, g, gset_bond,
-                            h_relators, h_subgroup_member,
-                            random_h_combination, translate,
-                            triangle_relator)
+                            h_subgroup_member, random_h_combination,
+                            translate, triangle_relator)
 from invsys.errors import LevelMismatch, SupportExceedsBound
 
-from conftest import lattice_h_subgroup_member
+from conftest import h_relators, lattice_h_subgroup_member
 
 
 def test_free_elements_are_an_abelian_group():
@@ -157,13 +156,35 @@ def test_relator_counts():
 
 
 def test_demo_draws_relators_without_listing_them(monkeypatch):
-    # the (n - alpha + 1 choose 3) relators are never listed: a random
-    # combination draws each of its three from three sampled indices
-    def refuse(alpha, n):
-        raise AssertionError("listed every relator")
-    monkeypatch.setattr(bergman, "h_relators", refuse)
-    checks = bergman_demo(5)
+    # the (n choose 3) = 220 relators of n = 12 are never listed: the demo
+    # builds one relator, and a random combination draws each of its three
+    # from three sampled indices
+    built = []
+
+    def counting(i, j, k, _relator=bergman.triangle_relator):
+        built.append((i, j, k))
+        return _relator(i, j, k)
+
+    monkeypatch.setattr(bergman, "triangle_relator", counting)
+    checks = bergman_demo(12)
     assert checks and all(ok for _, ok in checks)
+    assert len(built) == 4
+
+
+def test_demo_collapses_each_family_member_once(monkeypatch):
+    # one d_map per family member and two per pair (the membership test and
+    # the collapse of the probe), not three more per pair
+    calls = []
+
+    def counting(e, _d_map=bergman.d_map):
+        calls.append(e)
+        return _d_map(e)
+
+    monkeypatch.setattr(bergman, "d_map", counting)
+    n = 20
+    checks = bergman_demo(n)
+    assert checks and all(ok for _, ok in checks)
+    assert len(calls) <= n * (n - 1) + 2 * n + 10
 
 
 def test_demo_checks_all_pass():

@@ -21,20 +21,22 @@ from invsys.setsys import is_surjective, limit_threads, validate_system
 from invsys.textio import parse_document
 
 from conftest import (apply_hom_canon, brute_force_flags, cochain_count_order,
-                      finite_elements, grid_surface_model, group_order,
-                      kernel_h0_with_basis, minors_gcd_invariants,
+                      finite_elements, full_nerve_complex, grid_surface_model,
+                      group_order, kernel_h0_with_basis, minors_gcd_invariants,
                       presented_cohomology, rp2_model, solved_exactness_report,
                       sphere_model, surjectivity_oracle)
 
 
 def test_differential_squares_to_zero():
+    # on the cofinal core and, through the oracle, on every flag of the base
     rng = random.Random(30)
-    for _ in range(20):
-        p = random_poset(rng, max_elements=5)
-        s = random_surjective_absystem(rng, p)
-        cx = nerve_complex(s)
-        for n in range(len(cx.diff) - 1):
-            assert cx.diff[n + 1].dense().mul(cx.diff[n].dense()).is_zero()
+    systems = [random_surjective_absystem(rng, sphere_model(k)) for k in (1, 2, 3)]
+    systems += [random_surjective_absystem(rng, random_poset(rng, max_elements=5))
+                for _ in range(20)]
+    for s in systems:
+        for cx in (nerve_complex(s), full_nerve_complex(s)):
+            for n in range(len(cx.diff) - 1):
+                assert cx.diff[n + 1].dense().mul(cx.diff[n].dense()).is_zero()
 
 
 def test_wedge_witness_frozen_values():
@@ -63,7 +65,7 @@ def test_derived_vanishing_for_surjective_systems_with_maximum():
         p = random_poset(rng, max_elements=5, ensure_maximum=True)
         s = random_surjective_absystem(rng, p)
         assert is_surjective(s)[0]
-        for n in range(1, max(2, len(p.flags))):
+        for n in range(1, max(2, len(brute_force_flags(p)))):
             assert is_trivial_group(derived_limit(s, n))
 
 
@@ -123,7 +125,7 @@ def test_relabeling_invariance():
         s2 = validate_absystem(p2, {ren[e]: s.group(e) for e in p.elements},
                                {(ren[a], ren[b]): s.cover_bonds[(a, b)]
                                 for a, b in p.covers})
-        for n in range(len(p.flags)):
+        for n in range(len(brute_force_flags(p))):
             assert group_invariants(derived_limit(s, n)) == \
                 group_invariants(derived_limit(s2, n))
 
@@ -196,11 +198,12 @@ def test_cohomology_at_the_top_degree():
 
 def test_cohomology_where_the_next_degree_has_no_generators():
     # 0 <- Z over the chain 1 < 2: the one flag of C(1) starts at 1, which has
-    # no generators, so d_0 has no rows although degree 0 is not the top
+    # no generators, so d_0 has no rows although degree 0 is not the top (on
+    # the full base: the cofinal core of a chain is its top alone)
     p = chain_poset(2)
     z, zero = FgAbGroup.free(1), FgAbGroup.trivial()
     s = validate_absystem(p, {"1": zero, "2": z}, {("1", "2"): AbHom.zero(z, zero)})
-    cx = nerve_complex(s)
+    cx = full_nerve_complex(s)
     assert cx.top_degree == 1 and cx.dims[1] == 0 and cx.diff[0].rows == 0
     expected = {0: (1, []), 1: (0, [])}
     for n in (0, 1):
@@ -337,7 +340,7 @@ def test_constant_z_on_surfaces_with_torsion(model, expected):
     # the face poset of a closed surface: the answers are the surface's
     # cohomology (conftest), and nothing lies above the top dimension
     p = model()
-    assert p.core_poset is p  # no face is a cone point, so the walk sees every element
+    assert p.core == p.elements  # no face is a cone point, so the walk sees every element
     s = _constant_z(p)
     cx = nerve_complex(s)
     for n, invariants in enumerate(expected + [(0, [])]):
@@ -347,23 +350,23 @@ def test_constant_z_on_surfaces_with_torsion(model, expected):
 
 def test_cofinal_core_keeps_minimal_bases_and_shrinks_cones():
     for p in [sphere_model(n) for n in range(5)] + [wedge_poset()]:
-        assert p.core_poset.elements == p.elements
+        assert p.core == p.elements
     for k in (1, 2, 5, 18):
-        assert chain_poset(k).core_poset.elements == (str(k),)
+        assert chain_poset(k).core == (str(k),)
     for r, c in ((1, 1), (2, 3), (4, 4)):
-        assert grid_poset(r, c).core_poset.elements == (f"({r}_{c})",)
+        assert grid_poset(r, c).core == (f"({r}_{c})",)
 
 
 def test_cofinal_core_deletes_below_a_maximum_or_a_minimum():
     # x < a, b < y: x's strict up-set {a, b, y} has the maximum y only
     p = validate_poset(["x", "a", "b", "y"],
                        [("x", "a"), ("x", "b"), ("a", "y"), ("b", "y")])
-    assert p.core_poset.elements == ("y",)
+    assert p.core == ("y",)
     # x < m < a, b: x's strict up-set {m, a, b} has the minimum m only, and
     # m's strict up-set {a, b} is no cone
     q = validate_poset(["x", "m", "a", "b"], [("x", "m"), ("m", "a"), ("m", "b")])
-    assert q.core_poset.elements == ("m", "a", "b")
-    assert q.core_poset == validate_poset(["m", "a", "b"], [("m", "a"), ("m", "b")])
+    assert q.core == ("m", "a", "b")
+    assert q.core_flags == [[("m",), ("a",), ("b",)], [("m", "a"), ("m", "b")]]
 
 
 def test_derived_limit_matches_the_full_nerve_in_every_degree():
@@ -375,17 +378,21 @@ def test_derived_limit_matches_the_full_nerve_in_every_degree():
     for i in range(trials):
         p = random_poset(rng, max_elements=7)
         s = scd_witness_system(p) if i % 3 == 0 else random_surjective_absystem(rng, p)
-        shrank += len(p.core_poset.elements) < len(p.elements)
-        cx = nerve_complex(s)
+        shrank += len(p.core) < len(p.elements)
+        cx = full_nerve_complex(s)
         for n in range(cx.top_degree + 2):
             assert group_invariants(derived_limit(s, n)) == \
                 group_invariants(cohomology(cx, n)), (p, i, n)
     assert trials // 4 <= shrank < trials
 
 
-def _full_base_report(a, b, c, u, v):
-    """The exactness report built from full-base H^0 bases and cohomology."""
-    h0_a, h0_b, h0_c = h0_with_basis(a), h0_with_basis(b), h0_with_basis(c)
+def _full_base_report(monkeypatch, a, b, c, u, v):
+    """The exactness report built from echelon H^0 bases and cohomology on
+    every flag of the base: `h0_with_basis` over `full_nerve_complex`."""
+    import invsys.derived as derived
+    with monkeypatch.context() as patch:
+        patch.setattr(derived, "nerve_complex", full_nerve_complex)
+        h0_a, h0_b, h0_c = h0_with_basis(a), h0_with_basis(b), h0_with_basis(c)
     lim_u = induced_limit_hom(u, h0_a, h0_b)
     lim_v = induced_limit_hom(v, h0_b, h0_c)
     lim1_a = group_invariants(cohomology(h0_a[2], 1))
@@ -401,16 +408,17 @@ def _full_base_report(a, b, c, u, v):
 
 
 @pytest.mark.parametrize("ensure_maximum", [True, False])
-def test_exactness_report_matches_the_full_base(ensure_maximum):
+def test_exactness_report_matches_the_full_base(ensure_maximum, monkeypatch):
     rng = random.Random(37)
     shrank = 0
     for _ in range(12):
         p = random_poset(rng, max_elements=6, ensure_maximum=ensure_maximum)
-        shrank += len(p.core_poset.elements) < len(p.elements)
+        shrank += len(p.core) < len(p.elements)
         seq = random_exact_sequence(rng, p)
-        assert limit_exactness_check(*seq) == _full_base_report(*seq)
+        assert limit_exactness_check(*seq) == _full_base_report(monkeypatch, *seq)
     assert shrank
-    assert limit_exactness_check(*_wedge_sequence()) == _full_base_report(*_wedge_sequence())
+    assert limit_exactness_check(*_wedge_sequence()) == \
+        _full_base_report(monkeypatch, *_wedge_sequence())
 
 
 @pytest.mark.parametrize("ensure_maximum", [True, False])
@@ -482,7 +490,7 @@ def test_h0_presentation_sizes_on_the_circle():
     assert [(h0.ngens, h0.relations.rows)
             for h0 in (kernel_h0_with_basis(s)[0] for s in systems)] == \
         [(11, 11), (18, 20), (7, 9)]
-    assert len(systems[1].base.core_poset.elements) == 4
+    assert len(systems[1].base.core) == 4
     assert all(group_invariants(h0_with_basis(s)[0]) ==
                group_invariants(kernel_h0_with_basis(s)[0]) for s in systems)
 
@@ -504,7 +512,7 @@ def _zm_system(rng, p, m):
 def test_cohomology_matches_the_presented_subquotient():
     # the two-map form against the full-transform subquotient it replaced, on
     # surjective systems with relations (on random bases and on the S^1 and
-    # S^2 models), the witness probe and Z/m systems
+    # S^2 models), the witness probe and Z/m systems, each over every flag
     rng = random.Random(38)
     systems = [random_surjective_absystem(rng, sphere_model(1 + k % 2)) for k in range(6)]
     for i in range(150):
@@ -516,7 +524,7 @@ def test_cohomology_matches_the_presented_subquotient():
     for i, s in enumerate(systems):
         if s is None:
             continue
-        cx = nerve_complex(s)
+        cx = full_nerve_complex(s)
         for n in range(cx.top_degree + 2):
             inv = group_invariants(cohomology(cx, n))
             assert inv == group_invariants(presented_cohomology(cx, n)), (i, n)
@@ -562,7 +570,7 @@ def test_derived_limit_orders_match_cochain_counting():
         if s is None or m ** widest > 4096:  # keeps each count under 4,096 cochains
             continue
         seen.add(m)
-        cx = nerve_complex(s)
+        cx = full_nerve_complex(s)
         for n in range(cx.top_degree + 2):
             order = cochain_count_order(s, m, n)
             assert group_order(derived_limit(s, n)) == group_order(cohomology(cx, n)) \

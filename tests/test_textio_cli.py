@@ -300,7 +300,7 @@ def test_cli_exactness_over_an_empty_base(tmp_path, capsys):
 def test_cli_exactness_finds_each_cofinal_core_once(tmp_path, capsys, monkeypatch):
     # the three systems of a sequence share one base, so one core and one
     # walk of the core's flags per file
-    calls = {"core_poset": 0, "flags": 0}
+    calls = {"core": 0, "core_flags": 0}
     for name in calls:
         def counting(p, _func=Poset.__dict__[name].func, _name=name):
             calls[_name] += 1
@@ -318,7 +318,7 @@ def test_cli_exactness_finds_each_cofinal_core_once(tmp_path, capsys, monkeypatc
             (tmp_path / name).write_text(text)
         assert main(["--json", *command.argv]) == 0
     capsys.readouterr()
-    assert len(commands) == 7 and calls == {"core_poset": 7, "flags": 7}
+    assert len(commands) == 7 and calls == {"core": 7, "core_flags": 7}
 
 
 TORSION_SEQUENCE = """\
@@ -383,30 +383,6 @@ def test_cli_exactness_checks_each_level_map_once(tmp_path, capsys, monkeypatch)
     del calls[:]
     assert all(hom_is_valid(h) for h in maps) and not calls
     assert hom_is_valid.cache_info().hits == before.hits + len(maps)
-
-
-def test_cli_exactness_builds_the_core_subposet_once(tmp_path, capsys, monkeypatch):
-    # the three systems of a sequence share one base, and so one cofinal core:
-    # a chain shrinks to its top element, and that subposet is induced once
-    induced = []
-    original = Poset.induced
-
-    def counting(self, keep):
-        induced.append(tuple(keep))
-        return original(self, keep)
-
-    monkeypatch.setattr(Poset, "induced", counting)
-    p = chain_poset(3)
-    a, b, c, u, v = random_exact_sequence(random.Random(19), p)
-    fp = tmp_path / "chain.sequence"
-    fp.write_text(poset_to_text("P", p) + "\n"
-                  + absystem_to_text("A", "P", a) + "\n"
-                  + absystem_to_text("B", "P", b) + "\n"
-                  + absystem_to_text("C", "P", c) + "\n"
-                  + sequence_to_text("Q", "P", ("A", "B", "C"), u, v))
-    assert main(["exactness", str(fp)]) == 0
-    assert "ok: True" in capsys.readouterr().out
-    assert induced == [("3",)]
 
 
 def _rejected(argv, capsys) -> str:
@@ -850,7 +826,7 @@ def test_cli_nerve_budget_is_checked_per_flag(tmp_path, capsys, monkeypatch):
     fp = _constant_z_file(tmp_path, sphere_model(11))
     listed = []
 
-    def counting(p, _flags=Poset.__dict__["flags"].func):
+    def counting(p, _flags=Poset.__dict__["core_flags"].func):
         try:
             return _flags(p)
         except BudgetExceeded as exc:
@@ -859,8 +835,8 @@ def test_cli_nerve_budget_is_checked_per_flag(tmp_path, capsys, monkeypatch):
             raise
 
     prop = cached_property(counting)
-    prop.__set_name__(Poset, "flags")
-    monkeypatch.setattr(Poset, "flags", prop)
+    prop.__set_name__(Poset, "core_flags")
+    monkeypatch.setattr(Poset, "core_flags", prop)
     assert _rejected(["derived", "--n", "1", fp], capsys) == \
         "error: nerve flag count exceeds budget\n"
     assert listed == [20001]
