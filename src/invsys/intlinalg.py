@@ -22,9 +22,10 @@ entries tame.  No other routine of the package asks for the transforms:
 lattice work goes through the echelon form, and invariants through
 `sparse_invariant_factors`, which keeps none.
 
-`sparse_invariant_factors` (and `invariant_factors`, `rank`) give the
-diagonal alone: unit pivots are eliminated on sparse rows first, and the
-same loop runs on what is left without recording transforms.
+`sparse_invariant_factors` (and `invariant_factors`) give the diagonal
+alone: unit pivots are eliminated on sparse rows first, in one sweep over
+the rows, and the same loop runs on what is left without recording
+transforms.
 """
 
 from __future__ import annotations
@@ -200,14 +201,16 @@ def sparse_invariant_factors(vectors: Iterable[dict[int, int]]) -> list[int]:
     rows are the given sparse vectors (index -> nonzero entry); the same as
     those of the matrix they are the columns of.  No transforms are kept.
 
-    A unit entry is eliminated with its row and column as long as one is
-    left, each a factor 1.  The pivot row is a shortest row holding a unit,
-    and the pivot the unit of that row in the column with fewest entries: a
-    cheap form of the Markowitz rule (least (row count - 1) * (column count
-    - 1)) that keeps fill-in small.  The pivot loop then runs on the dense
-    residual.  Nerve differentials are nearly all +-1, so the residual is
-    mostly empty (Dumas, Saunders and Villard 2001; Kaczynski, Mischaikow
-    and Mrozek, Computational Homology, ch. 3).
+    One sweep over the rows, in order, eliminates unit pivots, each a
+    factor 1: a row still present that holds a unit when its turn comes
+    pivots on its unit in the column with fewest entries, which keeps
+    fill-in small, and is eliminated with that column.  A row that holds no
+    unit then, including one that gains a unit only from a later pivot,
+    stays for the pivot loop, which runs on the dense residual; every step
+    is unimodular, so the factors are those of the whole matrix.  Nerve
+    differentials are nearly all +-1, so the residual is mostly empty
+    (Dumas, Saunders and Villard 2001; Kaczynski, Mischaikow and Mrozek,
+    Computational Homology, ch. 3).
     """
     rows = {i: dict(vec) for i, vec in enumerate(vectors) if vec}
     where: dict[int, set[int]] = {}  # column -> rows with an entry there
@@ -215,19 +218,11 @@ def sparse_invariant_factors(vectors: Iterable[dict[int, int]]) -> list[int]:
         for j in row:
             where.setdefault(j, set()).add(i)
     units = 0
-    while True:
-        best = None  # (row length, row, column)
-        for i, row in rows.items():
-            if best is not None and len(row) >= best[0]:
-                continue
-            js = [j for j, x in row.items() if x == 1 or x == -1]
-            if js:
-                best = len(row), i, min(js, key=lambda j: len(where[j]))
-                if best[0] == 1:
-                    break
-        if best is None:
-            break
-        _, i, j = best
+    for i in list(rows):
+        js = [j for j, x in rows.get(i, {}).items() if x == 1 or x == -1]
+        if not js:
+            continue
+        j = min(js, key=lambda j: len(where[j]))
         pivot = rows.pop(i)
         for k in pivot:
             where[k].discard(i)
@@ -262,10 +257,6 @@ def invariant_factors(m: IntMatrix) -> list[int]:
 def _invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(sparse_invariant_factors({j: x for j, x in enumerate(row) if x}
                                           for row in m.entries))
-
-
-def rank(m: IntMatrix) -> int:
-    return len(invariant_factors(m))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,10 @@ solve that the echelon form replaced, the triangle relators and their
 lattice that the cycle criterion of `bergman` replaced, and the reader
 that matched every label, rule and cover of a file on its own.  They exist
 so the library code is checked against an independent computation, not
-against itself.
+against itself.  The sphere models, the face posets of triangulated
+surfaces, with constant Z and with the orientation system, and product
+posets have answers known from the topology (McCord, twisted Poincare
+duality, Kunneth), not from a computation.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from invsys import textio
 from invsys.abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
                              hom_is_valid, is_exact_at, is_injective)
 from invsys.bergman import FreeAbElement, triangle_relator
-from invsys.derived import AbSystem, CochainComplex, ExactnessReport, cohomology
+from invsys.derived import (AbSystem, CochainComplex, ExactnessReport, cohomology,
+                            validate_absystem)
 from invsys.errors import ParseError, SupportExceedsBound
 from invsys.intlinalg import (IntMatrix, SparseMatrix, in_lattice,
                               lattice_contains, relative_kernel,
@@ -445,15 +449,31 @@ def face_poset(triangles: list[tuple[str, str, str]]) -> Poset:
     return validate_poset([label(f) for f in faces], covers)
 
 
-def rp2_model() -> Poset:
+def constant_z(p: Poset) -> AbSystem:
+    """Z on every element of p, every bond the identity."""
+    z = FgAbGroup.free(1)
+    return validate_absystem(p, {e: z for e in p.elements},
+                             {cov: AbHom(z, z, IntMatrix.identity(1)) for cov in p.covers})
+
+
+def product_poset(p: Poset, q: Poset) -> Poset:
+    """The product order on p x q, element (a, b) labelled "axb": covers
+    (lo x b, hi x b) and (a x lo, a x hi).  Its order complex is the product
+    of the two nerves up to homotopy (Quillen 1978, Prop. 1.9), so constant
+    Z on it has the cohomology the Kunneth formula gives."""
+    covers = [(f"{lo}x{b}", f"{hi}x{b}") for lo, hi in p.covers for b in q.elements]
+    covers += [(f"{a}x{lo}", f"{a}x{hi}") for a in p.elements for lo, hi in q.covers]
+    return validate_poset([f"{a}x{b}" for a in p.elements for b in q.elements], covers)
+
+
+def rp2_triangles() -> list[tuple[str, ...]]:
     """The real projective plane from its 6-vertex triangulation: 6 vertices,
     15 edges, 10 triangles.  With constant Z its cohomology is Z, 0, Z/2:
     connected, first homology Z/2 (so no free H^1), and non-orientable."""
-    return face_poset([tuple(t) for t in
-                       "123 134 145 156 162 235 346 452 563 624".split()])
+    return [tuple(t) for t in "123 134 145 156 162 235 346 452 563 624".split()]
 
 
-def grid_surface_model(flip: bool) -> Poset:
+def grid_surface_triangles(flip: bool) -> list[tuple[str, ...]]:
     """The 3x3 grid with two triangles per square, its sides glued to a
     torus, or to a Klein bottle when flip: then the top row is glued to the
     bottom row turned over, (i, 3) ~ (-i, 0).  9 vertices, 27 edges, 18
@@ -470,7 +490,46 @@ def grid_surface_model(flip: bool) -> Poset:
         for j in range(3):
             triangles.append((vertex(i, j), vertex(i + 1, j), vertex(i + 1, j + 1)))
             triangles.append((vertex(i, j), vertex(i, j + 1), vertex(i + 1, j + 1)))
-    return face_poset(triangles)
+    return triangles
+
+
+def orientation_system(triangles: list[tuple[str, ...]]) -> AbSystem:
+    """Z^w, the orientation local system of the closed surface spanned by the
+    triangles, on `face_poset(triangles)`: Z on every face.  An orientation
+    of the star of a face s is a sign per triangle containing s, +1 on the
+    first, propagated across the edges containing s so that two triangles
+    on such an edge induce opposite signs on it; sorted (v0, v1, v2)
+    induces (-1)^k on the edge without v_k.  The bond of s < t is the
+    product of the two stars' signs on any triangle containing t.  Twisted
+    Poincare duality gives H^n(N; Z^w) = H_(2-n)(N; Z) (Hatcher, Algebraic
+    Topology, 3.H)."""
+    p = face_poset(triangles)
+    tris = sorted({tuple(sorted(t)) for t in triangles})
+    stars = {}
+    for e in p.elements:
+        face = set(e.split("_"))
+        star = [t for t in tris if face <= set(t)]
+        sign, todo = {star[0]: 1}, [star[0]]
+        while todo:
+            t = todo.pop()
+            for k in range(3):
+                edge = t[:k] + t[k + 1:]
+                if not face <= set(edge):
+                    continue
+                for u in star:
+                    if u != t and set(edge) <= set(u):
+                        j = next(j for j, v in enumerate(u) if v not in edge)
+                        flipped = -sign[t] * (-1) ** (k + j)
+                        if u not in sign:
+                            todo.append(u)
+                        assert sign.setdefault(u, flipped) == flipped, "the star is a disk"
+        stars[e] = sign
+    z = FgAbGroup.free(1)
+    bonds = {}
+    for lo, hi in p.covers:
+        t = next(iter(stars[hi]))
+        bonds[(lo, hi)] = AbHom(z, z, IntMatrix.from_rows([[stars[lo][t] * stars[hi][t]]]))
+    return validate_absystem(p, {e: z for e in p.elements}, bonds)
 
 
 def kernel_subquotient(gens: IntMatrix, sub: IntMatrix) -> FgAbGroup:

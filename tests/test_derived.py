@@ -21,10 +21,11 @@ from invsys.setsys import is_surjective, limit_threads, validate_system
 from invsys.textio import parse_document
 
 from conftest import (apply_hom_canon, brute_force_flags, cochain_count_order,
-                      finite_elements, full_nerve_complex, grid_surface_model,
-                      group_order, kernel_h0_with_basis, minors_gcd_invariants,
-                      presented_cohomology, rp2_model, solved_exactness_report,
-                      sphere_model, surjectivity_oracle)
+                      constant_z, face_poset, finite_elements, full_nerve_complex,
+                      grid_surface_triangles, group_order, kernel_h0_with_basis,
+                      minors_gcd_invariants, orientation_system,
+                      presented_cohomology, product_poset, rp2_triangles,
+                      solved_exactness_report, sphere_model, surjectivity_oracle)
 
 
 def test_differential_squares_to_zero():
@@ -316,34 +317,45 @@ def test_exactness_check_computes_no_smith_form(monkeypatch):
     assert calls
 
 
-def _constant_z(p):
-    z = FgAbGroup.free(1)
-    return validate_absystem(p, {e: z for e in p.elements},
-                             {cov: AbHom(z, z, IntMatrix.identity(1)) for cov in p.covers})
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_constant_z_on_sphere_models(n):
     # the nerve of the minimal model is the n-sphere (McCord 1966)
-    s = _constant_z(sphere_model(n))
+    s = constant_z(sphere_model(n))
     for k in range(n + 2):
         expected = (1, []) if k in (0, n) else (0, [])
         assert group_invariants(derived_limit(s, k)) == expected
 
 
-@pytest.mark.parametrize("model, expected", [
-    (rp2_model, [(1, []), (0, []), (0, [2])]),
-    (lambda: grid_surface_model(flip=False), [(1, []), (2, []), (1, [])]),
-    (lambda: grid_surface_model(flip=True), [(1, []), (1, []), (0, [2])]),
-], ids=["rp2", "torus", "klein-bottle"])
-def test_constant_z_on_surfaces_with_torsion(model, expected):
-    # the face poset of a closed surface: the answers are the surface's
-    # cohomology (conftest), and nothing lies above the top dimension
-    p = model()
-    assert p.core == p.elements  # no face is a cone point, so the walk sees every element
-    s = _constant_z(p)
+ZERO, Z, Z2, Z_MOD2 = (0, []), (1, []), (2, []), (0, [2])  # as group invariants
+
+
+@pytest.mark.parametrize("system, expected", [
+    (lambda: constant_z(face_poset(rp2_triangles())), [Z, ZERO, Z_MOD2]),
+    (lambda: constant_z(face_poset(grid_surface_triangles(flip=False))), [Z, Z2, Z]),
+    (lambda: constant_z(face_poset(grid_surface_triangles(flip=True))), [Z, Z, Z_MOD2]),
+    # twisted Poincare duality, H^n(N; Z^w) = H_(2-n)(N; Z)
+    (lambda: orientation_system(rp2_triangles()), [ZERO, Z_MOD2, Z]),
+    (lambda: orientation_system(grid_surface_triangles(flip=False)), [Z, Z2, Z]),
+    (lambda: orientation_system(grid_surface_triangles(flip=True)), [ZERO, (1, [2]), Z]),
+    # Kunneth: H^n(X x Y) = sum of H^i(X) (x) H^j(Y) over i + j = n, plus
+    # Tor(H^i(X), H^j(Y)) over i + j = n + 1
+    (lambda: constant_z(product_poset(sphere_model(1), sphere_model(1))), [Z, Z2, Z]),
+    (lambda: constant_z(product_poset(sphere_model(2), sphere_model(2))),
+     [Z, ZERO, Z2, ZERO, Z]),
+    (lambda: constant_z(product_poset(face_poset(rp2_triangles()), sphere_model(1))),
+     [Z, Z, Z_MOD2, Z_MOD2]),  # the Z/2 of degree 3 is the Tor term
+    (lambda: constant_z(product_poset(sphere_model(2), sphere_model(3))),
+     [Z, ZERO, Z, Z, ZERO, Z]),
+], ids=["rp2", "torus", "klein-bottle", "rp2-twisted", "torus-twisted",
+        "klein-bottle-twisted", "s1xs1", "s2xs2", "rp2xs1", "s2xs3"])
+def test_constant_z_on_surfaces_with_torsion(system, expected):
+    # face posets of closed surfaces, with constant and twisted Z, and
+    # products: every answer comes from the topology (conftest), and
+    # nothing lies above the top dimension
+    s = system()
+    assert s.base.core == s.base.elements  # no cone point, so the walk sees every element
     cx = nerve_complex(s)
-    for n, invariants in enumerate(expected + [(0, [])]):
+    for n, invariants in enumerate(expected + [ZERO]):
         assert group_invariants(derived_limit(s, n)) == invariants, n
         assert group_invariants(cohomology(cx, n)) == invariants, n
 

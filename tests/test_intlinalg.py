@@ -13,8 +13,9 @@ from invsys.abgroups import AbHom, FgAbGroup
 from invsys.derived import validate_absystem
 from invsys.generators import random_unimodular
 from invsys.intlinalg import (IntMatrix, echelon_form, in_lattice,
-                              invariant_factors, kernel_basis, rank,
-                              relative_kernel, smith_normal_form, solve)
+                              invariant_factors, kernel_basis,
+                              relative_kernel, smith_normal_form, solve,
+                              sparse_invariant_factors)
 from invsys.poset import chain_poset, grid_poset
 
 from conftest import (_det_perm, det, full_nerve_complex, minors_gcd_invariants,
@@ -61,6 +62,20 @@ def test_snf_matches_minors_gcd_oracle():
         diagonal = [d.entries[i][i] for i in range(min(m.rows, m.cols)) if d.entries[i][i]]
         assert invariant_factors(m) == invariant_factors(m.transpose()) == diagonal \
             == minors_gcd_invariants(m)
+    # sparse rows with unit and non-unit entries, as the unit sweep sees them
+    torsion = 0
+    for _ in range(400):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [{j: rng.choice((-3, -2, -1, 1, 2, 3)) for j in range(c) if rng.random() < 0.4}
+                for _ in range(r)]
+        m = IntMatrix.from_rows([[row.get(j, 0) for j in range(c)] for row in rows])
+        factors = sparse_invariant_factors(rows)
+        assert factors == minors_gcd_invariants(m)
+        torsion += any(x > 1 for x in factors)
+    assert torsion  # the residual loop is reached, not only unit pivots
+    # row 0 holds no unit until row 1 is eliminated, so the sweep has passed
+    # it and its unit is left to the residual loop
+    assert sparse_invariant_factors([{0: 2, 1: 3}, {1: 1, 0: 1}]) == [1, 1]
 
 
 def test_snf_handles_big_entries():
@@ -118,7 +133,7 @@ def test_kernel_basis_spans_kernel():
         ker = kernel_basis(m)
         for v in ker:
             assert all(x == 0 for x in m.apply(list(v)))
-        assert len(ker) == m.cols - rank(m)
+        assert len(ker) == m.cols - len(invariant_factors(m))
 
 
 def test_relative_kernel_membership():
@@ -160,9 +175,9 @@ def test_det_examples():
 
 
 def test_rank_examples():
-    assert rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
-    assert rank(IntMatrix.zeros(3, 2)) == 0
-    assert rank(IntMatrix.identity(4)) == 4
+    assert len(invariant_factors(IntMatrix.from_rows([[1, 2], [2, 4]]))) == 1
+    assert len(invariant_factors(IntMatrix.zeros(3, 2))) == 0
+    assert len(invariant_factors(IntMatrix.identity(4))) == 4
 
 
 small_matrices = st.integers(1, 5).flatmap(
@@ -252,7 +267,8 @@ def test_echelon_membership_and_solve_against_smith_oracle(case):
         if got is not None:
             assert m.apply(got) == tuple(b)
     ech = echelon_form(m)
-    assert list(ech.pivots) == sorted(set(ech.pivots)) and len(ech.pivots) == rank(m)
+    assert list(ech.pivots) == sorted(set(ech.pivots))
+    assert len(ech.pivots) == len(invariant_factors(m))
     for i, col in zip(ech.pivots, ech.columns):
         assert col[i] > 0 and not any(col[:i])
     assert det(ech.transform) in (1, -1)  # its transpose has the same determinant
