@@ -4,7 +4,7 @@ from .poset import Poset, chain_poset, grid_poset, validate_poset, wedge_poset
 from .setsys import (SetSystem, Thread, count_threads, fiber_subsystem,
                      is_surjective, limit_threads, ml_report, thread_from_top,
                      universal_images, validate_system, validate_tower)
-from .intlinalg import IntMatrix, smith_normal_form
+from .intlinalg import IntMatrix
 from .abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
                        hom_image, hom_kernel, is_exact_at)
 from .derived import (AbSystem, derived_limit, limit_exactness_check,
@@ -15,7 +15,7 @@ __all__ = [
     "SetSystem", "Thread", "count_threads", "fiber_subsystem", "is_surjective",
     "limit_threads", "ml_report", "thread_from_top", "universal_images",
     "validate_system", "validate_tower",
-    "IntMatrix", "smith_normal_form",
+    "IntMatrix",
     "AbHom", "FgAbGroup", "group_invariants", "hom_cokernel", "hom_image",
     "hom_kernel", "is_exact_at",
     "AbSystem", "derived_limit", "limit_exactness_check", "nerve_complex",

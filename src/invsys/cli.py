@@ -350,7 +350,7 @@ def main(argv=None) -> int:
         report = RunReport(command=args.cmd, seed=args.seed)
         start = time.monotonic()
         status = args.fn(args, report)
-    except (ParseError, OSError, KeyError, BudgetExceeded) as exc:
+    except (ParseError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvsysError as exc:

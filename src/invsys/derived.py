@@ -28,7 +28,7 @@ lattice, and N spans the kernel of each block's relation columns.  Then
 D A = 0, ker D is saturated, the free rank of H^n is
 dim C(n) + #L(n+1) - rank D - rank A and its torsion is the invariant
 factors of A other than 1.  Both come from `sparse_invariant_factors`
-(unit pivots, then the Smith pivot loop on the residual, no transforms).
+(one sparse elimination, unit pivots first, no transforms).
 The block solves are the check that coboundaries are cocycles.  They, the
 kernel bases and the echelon H^0 bases of `h0_with_basis`, in which the
 exactness report reads its maps by forward substitution, come from cached

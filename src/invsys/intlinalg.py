@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: matrices, echelon and Smith forms, lattices.
+"""Exact integer linear algebra: matrices, echelon forms, invariant factors.
 
 All entries are Python ints, so intermediate blow-up during elimination is
 harmless.
@@ -10,28 +10,20 @@ substitution against E, `solve` maps that solution back through T, and
 `kernel_basis` (so `relative_kernel`) is the columns of T after the
 pivots.
 
-The Smith routine returns the full transform pair (U, D, V) with
-U*m*V = D, both transforms unimodular, and the diagonal in a divisibility
-chain.  It is one pivot loop (Cohen, A Course in Computational Algebraic
-Number Theory, Alg. 2.4.14): each round moves the smallest nonzero entry of
-the trailing submatrix, ties broken in row-major order, to the diagonal and
-divides its row and column by it; a remainder, or an entry the pivot does
-not divide, starts another round, so the pivot shrinks until it divides
-everything after it.  The choice keeps the run deterministic and the
-entries tame.  No other routine of the package asks for the transforms:
-lattice work goes through the echelon form, and invariants through
-`sparse_invariant_factors`, which keeps none.
-
-`sparse_invariant_factors` (and `invariant_factors`) give the diagonal
-alone: unit pivots are eliminated on sparse rows first, in one sweep over
-the rows, and the same loop runs on what is left without recording
-transforms.
+Invariant factors (`sparse_invariant_factors`, and `invariant_factors` on
+a dense matrix) come from one sparse elimination that keeps no
+transforms: a single pivot routine clears a row and a column at a time on
+sparse rows, first on unit pivots in one sweep over the rows, then on
+entries of least absolute value, and a gcd/lcm pass over the non-unit
+pivots makes them a divisibility chain.  No routine of the package asks
+for a Smith transform, so none computes one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 
@@ -130,122 +122,92 @@ class SparseMatrix:
                                     for col in self.columns], rows=self.rows)
 
 
-def _diagonalise(a: list[list[int]], u: list[list[int]], v: list[list[int]]) -> None:
-    """The pivot loop of the module docstring, on the rows of a in place.
-
-    u and v record the row and column operations when given as identity
-    matrices of a's row and column counts; empty lists record nothing.
-    """
-    r, c = len(a), len(a[0]) if a else 0
-
-    def row_op(i, j, q):  # row_i += q * row_j, in a and in u
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        if u:
-            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i += q * col_j, in a and in v
-        for row in a + v:
-            row[i] += q * row[j]
-
-    t = 0
-    while t < min(r, c):
-        # one round: the smallest nonzero entry, ties in row-major order,
-        # moves to (t, t) and divides its row and column with remainder
-        pivot = min(((abs(x), i, j) for i in range(t, r)
-                     for j, x in enumerate(a[i][t:], t) if x), default=None)
-        if pivot is None:
-            break
-        _, i, j = pivot
-        a[t], a[i] = a[i], a[t]
-        if u:
-            u[t], u[i] = u[i], u[t]
-        for row in a + v:
-            row[t], row[j] = row[j], row[t]
-        p = a[t][t]
-        for i in range(t + 1, r):
-            if a[i][t]:
-                row_op(i, t, -(a[i][t] // p))
-        for j in range(t + 1, c):
-            if a[t][j]:
-                col_op(j, t, -(a[t][j] // p))
-        if any(a[i][t] for i in range(t + 1, r)) or any(a[t][t + 1:]):
-            continue  # a remainder is left, smaller than the pivot
-        if abs(p) > 1:  # a unit divides every entry
-            k = next((i for i in range(t + 1, r) if any(x % p for x in a[i][t + 1:])), None)
-            if k is not None:
-                row_op(t, k, 1)  # an entry that p does not divide moves into row t
-                continue
-        if p < 0:
-            row_op(t, t, -2)  # negates row t
-        t += 1
-
-
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with U*m*V = D in Smith normal form.
-
-    D is diagonal with nonnegative entries d1 | d2 | ...; U and V are
-    unimodular.  Not cached: no command computes it.
-    """
-    r, c = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-    v = [[int(i == j) for j in range(c)] for i in range(c)]
-    _diagonalise(a, u, v)
-    return (IntMatrix.from_rows(u, cols=r),
-            IntMatrix.from_rows(a, cols=c),
-            IntMatrix.from_rows(v, cols=c))
-
-
 def sparse_invariant_factors(vectors: Iterable[dict[int, int]]) -> list[int]:
     """Nonzero invariant factors, in divisibility order, of the matrix whose
     rows are the given sparse vectors (index -> nonzero entry); the same as
     those of the matrix they are the columns of.  No transforms are kept.
 
-    One sweep over the rows, in order, eliminates unit pivots, each a
-    factor 1: a row still present that holds a unit when its turn comes
-    pivots on its unit in the column with fewest entries, which keeps
-    fill-in small, and is eliminated with that column.  A row that holds no
-    unit then, including one that gains a unit only from a later pivot,
-    stays for the pivot loop, which runs on the dense residual; every step
-    is unimodular, so the factors are those of the whole matrix.  Nerve
-    differentials are nearly all +-1, so the residual is mostly empty
-    (Dumas, Saunders and Villard 2001; Kaczynski, Mischaikow and Mrozek,
-    Computational Homology, ch. 3).
+    Every step is one call of `pivot`, which clears a row and a column
+    around a nonzero entry by unimodular operations, so the factors are
+    those of the whole matrix.  The pivots come in two orders.  First one
+    sweep over the rows, in order: a row still present that holds a unit
+    when its turn comes pivots on its unit in the column with fewest
+    entries, which keeps fill-in small.  Nerve differentials are nearly all
+    +-1, so this sweep mostly empties the matrix (Dumas, Saunders and
+    Villard 2001; Kaczynski, Mischaikow and Mrozek, Computational Homology,
+    ch. 3).  What is left then pivots on an entry of least absolute value,
+    ties to the least row and column index (Havas, Holt and Rees 1993).
     """
     rows = {i: dict(vec) for i, vec in enumerate(vectors) if vec}
     where: dict[int, set[int]] = {}  # column -> rows with an entry there
     for i, row in rows.items():
         for j in row:
             where.setdefault(j, set()).add(i)
-    units = 0
+    pivots: list[int] = []  # |p| of each pivot, as it stands alone
+
+    def pivot(i: int, j: int) -> None:
+        """Clear column j but for row i by row operations, then row i but
+        for column j by column operations, each floor-dividing by the entry
+        p at (i, j); the least remainder left is the next pivot, so |p|
+        falls until (i, j) stands alone, and its row and column go."""
+        while True:
+            row = rows[i]
+            p = row.pop(j)  # back in place before the next pivot
+            for k in [k for k in where[j] if k != i]:
+                other = rows[k]
+                q, r = divmod(other[j], p)  # row_k -= q * row_i leaves r at j
+                if r:
+                    other[j] = r
+                else:
+                    del other[j]
+                    where[j].discard(k)
+                for c, x in row.items():
+                    y = other.get(c, 0) - q * x
+                    if y:
+                        if c not in other:
+                            where[c].add(k)
+                        other[c] = y
+                    elif c in other:
+                        del other[c]
+                        where[c].discard(k)
+                if not other:
+                    del rows[k]
+            if len(where[j]) > 1:  # remainders in column j
+                row[j] = p
+                _, i = min((abs(rows[k][j]), k) for k in where[j] if k != i)
+                continue
+            # column j holds p alone, so the column operations change row i only
+            for c, x in list(row.items()):
+                y = x % p
+                if y:
+                    row[c] = y
+                else:
+                    del row[c]
+                    where[c].discard(i)
+            if row:  # remainders in row i
+                _, c = min((abs(x), c) for c, x in row.items())
+                row[j], j = p, c
+                continue
+            del rows[i]
+            del where[j]
+            pivots.append(abs(p))
+            return
+
     for i in list(rows):
         js = [j for j, x in rows.get(i, {}).items() if x == 1 or x == -1]
-        if not js:
-            continue
-        j = min(js, key=lambda j: len(where[j]))
-        pivot = rows.pop(i)
-        for k in pivot:
-            where[k].discard(i)
-        q0 = pivot.pop(j)  # +-1, so row k sheds row_k[j] / q0 = q0 * row_k[j] pivot rows
-        for k in where.pop(j):
-            row = rows[k]
-            q = q0 * row.pop(j)
-            for c, x in pivot.items():
-                y = row.get(c, 0) - q * x
-                if y:
-                    if c not in row:
-                        where[c].add(k)
-                    row[c] = y
-                elif c in row:
-                    del row[c]
-                    where[c].discard(k)
-            if not row:
-                del rows[k]
-        units += 1
-    cols = sorted(j for j, at in where.items() if at)
-    a = [[row.get(j, 0) for j in cols] for row in rows.values()]
-    _diagonalise(a, [], [])
-    return [1] * units + [a[t][t] for t in range(min(len(a), len(cols))) if a[t][t]]
+        if js:
+            pivot(i, min(js, key=lambda j: len(where[j])))
+    while rows:
+        _, i, j = min((abs(x), i, j) for i, row in rows.items() for j, x in row.items())
+        pivot(i, j)
+    # diag(a, b) ~ diag(gcd, lcm) makes the chain (Newman, Integral
+    # Matrices, ch. II); units divide everything and need no pass
+    torsion = [p for p in pivots if p > 1]
+    for s in range(len(torsion)):
+        for t in range(s + 1, len(torsion)):
+            g = gcd(torsion[s], torsion[t])
+            torsion[s], torsion[t] = g, torsion[s] // g * torsion[t]
+    return [1] * (len(pivots) - len(torsion)) + torsion
 
 
 def invariant_factors(m: IntMatrix) -> list[int]:

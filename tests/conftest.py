@@ -13,15 +13,16 @@ replaced, the scan of each up-set for a maximum or a minimum that
 for embeddings, the presented subquotient of cocycles by coboundaries that
 `derived.cohomology` replaced, the subquotient on the given generators and
 the exactness report from H^0 on those generators and solves against
-[cocycles | relations] that the echelon basis replaced, the Smith-form
-solve that the echelon form replaced, the triangle relators and their
-lattice that the cycle criterion of `bergman` replaced, and the reader
-that matched every label, rule and cover of a file on its own.  They exist
-so the library code is checked against an independent computation, not
-against itself.  The sphere models, the face posets of triangulated
-surfaces, with constant Z and with the orientation system, and product
-posets have answers known from the topology (McCord, twisted Poincare
-duality, Kunneth), not from a computation.
+[cocycles | relations] that the echelon basis replaced, the dense Smith
+loop with transforms that the sparse elimination of the invariant factors
+replaced, the Smith-form solve that the echelon form replaced, the
+triangle relators and their lattice that the cycle criterion of `bergman`
+replaced, and the reader that matched every label, rule and cover of a
+file on its own.  They exist so the library code is checked against an
+independent computation, not against itself.  The sphere models, the face
+posets of triangulated surfaces, with constant Z and with the orientation
+system, and product posets have answers known from the topology (McCord,
+twisted Poincare duality, Kunneth), not from a computation.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from invsys.derived import (AbSystem, CochainComplex, ExactnessReport, cohomolog
                             validate_absystem)
 from invsys.errors import ParseError, SupportExceedsBound
 from invsys.intlinalg import (IntMatrix, SparseMatrix, in_lattice,
-                              lattice_contains, relative_kernel,
-                              smith_normal_form, solve)
+                              lattice_contains, relative_kernel, solve)
 from invsys.poset import Poset, validate_poset
 from invsys.setsys import SetSystem, Thread
 
@@ -232,6 +232,64 @@ def det(rows) -> int:
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[j])]
     return int(out)
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (U, D, V) with U*m*V = D in Smith normal form: D diagonal with
+    nonnegative entries d1 | d2 | ..., U and V unimodular.
+
+    A dense loop of pivot rounds (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.4.14): each round moves the smallest
+    nonzero entry of the trailing submatrix, ties in row-major order, to
+    (t, t) and divides its row and column by it with remainder; a
+    remainder, or an entry the pivot does not divide, starts another round.
+    So each diagonal entry divides the rest before the next is taken, where
+    `intlinalg.sparse_invariant_factors` makes the chain only at the end,
+    by gcd/lcm: the two share no step.
+    """
+    r, c = m.rows, m.cols
+    a = [list(row) for row in m.entries]
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    v = [[int(i == j) for j in range(c)] for i in range(c)]
+
+    def row_op(i, j, q):  # row_i += q * row_j, in a and in u
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col_i += q * col_j, in a and in v
+        for row in a + v:
+            row[i] += q * row[j]
+
+    t = 0
+    while t < min(r, c):
+        pivot = min(((abs(x), i, j) for i in range(t, r)
+                     for j, x in enumerate(a[i][t:], t) if x), default=None)
+        if pivot is None:
+            break
+        _, i, j = pivot
+        a[t], a[i] = a[i], a[t]
+        u[t], u[i] = u[i], u[t]
+        for row in a + v:
+            row[t], row[j] = row[j], row[t]
+        p = a[t][t]
+        for i in range(t + 1, r):
+            if a[i][t]:
+                row_op(i, t, -(a[i][t] // p))
+        for j in range(t + 1, c):
+            if a[t][j]:
+                col_op(j, t, -(a[t][j] // p))
+        if any(a[i][t] for i in range(t + 1, r)) or any(a[t][t + 1:]):
+            continue  # a remainder is left, smaller than the pivot
+        if abs(p) > 1:  # a unit divides every entry
+            k = next((i for i in range(t + 1, r) if any(x % p for x in a[i][t + 1:])), None)
+            if k is not None:
+                row_op(t, k, 1)  # an entry that p does not divide moves into row t
+                continue
+        if p < 0:
+            row_op(t, t, -2)  # negates row t
+        t += 1
+    return (IntMatrix.from_rows(u, cols=r), IntMatrix.from_rows(a, cols=c),
+            IntMatrix.from_rows(v, cols=c))
 
 
 def smith_solve(m: IntMatrix, b) -> "tuple[int, ...] | None":

@@ -23,7 +23,7 @@ from invsys.generators import (random_exact_sequence, random_forest_poset,
 from invsys.henkin import (cofinal_extract, enumerate_members,
                            family_from_top, henkin_eps, henkin_lift,
                            henkin_member)
-from invsys.intlinalg import invariant_factors, smith_normal_form
+from invsys.intlinalg import invariant_factors
 from invsys.poset import chain_poset, grid_poset, wedge_poset
 from invsys.setsys import (is_surjective, is_thread, limit_threads,
                            ml_report, thread_from_top, tower_chain,
@@ -31,7 +31,7 @@ from invsys.setsys import (is_surjective, is_thread, limit_threads,
 
 from conftest import (brute_force_flags, brute_force_threads, det,
                       minors_gcd_invariants, naive_universal_images,
-                      random_int_matrix)
+                      random_int_matrix, smith_normal_form)
 
 
 def _report(num: int, text: str):
@@ -214,9 +214,11 @@ def test_criterion_8_collapse_and_coset_action():
 
 
 def test_criterion_9_smith_form_self_check():
-    # >= 500 random matrices up to 6x6 with entries in [-9, 9]:
-    # U m V = D, U and V unimodular, divisibility chain; factors match
-    # the minors-gcd oracle on the <= 4x4 instances; budget 30 s
+    # >= 500 random matrices up to 6x6 with entries in [-9, 9]: the dense
+    # Smith loop of conftest gives U m V = D, U and V unimodular, a
+    # divisibility chain; the invariant factors are D's nonzero diagonal on
+    # every instance and match the minors-gcd oracle on the <= 4x4 ones;
+    # budget 30 s
     start = time.monotonic()
     rng = random.Random(109)
     for k in range(500):
@@ -232,9 +234,10 @@ def test_criterion_9_smith_form_self_check():
         assert all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0 if a else b == 0
+        assert invariant_factors(m) == [x for x in diag if x]
         if rows <= 4 and cols <= 4:
             assert invariant_factors(m) == minors_gcd_invariants(m)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
-    _report(9, f"500 Smith forms verified, factors match the minors-gcd "
-               f"oracle ({elapsed:.1f}s < 30s)")
+    _report(9, f"500 Smith forms verified, factors match them and the "
+               f"minors-gcd oracle ({elapsed:.1f}s < 30s)")

@@ -297,26 +297,6 @@ def test_exactness_check_builds_one_nerve_complex_per_system(monkeypatch):
     assert {id(s) for s in built} == {id(a), id(b), id(c)}
 
 
-def test_exactness_check_computes_no_smith_form(monkeypatch):
-    # membership, solves and kernels all go through the echelon form, and
-    # invariants through the transform-free diagonal
-    import invsys
-    import invsys.intlinalg
-    calls = []
-
-    def counting(m, _smith=invsys.intlinalg.smith_normal_form):
-        calls.append(m)
-        return _smith(m)
-
-    for module in (invsys, invsys.intlinalg):
-        monkeypatch.setattr(module, "smith_normal_form", counting)
-    rep = limit_exactness_check(*_wedge_sequence())
-    assert rep.ok and not calls
-    # the counter is live
-    invsys.intlinalg.smith_normal_form(IntMatrix.from_rows([[6]]))
-    assert calls
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_constant_z_on_sphere_models(n):
     # the nerve of the minimal model is the n-sphere (McCord 1966)

@@ -14,12 +14,12 @@ from invsys.derived import validate_absystem
 from invsys.generators import random_unimodular
 from invsys.intlinalg import (IntMatrix, echelon_form, in_lattice,
                               invariant_factors, kernel_basis,
-                              relative_kernel, smith_normal_form, solve,
+                              relative_kernel, solve,
                               sparse_invariant_factors)
 from invsys.poset import chain_poset, grid_poset
 
 from conftest import (_det_perm, det, full_nerve_complex, minors_gcd_invariants,
-                      random_int_matrix, smith_solve)
+                      random_int_matrix, smith_normal_form, smith_solve)
 
 matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -74,8 +74,28 @@ def test_snf_matches_minors_gcd_oracle():
         torsion += any(x > 1 for x in factors)
     assert torsion  # the residual loop is reached, not only unit pivots
     # row 0 holds no unit until row 1 is eliminated, so the sweep has passed
-    # it and its unit is left to the residual loop
+    # it and its unit is left to the least-entry pivots
     assert sparse_invariant_factors([{0: 2, 1: 3}, {1: 1, 0: 1}]) == [1, 1]
+    # beyond minors-gcd, against the dense Smith loop with transforms
+    torsion = second = 0
+    for _ in range(300):
+        r, c, density = rng.randint(1, 12), rng.randint(1, 12), rng.random()
+        rows = [{j: rng.choice((-1, 1, -2, 2, 3, 4, 6, -9)) for j in range(c)
+                 if rng.random() < density} for _ in range(r)]
+        _, d, _ = smith_normal_form(IntMatrix.from_rows(
+            [[row.get(j, 0) for j in range(c)] for row in rows]))
+        factors = sparse_invariant_factors(rows)
+        assert factors == [d.entries[i][i] for i in range(min(r, c)) if d.entries[i][i]]
+        torsion += any(x > 1 for x in factors)
+        # no unit, so the first pivot is the least entry; a remainder in
+        # its row or column forces a second pivot
+        entries = [(abs(x), i, j) for i, row in enumerate(rows) for j, x in row.items()]
+        if entries and min(entries)[0] > 1:
+            _, i, j = min(entries)
+            p = rows[i][j]
+            second += any(x % p for x in rows[i].values()) or \
+                any(row.get(j, 0) % p for row in rows)
+    assert torsion and second
 
 
 def test_snf_handles_big_entries():
@@ -88,7 +108,7 @@ def test_snf_handles_big_entries():
 def test_snf_on_matrices_without_entries(shape):
     m = IntMatrix.zeros(*shape)
     u, d, v = smith_normal_form(m)
-    assert snf_checks(m) == minors_gcd_invariants(m) == []
+    assert snf_checks(m) == minors_gcd_invariants(m) == invariant_factors(m) == []
     assert u == IntMatrix.identity(m.rows) and v == IntMatrix.identity(m.cols)
     assert kernel_basis(m) == list(IntMatrix.identity(m.cols).entries)
     assert relative_kernel(m, IntMatrix.zeros(m.rows, 0)) == IntMatrix.identity(m.cols)
@@ -96,17 +116,20 @@ def test_snf_on_matrices_without_entries(shape):
 
 @pytest.mark.parametrize("rows, diag", [
     ([[2, 0], [0, 3]], [1, 6]),            # needs the divisibility round
+    ([[4, 0], [0, 6]], [2, 12]),           # the gcd/lcm pass makes pivots 4, 6 a chain
     ([[-4]], [4]),                         # a lone negative pivot
     ([[0, 0, 0], [0, -7, 0]], [7, 0]),     # the same, off the diagonal
     ([[6, 4]], [2]),                       # a remainder left in the pivot row
     ([[6], [4]], [2]),                     # a remainder left in the pivot column
     ([[4, 6], [6, 9], [2, 3]], [1, 0]),
-], ids=["divisibility", "negative", "negative-off-diagonal", "row-remainder",
-        "column-remainder", "rank-one"])
+], ids=["divisibility", "gcd-lcm", "negative", "negative-off-diagonal",
+        "row-remainder", "column-remainder", "rank-one"])
 def test_snf_cases(rows, diag):
     m = IntMatrix.from_rows(rows)
     assert snf_checks(m) == diag
-    assert [x for x in diag if x] == minors_gcd_invariants(m)
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert [x for x in diag if x] == minors_gcd_invariants(m) \
+        == sparse_invariant_factors(sparse)
 
 
 def test_solve_roundtrip():

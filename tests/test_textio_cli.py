@@ -164,6 +164,17 @@ def test_cli_exit_codes(files, capsys):
     assert main(["validate", str(bad)]) == 2
 
 
+def test_cli_fault_in_a_command_is_not_an_input_error(files, monkeypatch):
+    # every bad name in a file or on the command line raises an InvsysError;
+    # a KeyError comes from a fault in the code and must not read as exit 2
+    def faulty(args, report):
+        raise KeyError("x")
+
+    monkeypatch.setitem(COMMANDS, "validate", (faulty, COMMANDS["validate"][1]))
+    with pytest.raises(KeyError):
+        main(["validate", files["system"]])
+
+
 def test_cli_ml_horizon_flag(files, capsys):
     assert main(["ml", "--tower", "T", "--horizon", "4", files["tower"]]) == 1
     out = capsys.readouterr().out
