@@ -10,21 +10,27 @@ transform-free invariant factors.  No Smith transform is computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .intlinalg import (IntMatrix, echelon_form, in_lattice, invariant_factors,
                         lattice_contains, relative_kernel)
 
 
-@dataclass(frozen=True)
 class FgAbGroup:
-    ngens: int
-    relations: IntMatrix  # rows are relators in the generators
+    """Z^ngens modulo the rows of relations; compared and hashed by value."""
 
-    def __post_init__(self):
-        if self.relations.cols != self.ngens:
+    def __init__(self, ngens: int, relations: IntMatrix):
+        if relations.cols != ngens:
             raise ValueError("relation width must equal generator count")
+        self.ngens = ngens
+        self.relations = relations  # rows are relators in the generators
+
+    def __eq__(self, other):
+        return (isinstance(other, FgAbGroup)
+                and (self.ngens, self.relations) == (other.ngens, other.relations))
+
+    def __hash__(self):
+        return hash((self.ngens, self.relations))
 
     @staticmethod
     def free(n: int) -> "FgAbGroup":
@@ -58,15 +64,22 @@ def is_trivial_group(g: FgAbGroup) -> bool:
     return rank == 0 and not torsion
 
 
-@dataclass(frozen=True)
 class AbHom:
-    source: FgAbGroup
-    target: FgAbGroup
-    matrix: IntMatrix  # (target.ngens x source.ngens), acts on columns
+    """A homomorphism source -> target by its matrix on generators; compared
+    and hashed by value."""
 
-    def __post_init__(self):
-        if self.matrix.rows != self.target.ngens or self.matrix.cols != self.source.ngens:
+    def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
+        if matrix.rows != target.ngens or matrix.cols != source.ngens:
             raise ValueError("matrix shape does not match source/target")
+        self.source, self.target = source, target
+        self.matrix = matrix  # (target.ngens x source.ngens), acts on columns
+
+    def __eq__(self, other):
+        return (isinstance(other, AbHom) and (self.source, self.target, self.matrix)
+                == (other.source, other.target, other.matrix))
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.matrix))
 
     @staticmethod
     def identity(g: FgAbGroup) -> "AbHom":

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 # CPython's built-in SHA-256: hashlib would load OpenSSL's libcrypto into
@@ -38,14 +37,13 @@ from .setsys import (DEFAULT_BUDGET, SetSystem, count_threads, is_surjective,
 from .textio import Document, parse_document
 
 
-@dataclass
 class RunReport:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
-    data: dict = field(default_factory=dict)
-    seed: int = 0
-    elapsed: float = 0.0
+    def __init__(self, command: str, seed: int = 0):
+        self.command, self.seed = command, seed
+        self.inputs: dict = {}
+        self.verdicts: dict = {}
+        self.data: dict = {}
+        self.elapsed = 0.0
 
     def to_json(self) -> str:
         payload = {"command": self.command, "inputs": self.inputs,

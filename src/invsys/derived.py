@@ -37,8 +37,6 @@ column echelon forms (`intlinalg.echelon_form`); no Smith transform here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
                        hom_compose, hom_equal, hom_is_valid, invariants_embed,
                        is_exact_at, is_injective, is_surjective_hom,
@@ -87,7 +85,6 @@ def validate_absystem(base: Poset, groups: dict[str, FgAbGroup],
     return AbSystem(base, groups, cover_bonds).validate()
 
 
-@dataclass
 class CochainComplex:
     """Normalized nerve complex of an AbSystem, stored as block data.
 
@@ -95,10 +92,11 @@ class CochainComplex:
     order, the offset of its generators in C(n) and its group; dims[n] is
     the total generator count of C(n); diff[n] maps C(n) -> C(n+1).
     """
-    flags: list[list[tuple[str, ...]]]
-    blocks: list[list[tuple[int, FgAbGroup]]]
-    dims: list[int]
-    diff: list[SparseMatrix]
+
+    def __init__(self, flags: list[list[tuple[str, ...]]],
+                 blocks: list[list[tuple[int, FgAbGroup]]], dims: list[int],
+                 diff: list[SparseMatrix]):
+        self.flags, self.blocks, self.dims, self.diff = flags, blocks, dims, diff
 
     @property
     def top_degree(self) -> int:
@@ -250,19 +248,24 @@ def induced_limit_hom(level_maps: dict[str, AbHom],
 # -- exactness experiments ------------------------------------------------
 
 
-@dataclass
 class ExactnessReport:
-    lim_a: tuple[int, list[int]]
-    lim_b: tuple[int, list[int]]
-    lim_c: tuple[int, list[int]]
-    lim1_a: tuple[int, list[int]]
-    u_injective: bool
-    exact_at_middle: bool
-    v_surjective: bool
-    coker_v: tuple[int, list[int]]
-    coker_embeds_in_lim1: bool
-    a_surjective: bool
-    base_has_maximum: bool
+    """What `limit_exactness_check` finds; compared field by field.  The
+    lim_* and coker_v fields are (free rank, torsion) as `group_invariants`
+    gives them."""
+
+    def __init__(self, lim_a: tuple[int, list[int]], lim_b: tuple[int, list[int]],
+                 lim_c: tuple[int, list[int]], lim1_a: tuple[int, list[int]],
+                 u_injective: bool, exact_at_middle: bool, v_surjective: bool,
+                 coker_v: tuple[int, list[int]], coker_embeds_in_lim1: bool,
+                 a_surjective: bool, base_has_maximum: bool):
+        self.lim_a, self.lim_b, self.lim_c, self.lim1_a = lim_a, lim_b, lim_c, lim1_a
+        self.u_injective, self.exact_at_middle = u_injective, exact_at_middle
+        self.v_surjective, self.coker_v = v_surjective, coker_v
+        self.coker_embeds_in_lim1 = coker_embeds_in_lim1
+        self.a_surjective, self.base_has_maximum = a_surjective, base_has_maximum
+
+    def __eq__(self, other):
+        return isinstance(other, ExactnessReport) and vars(self) == vars(other)
 
     @property
     def exact(self) -> bool:

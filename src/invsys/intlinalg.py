@@ -21,17 +21,25 @@ for a Smith transform, so none computes one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
 
-@dataclass(frozen=True)
 class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]  # unchecked: textio rejects ragged literals
+    """An r x c integer matrix as a tuple of row tuples; compared and hashed
+    by value, so it can key a cache."""
+
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        self.rows, self.cols = rows, cols
+        self.entries = entries  # unchecked: textio rejects ragged literals
+
+    def __eq__(self, other):
+        return (isinstance(other, IntMatrix) and (self.rows, self.cols) == (other.rows, other.cols)
+                and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -97,12 +105,12 @@ class IntMatrix:
         return all(v == 0 for r in self.entries for v in r)
 
 
-@dataclass(frozen=True)
 class SparseMatrix:
     """An integer matrix stored by columns: columns[j] maps a row index to
     the nonzero entry there."""
-    rows: int
-    columns: tuple[dict[int, int], ...]
+
+    def __init__(self, rows: int, columns: tuple[dict[int, int], ...]):
+        self.rows, self.columns = rows, columns
 
     @property
     def cols(self) -> int:
@@ -221,7 +229,6 @@ def _invariant_factors(m: IntMatrix) -> tuple[int, ...]:
                                           for row in m.entries))
 
 
-@dataclass(frozen=True)
 class Echelon:
     """A column echelon form m T = [E | 0] of an r x c matrix m.
 
@@ -231,9 +238,10 @@ class Echelon:
     j of E is zero above row pivots[j] and positive there, and the pivot
     rows increase, so E y = b is solved by forward substitution.
     """
-    pivots: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]
-    transform: tuple[tuple[int, ...], ...]
+
+    def __init__(self, pivots: tuple[int, ...], columns: tuple[tuple[int, ...], ...],
+                 transform: tuple[tuple[int, ...], ...]):
+        self.pivots, self.columns, self.transform = pivots, columns, transform
 
     def substitute(self, b: Sequence[int]) -> Optional[list[int]]:
         """The y with E y = b, or None when there is none."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Sequence
 
@@ -83,10 +82,18 @@ def validate_system(base: Poset, carriers: dict[str, Sequence],
     return SetSystem(base, carriers, cover_bonds).validate()
 
 
-@dataclass(frozen=True)
 class Thread:
-    """A compatible choice of one carrier element per index."""
-    assignment: tuple[tuple[str, Hashable], ...]  # sorted by element label
+    """A compatible choice of one carrier element per index; compared and
+    hashed by value."""
+
+    def __init__(self, assignment: tuple[tuple[str, Hashable], ...]):
+        self.assignment = assignment  # sorted by element label
+
+    def __eq__(self, other):
+        return isinstance(other, Thread) and self.assignment == other.assignment
+
+    def __hash__(self):
+        return hash(self.assignment)
 
     @staticmethod
     def of(mapping: dict) -> "Thread":
@@ -296,19 +303,19 @@ def validate_tower(horizon: int, carriers: Sequence[Sequence],
                      dict(zip(chain.covers, steps))).validate()
 
 
-@dataclass(frozen=True)
 class MLEntry:
-    index: int
-    images: tuple[frozenset, ...]  # bond(n, m)(carrier(m)) for m = n .. H
-    stabilized_at: int             # least m with a constant image chain through H
-    verdict: str                   # "stable" or "unstable_at_horizon"
-    horizon_sensitive: bool        # verdict could flip with a longer horizon
+    def __init__(self, index: int, images: tuple[frozenset, ...], stabilized_at: int,
+                 verdict: str, horizon_sensitive: bool):
+        self.index = index
+        self.images = images                # bond(n, m)(carrier(m)) for m = n .. H
+        self.stabilized_at = stabilized_at  # least m with a constant image chain through H
+        self.verdict = verdict              # "stable" or "unstable_at_horizon"
+        self.horizon_sensitive = horizon_sensitive  # verdict could flip with a longer horizon
 
 
-@dataclass(frozen=True)
 class MLReport:
-    horizon: int
-    entries: tuple[MLEntry, ...]
+    def __init__(self, horizon: int, entries: tuple[MLEntry, ...]):
+        self.horizon, self.entries = horizon, entries
 
     def stable_everywhere(self) -> bool:
         return all(e.verdict == "stable" for e in self.entries)

@@ -21,12 +21,10 @@ error the first bad label, rule or cover, or a repeated one before it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .abgroups import AbHom, FgAbGroup, hom_is_valid
 from .derived import AbSystem, validate_absystem
-from .diagram import Diagram
 from .errors import BadOption, NotFunction, ParseError
 from .intlinalg import IntMatrix
 from .poset import Poset, validate_poset
@@ -85,23 +83,24 @@ _SHOWN = 60  # characters of a bad literal quoted in its error
 DEFAULT_HORIZON_BUDGET = 10000
 
 
-@dataclass
 class SequenceDecl:
     """Raw pieces of an exactness-experiment file."""
-    base: Poset
-    systems: tuple[str, str, str]
-    u: dict[str, AbHom]
-    v: dict[str, AbHom]
+
+    def __init__(self, base: Poset, systems: tuple[str, str, str],
+                 u: dict[str, AbHom], v: dict[str, AbHom]):
+        self.base, self.systems, self.u, self.v = base, systems, u, v
 
 
-@dataclass
 class Document:
-    posets: dict[str, Poset] = field(default_factory=dict)
-    systems: dict[str, SetSystem] = field(default_factory=dict)
-    towers: dict[str, SetSystem] = field(default_factory=dict)  # on tower_chain(H)
-    groups: dict[str, FgAbGroup] = field(default_factory=dict)
-    absystems: dict[str, AbSystem] = field(default_factory=dict)
-    sequences: dict[str, SequenceDecl] = field(default_factory=dict)
+    """The blocks of a file, one table per kind, keyed by name."""
+
+    def __init__(self):
+        self.posets: dict[str, Poset] = {}
+        self.systems: dict[str, SetSystem] = {}
+        self.towers: dict[str, SetSystem] = {}  # on tower_chain(H)
+        self.groups: dict[str, FgAbGroup] = {}
+        self.absystems: dict[str, AbSystem] = {}
+        self.sequences: dict[str, SequenceDecl] = {}
 
     def sole(self, kinds: str | tuple[str, ...], name: Optional[str] = None):
         """The block named name in the tables of kinds, the first table that
@@ -121,18 +120,17 @@ class Document:
         return found[0]
 
 
-@dataclass
 class _Block:
     """One block of a file: its header, its objects keyed by element, its
     arrows keyed by (lower, upper) (a sequence: by (u or v, element)), and
     the line number of each declaration."""
-    kind: str
-    name: str
-    line: int
-    args: tuple  # the rest of the header: POSET, H, or POSET A B C
-    objects: dict = field(default_factory=dict)
-    arrows: dict = field(default_factory=dict)
-    lines: dict = field(default_factory=dict)  # (table, key) -> line number
+
+    def __init__(self, kind: str, name: str, line: int, args: tuple):
+        self.kind, self.name, self.line = kind, name, line
+        self.args = args  # the rest of the header: POSET, H, or POSET A B C
+        self.objects: dict = {}
+        self.arrows: dict = {}
+        self.lines: dict = {}  # (table, key) -> line number
 
     def declare(self, table: str, key, value, lineno: int):
         if (table, key) in self.lines:
@@ -391,58 +389,3 @@ def _check_tables(b: _Block, base: Poset, over: str):
         if len(declared) < len(allowed):  # declared keys are distinct and allowed
             missing = next(key for key in keys if key not in declared)
             raise ParseError(b.line, f"{b.kind} {b.name} has no {b.what(table, missing)} line")
-
-
-# -- serialization --------------------------------------------------------
-
-
-def poset_to_text(name: str, p: Poset) -> str:
-    lines = [f"poset {name}", "elements: " + " ".join(p.elements)]
-    if p.covers:
-        lines.append("covers: " + ", ".join(f"{a} < {b}" for a, b in p.covers))
-    return "\n".join(lines) + "\n"
-
-
-def _rows(m: IntMatrix) -> str:
-    return str([list(r) for r in m.entries])
-
-
-def _object_text(e: str, obj) -> str:
-    if isinstance(obj, FgAbGroup):
-        return f"group {e}: gens {obj.ngens} relations {_rows(obj.relations)}"
-    return f"set {e}: {{ " + " ".join(str(x) for x in obj) + " }"
-
-
-def _arrow_text(arrow) -> str:
-    if isinstance(arrow, AbHom):
-        return f"matrix {_rows(arrow.matrix)}"
-    return ", ".join(f"{x} -> {y}" for x, y in arrow.items())
-
-
-def _diagram_to_text(header: str, d: Diagram) -> str:
-    """The header, one object line per element, one map line per cover."""
-    lines = [header] + [_object_text(e, d.objects[e]) for e in d.base.elements]
-    lines += [f"map {hi} -> {lo}: {_arrow_text(d.cover_bonds[(lo, hi)])}"
-              for lo, hi in d.base.covers]
-    return "\n".join(lines) + "\n"
-
-
-def system_to_text(name: str, over: str, s: SetSystem) -> str:
-    return _diagram_to_text(f"system {name} over {over}", s)
-
-
-def tower_to_text(name: str, t: SetSystem) -> str:
-    return _diagram_to_text(f"tower {name} horizon {len(t.base.elements) - 1}", t)
-
-
-def absystem_to_text(name: str, over: str, s: AbSystem) -> str:
-    return _diagram_to_text(f"absystem {name} over {over}", s)
-
-
-def sequence_to_text(name: str, over: str, systems: tuple[str, str, str],
-                     u: dict[str, AbHom], v: dict[str, AbHom]) -> str:
-    lines = [f"sequence {name} over {over} systems " + " ".join(systems)]
-    for tag, table in (("u", u), ("v", v)):
-        for e, h in table.items():
-            lines.append(f"map {tag} at {e}: matrix {_rows(h.matrix)}")
-    return "\n".join(lines) + "\n"

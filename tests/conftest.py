@@ -23,6 +23,9 @@ independent computation, not against itself.  The sphere models, the face
 posets of triangulated surfaces, with constant Z and with the orientation
 system, and product posets have answers known from the topology (McCord,
 twisted Poincare duality, Kunneth), not from a computation.
+
+The serializers at the end write posets and systems in the text formats
+that `textio` reads; no command writes a file, so only the tests need them.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from invsys.abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
 from invsys.bergman import FreeAbElement, triangle_relator
 from invsys.derived import (AbSystem, CochainComplex, ExactnessReport, cohomology,
                             validate_absystem)
+from invsys.diagram import Diagram
 from invsys.errors import ParseError, SupportExceedsBound
 from invsys.intlinalg import (IntMatrix, SparseMatrix, in_lattice,
                               lattice_contains, relative_kernel, solve)
@@ -836,3 +840,58 @@ def _per_token_line(b, line: str, lineno: int) -> None:
         b.declare("arrows", (m[2], m[1]), bmap, lineno)
     else:
         raise ParseError(lineno, f"unexpected {b.kind} line {line!r}")
+
+
+# -- serialization: only the tests write the text formats -----------------
+
+
+def poset_to_text(name: str, p: Poset) -> str:
+    lines = [f"poset {name}", "elements: " + " ".join(p.elements)]
+    if p.covers:
+        lines.append("covers: " + ", ".join(f"{a} < {b}" for a, b in p.covers))
+    return "\n".join(lines) + "\n"
+
+
+def _rows(m: IntMatrix) -> str:
+    return str([list(r) for r in m.entries])
+
+
+def _object_text(e: str, obj) -> str:
+    if isinstance(obj, FgAbGroup):
+        return f"group {e}: gens {obj.ngens} relations {_rows(obj.relations)}"
+    return f"set {e}: {{ " + " ".join(str(x) for x in obj) + " }"
+
+
+def _arrow_text(arrow) -> str:
+    if isinstance(arrow, AbHom):
+        return f"matrix {_rows(arrow.matrix)}"
+    return ", ".join(f"{x} -> {y}" for x, y in arrow.items())
+
+
+def _diagram_to_text(header: str, d: Diagram) -> str:
+    """The header, one object line per element, one map line per cover."""
+    lines = [header] + [_object_text(e, d.objects[e]) for e in d.base.elements]
+    lines += [f"map {hi} -> {lo}: {_arrow_text(d.cover_bonds[(lo, hi)])}"
+              for lo, hi in d.base.covers]
+    return "\n".join(lines) + "\n"
+
+
+def system_to_text(name: str, over: str, s: SetSystem) -> str:
+    return _diagram_to_text(f"system {name} over {over}", s)
+
+
+def tower_to_text(name: str, t: SetSystem) -> str:
+    return _diagram_to_text(f"tower {name} horizon {len(t.base.elements) - 1}", t)
+
+
+def absystem_to_text(name: str, over: str, s: AbSystem) -> str:
+    return _diagram_to_text(f"absystem {name} over {over}", s)
+
+
+def sequence_to_text(name: str, over: str, systems: tuple[str, str, str],
+                     u: dict[str, AbHom], v: dict[str, AbHom]) -> str:
+    lines = [f"sequence {name} over {over} systems " + " ".join(systems)]
+    for tag, table in (("u", u), ("v", v)):
+        for e, h in table.items():
+            lines.append(f"map {tag} at {e}: matrix {_rows(h.matrix)}")
+    return "\n".join(lines) + "\n"

@@ -11,7 +11,9 @@ from invsys.abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
                              hom_kernel, invariants_embed, is_exact_at,
                              is_injective, is_surjective_hom, is_trivial_group,
                              subquotient)
-from invsys.intlinalg import IntMatrix
+from invsys.derived import ExactnessReport
+from invsys.intlinalg import IntMatrix, echelon_form
+from invsys.setsys import Thread
 
 from conftest import (apply_hom_canon, finite_elements, group_order,
                       invariants_embed_by_prime_powers, kernel_subquotient,
@@ -257,3 +259,41 @@ def test_finite_elements_enumeration():
     # canonical coordinates survive a roundtrip through the generators
     for x in els.elements():
         assert els.canon(els.to_gen_coords(x)) == x
+
+
+def _values() -> list:
+    """One value of each type compared by value, built afresh each call."""
+    m = IntMatrix.from_rows([[2, 0], [0, 3]])
+    g = FgAbGroup(2, m)
+    return [m, IntMatrix.from_rows([], cols=2), g,
+            AbHom(g, FgAbGroup.cyclic(6), IntMatrix.from_rows([[3, 2]])),
+            Thread.of({"b": "x", "a": 1})]
+
+
+def test_values_compare_and_hash_by_value():
+    for x, y in zip(_values(), _values()):
+        assert x is not y and x == y and hash(x) == hash(y)
+    # field by field: another width of no rows, another presentation of Z
+    assert IntMatrix.from_rows([], cols=2) != IntMatrix.from_rows([], cols=3)
+    assert FgAbGroup.free(1) != FgAbGroup(1, IntMatrix.from_rows([[0]]))
+    fields = dict(lim_a=(1, []), lim_b=(1, [2]), lim_c=(0, [2]), lim1_a=(0, []),
+                  u_injective=True, exact_at_middle=True, v_surjective=True,
+                  coker_v=(0, []), coker_embeds_in_lim1=True, a_surjective=True,
+                  base_has_maximum=False)
+    assert ExactnessReport(**fields) == ExactnessReport(*fields.values())
+    assert ExactnessReport(**fields) != ExactnessReport(**{**fields, "lim1_a": (0, [2])})
+    g = FgAbGroup.cyclic(4)
+    assert g.relation_lattice() is g.relation_lattice()  # transposed once
+    # a cache keyed by a matrix finds it again from an equal one
+    echelon_form(IntMatrix.from_rows([[6, 10, 15]]))
+    hits = echelon_form.cache_info().hits
+    echelon_form(IntMatrix.from_rows([[6, 10, 15]]))
+    assert echelon_form.cache_info().hits == hits + 1
+
+
+def test_mis_shaped_groups_and_homs_are_rejected():
+    with pytest.raises(ValueError, match="^relation width must equal generator count$"):
+        FgAbGroup(2, IntMatrix.from_rows([[1]]))
+    for rows in ([[1]], [[1, 0], [0, 1]]):  # 1 x 1 and 2 x 2 where 1 x 2 is wanted
+        with pytest.raises(ValueError, match="^matrix shape does not match source/target$"):
+            AbHom(FgAbGroup.free(2), FgAbGroup.free(1), IntMatrix.from_rows(rows))

@@ -18,11 +18,10 @@ from invsys.generators import (random_exact_sequence, random_poset,
                                random_surjective_absystem,
                                random_surjective_set_system, random_tower)
 from invsys.poset import Poset, chain_poset, wedge_poset
-from invsys.textio import (DEFAULT_HORIZON_BUDGET, absystem_to_text, parse_document,
-                           poset_to_text, sequence_to_text, system_to_text,
-                           tower_to_text)
+from invsys.textio import DEFAULT_HORIZON_BUDGET, parse_document
 
-from conftest import sphere_model
+from conftest import (absystem_to_text, poset_to_text, sequence_to_text, sphere_model,
+                      system_to_text, tower_to_text)
 
 WEDGE_TXT = """\
 poset W
@@ -907,14 +906,26 @@ def test_cli_imports_no_argparse(files):
     assert out.splitlines()[-1] == "[]"
 
 
-def test_cli_imports_neither_openssl_nor_bergman():
-    # -S: no site hooks, so only `import invsys.cli` can load these modules
+def _loaded_by_cli_import(names: set[str]) -> str:
+    """The sorted list of those of names in sys.modules of a fresh `python -S`
+    after `import invsys.cli`: with no site hooks, only that import can load
+    them."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); import invsys.cli; "
-            "print(sorted({'_hashlib', 'hashlib', 'invsys.bergman'} & set(sys.modules)))")
+            f"print(sorted({names!r} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines()[-1] == "[]"
+    return out.splitlines()[-1]
+
+
+def test_cli_imports_neither_openssl_nor_bergman():
+    assert _loaded_by_cli_import({"_hashlib", "hashlib", "invsys.bergman"}) == "[]"
+
+
+def test_cli_imports_no_dataclasses():
+    # dataclasses would load inspect, ast, dis and tokenize, and exec
+    # generated source for every class, at every cold start
+    assert _loaded_by_cli_import({"dataclasses", "inspect", "ast", "dis", "tokenize"}) == "[]"
 
 
 def test_cli_rejects_a_cover_of_a_label_by_itself(tmp_path, capsys):
