@@ -2,17 +2,24 @@
 
 A group is Z^ngens modulo the row lattice of a relation matrix; a
 homomorphism is an integer matrix on generators that must carry every
-source relator into the target's relation lattice.  Membership, kernels,
-images, exactness and subquotients (presented on an echelon basis) reduce
-to the cached column echelon forms of the relevant lattices; invariants to
-transform-free invariant factors.  No Smith transform is computed here.
+source relator into the target's relation lattice.  Each group computes a
+basis of that lattice once (`FgAbGroup.relation_lattice`): the columns of
+the echelon form of its relators, at most ngens of them however many
+relators are declared.  Membership, kernels, images, exactness, cokernels
+and subquotients (presented on an echelon basis) work on these bases
+through the cached column echelon forms of the relevant lattices.
+Invariants come from transform-free invariant factors of the declared
+relators, which cost less than a basis would for a group that has none
+yet.  The declared relators are kept as they are: they define the group's
+equality, its hash and every cache key.  No Smith transform is computed
+here.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .intlinalg import (IntMatrix, echelon_form, in_lattice, invariant_factors,
+from .intlinalg import (IntMatrix, echelon_form, invariant_factors,
                         lattice_contains, relative_kernel)
 
 
@@ -45,12 +52,15 @@ class FgAbGroup:
         return FgAbGroup(0, IntMatrix.from_rows([], cols=0))
 
     def relation_lattice(self) -> IntMatrix:
-        """Relators as columns in Z^ngens."""
+        """A basis of the relation lattice, as columns in Z^ngens: the
+        columns of the echelon form of the relators, so it is itself in
+        echelon form (`echelon_form` gives it back with no operation)."""
         return self._lattice
 
     @cached_property
-    def _lattice(self) -> IntMatrix:  # transposed once per group
-        return self.relations.transpose()
+    def _lattice(self) -> IntMatrix:  # reduced once per group
+        return IntMatrix.from_cols(echelon_form(self.relations.transpose()).columns,
+                                   rows=self.ngens)
 
 
 def group_invariants(g: FgAbGroup) -> tuple[int, list[int]]:
@@ -95,12 +105,12 @@ def hom_is_valid(h: AbHom) -> bool:
     """Every source relator must land in the target relation lattice.
 
     Cached, as AbHom is hashable: a level map of a sequence is checked when
-    the file is read and again by `limit_exactness_check`."""
-    lat = h.target.relation_lattice()
-    for row in h.source.relations.entries:
-        if not in_lattice(lat, h.matrix.apply(row)):
-            return False
-    return True
+    the file is read and again by `limit_exactness_check`.  The images of
+    a basis of the source relation lattice suffice."""
+    ech = echelon_form(h.target.relation_lattice())
+    apply = h.matrix.apply
+    return all(ech.substitute(apply(col)) is not None
+               for col in zip(*h.source.relation_lattice().entries))
 
 
 def hom_compose(g: AbHom, f: AbHom) -> AbHom:
@@ -114,12 +124,11 @@ def hom_equal(f: AbHom, g: AbHom) -> bool:
     """Equality as maps, i.e. columns agree modulo the target relations."""
     if f.source != g.source or f.target != g.target:
         return False
-    lat = f.target.relation_lattice()
-    for j in range(f.matrix.cols):
-        diff = [a - b for a, b in zip(f.matrix.col(j), g.matrix.col(j))]
-        if not in_lattice(lat, diff):
-            return False
-    return True
+    if f.matrix == g.matrix:
+        return True
+    ech = echelon_form(f.target.relation_lattice())
+    return all(ech.substitute([a - b for a, b in zip(x, y)]) is not None
+               for x, y in zip(zip(*f.matrix.entries), zip(*g.matrix.entries)))
 
 
 def subquotient(gens: IntMatrix, sub: IntMatrix) -> FgAbGroup:
@@ -152,7 +161,9 @@ def hom_image(h: AbHom) -> FgAbGroup:
 
 
 def hom_cokernel(h: AbHom) -> FgAbGroup:
-    rels = h.target.relations.vstack(h.matrix.transpose())
+    """The target modulo the image, presented on the target generators by
+    the relation basis and the image of each source generator."""
+    rels = h.target.relation_lattice().hstack(h.matrix).transpose()
     return FgAbGroup(h.target.ngens, rels)
 
 

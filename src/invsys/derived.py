@@ -14,25 +14,28 @@ its budget, and its bonds are those of the system it is given.  So the
 systems of one base share one core and one flag list, and no restricted
 system is built.
 
-Write L(k) for the block relation lattice of C(k) (columns: the relators of
-each flag's group) and d for the differentials, stored sparse by column.
-`cohomology` presents H^n by invariant factors alone, for any coefficient
-groups:
+Write L(k) for the block relation lattice of C(k) (columns: the relation
+basis `FgAbGroup.relation_lattice` of each flag's group, at most ngens
+columns however many relators the group declares) and d for the
+differentials, stored sparse by column.  `cohomology` presents H^n by
+invariant factors alone, for any coefficient groups:
 
     H^n = ker D / im A,   D = [d_n | -L(n+1)],
-    A = [[d_(n-1) | L(n) | 0], [Y | Z | N]],
+    A = [[d_(n-1) | L(n)], [Y | Z]],
 
 where L(n+1) Y = d_n d_(n-1) and L(n+1) Z = d_n L(n) are solved one flag
-block of C(n+1) at a time, each against one group's small relation
-lattice, and N spans the kernel of each block's relation columns.  Then
-D A = 0, ker D is saturated, the free rank of H^n is
-dim C(n) + #L(n+1) - rank D - rank A and its torsion is the invariant
-factors of A other than 1.  Both come from `sparse_invariant_factors`
-(one sparse elimination, unit pivots first, no transforms).
-The block solves are the check that coboundaries are cocycles.  They, the
-kernel bases and the echelon H^0 bases of `h0_with_basis`, in which the
-exactness report reads its maps by forward substitution, come from cached
-column echelon forms (`intlinalg.echelon_form`); no Smith transform here.
+block of C(n+1) at a time, each against one group's relation basis.  The
+columns of each block of L(n+1) are independent, so L(n+1) has no kernel
+and A needs no third block column spanning it.  Then D A = 0, ker D is
+saturated, the free rank of H^n is dim C(n) + #L(n+1) - rank D - rank A
+and its torsion is the invariant factors of A other than 1.  Both come
+from `sparse_invariant_factors` (one sparse elimination, unit pivots
+first, no transforms).  The block solves are the check that coboundaries
+are cocycles; each is one forward substitution, as a relation basis is
+its own echelon form.  They, the kernels and the echelon H^0 bases of
+`h0_with_basis`, in which the exactness report reads its maps by forward
+substitution, come from column echelon forms (`intlinalg.echelon_form`);
+no Smith transform here.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
                        is_trivial_group, subquotient)
 from .diagram import Diagram
 from .errors import NotLevelwiseExact, SquaresDoNotCommute
-from .intlinalg import (IntMatrix, SparseMatrix, echelon_form, kernel_basis,
-                        relative_kernel, solve, sparse_invariant_factors)
+from .intlinalg import (IntMatrix, SparseMatrix, echelon_form, relative_kernel,
+                        sparse_invariant_factors)
 from .poset import Poset
 
 
@@ -103,9 +106,10 @@ class CochainComplex:
         return len(self.flags) - 1
 
     def relations(self, n: int) -> list[dict[int, int]]:
-        """The relation lattice L(n) of C(n), block by block, as sparse columns."""
-        return [{off + a: x for a, x in enumerate(row) if x}
-                for off, g in self.blocks[n] for row in g.relations.entries]
+        """The relation lattice L(n) of C(n) as sparse columns: block by
+        block, the relation basis of the flag's group."""
+        return [{off + a: x for a, x in enumerate(col) if x}
+                for off, g in self.blocks[n] for col in zip(*g.relation_lattice().entries)]
 
     def lattice(self, n: int) -> IntMatrix:
         """L(n) as a dense matrix of columns; no rows above the top degree."""
@@ -167,17 +171,15 @@ def cohomology(cx: CochainComplex, n: int) -> FgAbGroup:
     rank_d = len(sparse_invariant_factors(
         list(d.columns) + [{i: -x for i, x in col.items()} for col in rel_next]))
 
-    # the block of each row of C(n+1), and where its relations start in L(n+1)
-    owner, starts, at = [], [], dim
+    # the block of each row of C(n+1), where its relations start in L(n+1),
+    # and the echelon form of each block's relation basis: the basis itself
+    owner, starts, forms, at = [], [], [], dim
     for k, (_, g) in enumerate(next_blocks):
         owner += [k] * g.ngens
         starts.append(at)
-        at += g.relations.rows
-    lattices: dict[FgAbGroup, tuple[IntMatrix, list]] = {}
-    for _, g in next_blocks:
-        if g.relations.rows and g not in lattices:
-            lat = g.relation_lattice()
-            lattices[g] = lat, kernel_basis(lat)
+        lat = g.relation_lattice()
+        forms.append(echelon_form(lat))
+        at += lat.cols
 
     def lift(x: dict[int, int]) -> dict[int, int]:
         """x and below it the y with L(n+1) y = d x, block by block."""
@@ -187,17 +189,13 @@ def cohomology(cx: CochainComplex, n: int) -> FgAbGroup:
         out = dict(x)
         for k, part in by_block.items():
             off, g = next_blocks[k]
-            rhs = [part.get(off + a, 0) for a in range(g.ngens)]
-            sol = solve(lattices[g][0], rhs) if g in lattices else None
+            sol = forms[k].substitute([part.get(off + a, 0) for a in range(g.ngens)])
             assert sol is not None, "coboundaries must be cocycles"
             out.update((starts[k] + j, y) for j, y in enumerate(sol) if y)
         return out
 
     boundaries = (list(cx.diff[n - 1].columns) if n else []) + cx.relations(n)
     a = [lift(x) for x in boundaries]
-    a += [{starts[k] + j: y for j, y in enumerate(vec) if y}
-          for k, (_, g) in enumerate(next_blocks) if g in lattices
-          for vec in lattices[g][1]]
     factors = sparse_invariant_factors(a)
     free = dim + len(rel_next) - rank_d - len(factors)
     torsion = [f for f in factors if f != 1]

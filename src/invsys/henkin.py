@@ -18,7 +18,7 @@ it visits 346 prefixes for 2,768 members; extending every prefix visits
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import (NoStrictUpper, NotCompatible, NotComparable, NotMember,
                      OddLength, UnknownElement)
@@ -60,7 +60,7 @@ def henkin_eps(poset: Poset, alpha: str, beta: str, t: Sequence[str]) -> tuple[s
 
 
 def henkin_lift(poset: Poset, x: Sequence[str], alpha: str, beta: str,
-                gamma: Optional[str] = None) -> tuple[str, ...]:
+                gamma: str | None = None) -> tuple[str, ...]:
     """A preimage at level beta of a member x at level alpha.
 
     Extends x by the pair (beta, gamma) with gamma strictly above beta;

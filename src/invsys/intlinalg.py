@@ -3,12 +3,14 @@
 All entries are Python ints, so intermediate blow-up during elimination is
 harmless.
 
-Lattice work goes through one cached column echelon form per matrix
-(`echelon_form`): m T = [E | 0] with T unimodular, built by column
-operations only.  `in_lattice` (so `lattice_contains`) is forward
-substitution against E, `solve` maps that solution back through T, and
-`kernel_basis` (so `relative_kernel`) is the columns of T after the
-pivots.
+Lattice work goes through column echelon forms m T = [E | 0], T
+unimodular, built by column operations only (`echelon_form`).  The cached
+membership form carries E alone: `in_lattice` (so `lattice_contains`) is
+forward substitution against it.  Only solves and kernels read T, and
+they carry as many of its coordinates as they read: `solve` maps the
+substituted solution back through all of T, `kernel_basis` is the columns
+of T after the pivots, and `relative_kernel` keeps only the coordinates
+of m in the kernel of [m | lat].
 
 Invariant factors (`sparse_invariant_factors`, and `invariant_factors` on
 a dense matrix) come from one sparse elimination that keeps no
@@ -21,29 +23,33 @@ for a Smith transform, so none computes one.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from operator import mul as _mul
 
 
 class IntMatrix:
     """An r x c integer matrix as a tuple of row tuples; compared and hashed
-    by value, so it can key a cache."""
+    by value, so it can key a cache.  The hash is computed once."""
 
     def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
         self.rows, self.cols = rows, cols
         self.entries = entries  # unchecked: textio rejects ragged literals
+        self._hash = None
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and (self.rows, self.cols) == (other.rows, other.cols)
                 and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols, self.entries))
+        return self._hash
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        data = tuple(tuple(int(v) for v in r) for r in rows)
+    def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
+        data = tuple(tuple(map(int, r)) for r in rows)
         if data:
             c = len(data[0])
         else:
@@ -51,13 +57,13 @@ class IntMatrix:
         return IntMatrix(len(data), c, data)
 
     @staticmethod
-    def from_cols(cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
+    def from_cols(cols: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
         if cols:
             r = len(cols[0])
         else:
             r = 0 if rows is None else rows
-        return IntMatrix(r, len(cols),
-                         tuple(tuple(int(c[i]) for c in cols) for i in range(r)))
+        return IntMatrix(r, len(cols), tuple(tuple(map(int, row)) for row in zip(*cols))
+                         if cols else ((),) * r)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -73,22 +79,20 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+                         tuple(zip(*self.entries)) if self.rows else ((),) * self.cols)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         ot = other.transpose().entries
         return IntMatrix(self.rows, other.cols,
-                         tuple(tuple(sum(a * b for a, b in zip(row, col))
-                                     for col in ot)
+                         tuple(tuple(sum(map(_mul, row, col)) for col in ot)
                                for row in self.entries))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+        return tuple(sum(map(_mul, row, vec)) for row in self.entries)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -232,84 +236,109 @@ def _invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 class Echelon:
     """A column echelon form m T = [E | 0] of an r x c matrix m.
 
-    T is unimodular, stored by columns in `transform`; m takes its first
-    len(pivots) columns to the columns of E, kept in `columns`, and the
-    rest to zero, so those are a basis of the kernel lattice of m.  Column
-    j of E is zero above row pivots[j] and positive there, and the pivot
-    rows increase, so E y = b is solved by forward substitution.
+    T is unimodular: m takes its first len(pivots) columns to the columns
+    of E, kept in `columns`, and the rest to zero, so those are a basis of
+    the kernel lattice of m.  `transform` holds the first `keep`
+    coordinates of each column of T, as `echelon_form` was asked for, and
+    is empty for the membership form.  Column j of E is zero above row
+    pivots[j] and positive there, and the pivot rows increase, so E y = b
+    is solved by forward substitution.
     """
 
     def __init__(self, pivots: tuple[int, ...], columns: tuple[tuple[int, ...], ...],
                  transform: tuple[tuple[int, ...], ...]):
         self.pivots, self.columns, self.transform = pivots, columns, transform
 
-    def substitute(self, b: Sequence[int]) -> Optional[list[int]]:
+    def substitute(self, b: Sequence[int]) -> list[int] | None:
         """The y with E y = b, or None when there is none."""
         res = list(b)
+        n = len(res)
         y, top = [], 0
         for i, col in zip(self.pivots, self.columns):
-            if any(res[top:i]):  # rows no column from here on reaches
-                return None
+            for s in range(top, i):  # rows no column from here on reaches
+                if res[s]:
+                    return None
             q, rem = divmod(res[i], col[i])
             if rem:
                 return None
-            if q:
-                res[i:] = [x - q * e for x, e in zip(res[i:], col[i:])]
+            if q:  # res[i] is cleared, and no later pivot reads it
+                for s in range(i + 1, n):
+                    res[s] -= q * col[s]
             y.append(q)
             top = i + 1
-        return None if any(res[top:]) else y
+        for s in range(top, n):
+            if res[s]:
+                return None
+        return y
 
 
 @lru_cache(maxsize=8192)
-def echelon_form(m: IntMatrix) -> Echelon:
-    """The column echelon form of m (see Echelon), by column operations only.
+def echelon_form(m: IntMatrix, keep: int = 0) -> Echelon:
+    """The column echelon form of m (see Echelon), by column operations
+    only, with the first `keep` coordinates of its transform.
 
     Rows are taken top to bottom.  In each, among the columns without a
     pivot yet, the entry of least absolute value (the leftmost of equals)
     divides the others of the row with remainder, its column taken from
     theirs, until one nonzero entry is left; that column, made positive,
     is the next pivot (Cohen, A Course in Computational Algebraic Number
-    Theory, 2.4.2-2.4.3).  Cached: IntMatrix is hashable, and the
-    membership tests and solves of one map go through the same form.
+    Theory, 2.4.2-2.4.3).  A column operation acts on each coordinate of
+    T alone, so the coordinates past `keep` are never computed.  Cached:
+    IntMatrix is hashable, and the membership tests (keep = 0) and the
+    solves of one matrix each go through one form.
     """
     r, c = m.rows, m.cols
     a = [list(col) for col in zip(*m.entries)] if r else [[] for _ in range(c)]
-    t = [[int(i == j) for i in range(c)] for j in range(c)]
+    t = [[int(i == j) for i in range(keep)] for j in range(c)] if keep else None
     pivots: list[int] = []
     k = 0
     for i in range(r):
         if k == c:
             break
         while True:
-            live = [(abs(a[j][i]), j) for j in range(k, c) if a[j][i]]
-            if not live:
+            j, least = -1, 0  # the leftmost live entry of least absolute value
+            for s in range(k, c):
+                x = a[s][i]
+                if x and (not least or abs(x) < least):
+                    j, least = s, abs(x)
+            if j < 0:
                 break
-            _, j = min(live)
-            a[k], a[j] = a[j], a[k]
-            t[k], t[j] = t[j], t[k]
-            p = a[k][i]
-            if len(live) == 1:
+            if j != k:
+                a[k], a[j] = a[j], a[k]
+                if keep:
+                    t[k], t[j] = t[j], t[k]
+            piv = a[k]
+            p, alone = piv[i], True
+            for j in range(k + 1, c):  # columns k.. are zero above row i
+                other = a[j]
+                q = other[i] // p  # zero only where other[i] is: |p| is least
+                if q:
+                    for row in range(i, r):
+                        other[row] -= q * piv[row]
+                    if keep:
+                        tj, tk = t[j], t[k]
+                        for row in range(keep):
+                            tj[row] -= q * tk[row]
+                    if other[i]:
+                        alone = False
+            if alone:
                 if p < 0:
-                    a[k] = [-x for x in a[k]]
-                    t[k] = [-x for x in t[k]]
+                    a[k] = [-x for x in piv]
+                    if keep:
+                        t[k] = [-x for x in t[k]]
                 pivots.append(i)
                 k += 1
                 break
-            for j in range(k + 1, c):
-                q = a[j][i] // p
-                if q:
-                    a[j][i:] = [x - q * y for x, y in zip(a[j][i:], a[k][i:])]
-                    t[j] = [x - q * y for x, y in zip(t[j], t[k])]
     return Echelon(tuple(pivots), tuple(tuple(col) for col in a[:k]),
-                   tuple(tuple(col) for col in t))
+                   tuple(tuple(col) for col in t) if keep else ())
 
 
-def solve(m: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
+def solve(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """One integer solution x of m x = b, or None: E y = b by forward
     substitution, then x = T y."""
     if len(b) != m.rows:
         raise ValueError("dimension mismatch")
-    ech = echelon_form(m)
+    ech = echelon_form(m, m.cols)
     y = ech.substitute(b)
     if y is None:
         return None
@@ -327,18 +356,19 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     unimodular, so they are a basis of the kernel lattice and not merely of
     a finite-index sublattice.
     """
-    ech = echelon_form(m)
+    ech = echelon_form(m, m.cols)
     return list(ech.transform[len(ech.pivots):])
 
 
 def relative_kernel(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
     """Generators (as columns) of {x : m x lies in the column span of lat}.
 
-    lat must have the same row count as m; the result has m.cols rows.
+    lat must have the same row count as m; the result has m.cols rows.  They
+    are the kernel basis of [m | lat] projected to the coordinates of m,
+    which are the only coordinates of its transform that are computed.
     """
-    combined = m.hstack(lat)
-    projected = [k[: m.cols] for k in kernel_basis(combined)]
-    cols = [p for p in projected if any(p)]
+    ech = echelon_form(m.hstack(lat), m.cols)
+    cols = [k for k in ech.transform[len(ech.pivots):] if any(k)]
     return IntMatrix.from_cols(cols, rows=m.cols)
 
 
@@ -355,4 +385,3 @@ def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
         raise ValueError("dimension mismatch")
     ech = echelon_form(outer)
     return all(ech.substitute(col) is not None for col in zip(*inner.entries))
-

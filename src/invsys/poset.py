@@ -15,8 +15,8 @@ computed once per poset and cached; no subposet is built for the core.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded, CycleDetected, UnknownElement
 
@@ -114,7 +114,7 @@ class Poset:
         """All x with nothing strictly above; ties in declared label order."""
         return [x for x in self.elements if len(self._up[x]) == 1]
 
-    def has_maximum(self) -> Optional[str]:
+    def has_maximum(self) -> str | None:
         """The unique top element, or None.  Every element of a finite poset
         lies below a maximal one, so a sole maximal element is the top."""
         maxima = self.maximal_elements()

@@ -20,8 +20,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import defaultdict
+from collections.abc import Hashable, Sequence
 from functools import cached_property
-from typing import Hashable, Sequence
 
 from .diagram import Diagram
 from .errors import (BudgetExceeded, EmptyFiber, NoMaximum, NotFunction,

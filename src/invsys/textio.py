@@ -21,7 +21,6 @@ error the first bad label, rule or cover, or a repeated one before it.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .abgroups import AbHom, FgAbGroup, hom_is_valid
 from .derived import AbSystem, validate_absystem
@@ -102,7 +101,7 @@ class Document:
         self.absystems: dict[str, AbSystem] = {}
         self.sequences: dict[str, SequenceDecl] = {}
 
-    def sole(self, kinds: str | tuple[str, ...], name: Optional[str] = None):
+    def sole(self, kinds: str | tuple[str, ...], name: str | None = None):
         """The block named name in the tables of kinds, the first table that
         has it winning; or, when name is None, the one block of those kinds."""
         kinds = (kinds,) if isinstance(kinds, str) else kinds
@@ -242,7 +241,7 @@ def _hom(b: _Block, key, source: FgAbGroup, target: FgAbGroup, valid: bool = Fal
 
 def parse_document(text: str) -> Document:
     doc = Document()
-    block: Optional[_Block] = None
+    block: _Block | None = None
     named: dict[tuple[str, str], int] = {}  # (kind, name) -> line of its header
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
@@ -311,7 +310,7 @@ def _parse_block_line(b: _Block, line: str, lineno: int):
         raise ParseError(lineno, f"unexpected {b.kind} line {line!r}")
 
 
-def _close_block(b: Optional[_Block], doc: Document):
+def _close_block(b: _Block | None, doc: Document):
     if b is None:
         return
     try:

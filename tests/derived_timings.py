@@ -4,8 +4,9 @@ Prints one markdown table row per model: its flag count, the seconds of
 `nerve_complex`, the seconds of `cohomology` over every degree of that one
 complex, and the invariants found.  The models are constant Z on the S^4-S^6
 sphere models, S^2 x S^2, RP^2 x S^1 and S^2 x S^3, and twisted Z on the
-Klein bottle (their answers are in `conftest`), and one seeded torsion
-system on the Klein bottle, whose elimination is mostly non-unit pivots.
+Klein bottle (their answers are in `conftest`), and seeded torsion
+systems on the Klein bottle and on S^2 x S^2, whose eliminations are mostly
+non-unit pivots; the second takes seconds.
 Not a test module, so pytest does not collect it.  Run it from the
 repository root:
 
@@ -34,15 +35,17 @@ MODELS = [
                                                     sphere_model(1)))),
     ("S^2 x S^3", lambda: constant_z(product_poset(sphere_model(2), sphere_model(3)))),
     ("Klein bottle, twisted", lambda: orientation_system(grid_surface_triangles(flip=True))),
-    ("Klein bottle, third torsion draw", lambda: third_torsion_draw(
-        face_poset(grid_surface_triangles(flip=True)))),
+    ("Klein bottle, third torsion draw", lambda: torsion_draw(
+        face_poset(grid_surface_triangles(flip=True)), 3)),
+    ("S^2 x S^2, first torsion draw", lambda: torsion_draw(
+        product_poset(sphere_model(2), sphere_model(2)), 1)),
 ]
 
 
-def third_torsion_draw(base):
-    """The third of three seeded systems with torsion coefficients on base."""
+def torsion_draw(base, k: int):
+    """The k-th of the seeded systems with torsion coefficients on base."""
     rng = random.Random(11)
-    for _ in range(3):
+    for _ in range(k):
         system = random_surjective_absystem(rng, base, max_gens=2)
     return system
 

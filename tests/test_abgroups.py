@@ -17,7 +17,8 @@ from invsys.setsys import Thread
 
 from conftest import (apply_hom_canon, finite_elements, group_order,
                       invariants_embed_by_prime_powers, kernel_subquotient,
-                      minors_gcd_invariants, random_int_matrix)
+                      minors_gcd_invariants, random_int_matrix, smith_normal_form,
+                      smith_solve)
 
 
 def test_invariants_of_standard_groups():
@@ -28,6 +29,42 @@ def test_invariants_of_standard_groups():
     # Z/2 x Z/4 presented with tangled relators
     g = FgAbGroup(2, IntMatrix.from_rows([[2, 4], [0, 4]]))
     assert group_invariants(g) == (0, [2, 4])
+
+
+def _presentations():
+    """Groups with no generators, no relators, zero, duplicate and dependent
+    relators and negative entries, then seeded random presentations, some
+    with a relator repeated or a combination of two added."""
+    yield FgAbGroup.trivial()
+    yield FgAbGroup(0, IntMatrix.from_rows([[], []], cols=0))
+    yield FgAbGroup.free(3)
+    yield FgAbGroup(2, IntMatrix.from_rows([[2, -4], [2, -4], [-1, 2]]))
+    yield FgAbGroup(3, IntMatrix.from_rows([[0, 0, 0], [6, -10, 15], [-12, 20, -30],
+                                            [0, -4, 0], [6, -14, 15]]))
+    rng = random.Random(5)
+    for _ in range(80):
+        ngens = rng.randint(0, 4)
+        rows = [[rng.randint(-8, 8) for _ in range(ngens)] for _ in range(rng.randint(0, 5))]
+        if len(rows) > 1:
+            a, b = rng.sample(rows, 2)
+            rows.append(rng.choice([a, [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y
+                                        for x, y in zip(a, b)]]))
+        yield FgAbGroup(ngens, IntMatrix.from_rows(rows, cols=ngens))
+
+
+def test_relation_basis_spans_exactly_the_relators():
+    for g in _presentations():
+        basis, relators = g.relation_lattice(), g.relations.transpose()
+        assert basis.rows == g.ngens and basis.cols <= g.ngens
+        # each inclusion by integer solvability through the Smith form
+        assert all(smith_solve(relators, col) is not None for col in zip(*basis.entries))
+        assert all(smith_solve(basis, row) is not None for row in g.relations.entries)
+        # a basis: its columns are independent, and it is its own echelon form
+        _, d, _ = smith_normal_form(basis)
+        diag = [d.entries[i][i] for i in range(basis.cols)]
+        assert all(diag)
+        assert echelon_form(basis).columns == tuple(zip(*basis.entries))
+        assert group_invariants(g) == (g.ngens - basis.cols, [x for x in diag if x != 1])
 
 
 def test_group_order():
@@ -283,12 +320,15 @@ def test_values_compare_and_hash_by_value():
     assert ExactnessReport(**fields) == ExactnessReport(*fields.values())
     assert ExactnessReport(**fields) != ExactnessReport(**{**fields, "lim1_a": (0, [2])})
     g = FgAbGroup.cyclic(4)
-    assert g.relation_lattice() is g.relation_lattice()  # transposed once
-    # a cache keyed by a matrix finds it again from an equal one
-    echelon_form(IntMatrix.from_rows([[6, 10, 15]]))
-    hits = echelon_form.cache_info().hits
-    echelon_form(IntMatrix.from_rows([[6, 10, 15]]))
-    assert echelon_form.cache_info().hits == hits + 1
+    assert g.relation_lattice() is g.relation_lattice()  # reduced once
+    # a cache keyed by a matrix finds it again from an equal one, both the
+    # membership form and the form that carries the transform
+    for keep in (0, 3):
+        echelon_form(IntMatrix.from_rows([[6, 10, 15]]), keep)
+        hits = echelon_form.cache_info().hits
+        ech = echelon_form(IntMatrix.from_rows([[6, 10, 15]]), keep)
+        assert echelon_form.cache_info().hits == hits + 1
+        assert len(ech.transform) == 3 * bool(keep)
 
 
 def test_mis_shaped_groups_and_homs_are_rejected():

@@ -289,12 +289,17 @@ def test_echelon_membership_and_solve_against_smith_oracle(case):
         assert (got is None) == (oracle is None) == (not in_lattice(m, b))
         if got is not None:
             assert m.apply(got) == tuple(b)
-    ech = echelon_form(m)
+    ech = echelon_form(m, c)  # the form that carries all of T
     assert list(ech.pivots) == sorted(set(ech.pivots))
     assert len(ech.pivots) == len(invariant_factors(m))
     for i, col in zip(ech.pivots, ech.columns):
         assert col[i] > 0 and not any(col[:i])
     assert det(ech.transform) in (1, -1)  # its transpose has the same determinant
+    # m T = [E | 0], and the membership form is the same E without T
+    assert [m.apply(t) for t in ech.transform] == \
+        [*ech.columns, *[(0,) * m.rows] * (c - len(ech.pivots))]
+    member = echelon_form(m)
+    assert (member.pivots, member.columns, member.transform) == (ech.pivots, ech.columns, ())
 
 
 @settings(max_examples=100, deadline=None)
@@ -302,6 +307,25 @@ def test_echelon_membership_and_solve_against_smith_oracle(case):
 def test_echelon_kernel_basis_against_minors_oracle(case):
     m = IntMatrix.from_rows(case[0], cols=case[3])
     _check_kernel_lattice(m, kernel_basis(m))
+
+
+def test_relative_kernel_is_the_projected_full_kernel():
+    # the truncated transform gives the coordinates of m exactly as the full
+    # transform of [m | lat] has them, and each generator x has m x in the
+    # span of lat by the Smith oracle
+    rng = random.Random(9)
+    shapes = [(0, 2, 1), (2, 0, 2), (2, 3, 0), (0, 0, 0)]
+    shapes += [(rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 5)) for _ in range(80)]
+    for r, c, k in shapes:
+        m = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)],
+                                cols=c)
+        lat = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(k)] for _ in range(r)],
+                                  cols=k)
+        full = echelon_form(m.hstack(lat), c + k)
+        projected = [t[:c] for t in full.transform[len(full.pivots):] if any(t[:c])]
+        rel = relative_kernel(m, lat)
+        assert rel == IntMatrix.from_cols(projected, rows=c)
+        assert all(smith_solve(lat, m.apply(x)) is not None for x in zip(*rel.entries))
 
 
 @pytest.mark.parametrize("base", [chain_poset(6), grid_poset(3, 3)],

@@ -384,10 +384,13 @@ def test_cli_exactness_checks_each_level_map_once(tmp_path, capsys, monkeypatch)
     assert main(["exactness", str(fp)]) == 0
     assert "ok: True" in capsys.readouterr().out
     # a second check of the 12 level maps would add one substitution per
-    # source relator: 7 for the u maps and 15 for the v maps
-    assert len(calls) == 201
+    # vector of a source relation basis: 4 for the u maps and 9 for the v
+    # maps, where the sources declare 7 and 15 relators
+    assert len(calls) == 132
     seq = parse_document(TORSION_SEQUENCE).sequences["Q"]
     maps = [*seq.u.values(), *seq.v.values()]
+    assert sum(h.source.relation_lattice().cols for h in seq.u.values()) == 4
+    assert sum(h.source.relation_lattice().cols for h in seq.v.values()) == 9
     assert sum(h.source.relations.rows for h in maps) == 22
     before = hom_is_valid.cache_info()
     del calls[:]
@@ -926,6 +929,13 @@ def test_cli_imports_no_dataclasses():
     # dataclasses would load inspect, ast, dis and tokenize, and exec
     # generated source for every class, at every cold start
     assert _loaded_by_cli_import({"dataclasses", "inspect", "ast", "dis", "tokenize"}) == "[]"
+
+
+def test_cli_imports_no_typing():
+    # annotations are never evaluated (PEP 563), so the abstract types they
+    # name come from collections.abc, a re-export of _collections_abc, which
+    # the interpreter loads with os at start; typing costs milliseconds
+    assert _loaded_by_cli_import({"typing"}) == "[]"
 
 
 def test_cli_rejects_a_cover_of_a_label_by_itself(tmp_path, capsys):
