@@ -63,8 +63,13 @@ class RunReport:
 
 def _load(path: str, report: RunReport) -> Document:
     """The file read once as bytes, its \\r\\n and \\r newlines made \\n (so
-    the digest in report.inputs is that of the text that is parsed)."""
-    with open(path, "rb") as fh:
+    the digest in report.inputs is that of the text that is parsed).  A
+    NUL byte in the path is an OSError, like any path that cannot be opened."""
+    try:
+        fh = open(path, "rb")
+    except ValueError:  # what open raises for a NUL byte in the path
+        raise OSError(f"embedded null byte in file name: {path!r}") from None
+    with fh:
         data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     report.inputs[path] = sha256(data).hexdigest()
     try:

@@ -5,12 +5,10 @@ harmless.
 
 Lattice work goes through column echelon forms m T = [E | 0], T
 unimodular, built by column operations only (`echelon_form`).  The cached
-membership form carries E alone: `in_lattice` (so `lattice_contains`) is
-forward substitution against it.  Only solves and kernels read T, and
-they carry as many of its coordinates as they read: `solve` maps the
-substituted solution back through all of T, `kernel_basis` is the columns
-of T after the pivots, and `relative_kernel` keeps only the coordinates
-of m in the kernel of [m | lat].
+membership form carries E alone: `lattice_contains` is forward
+substitution against it.  Only `relative_kernel` reads T, and it carries
+only the coordinates it reads: those of m, in the columns of T after the
+pivots of [m | lat].
 
 Invariant factors (`sparse_invariant_factors`, and `invariant_factors` on
 a dense matrix) come from one sparse elimination that keeps no
@@ -284,8 +282,8 @@ def echelon_form(m: IntMatrix, keep: int = 0) -> Echelon:
     is the next pivot (Cohen, A Course in Computational Algebraic Number
     Theory, 2.4.2-2.4.3).  A column operation acts on each coordinate of
     T alone, so the coordinates past `keep` are never computed.  Cached:
-    IntMatrix is hashable, and the membership tests (keep = 0) and the
-    solves of one matrix each go through one form.
+    IntMatrix is hashable, so the membership tests and substitutions of
+    one matrix (keep = 0) all go through one form.
     """
     r, c = m.rows, m.cols
     a = [list(col) for col in zip(*m.entries)] if r else [[] for _ in range(c)]
@@ -333,33 +331,6 @@ def echelon_form(m: IntMatrix, keep: int = 0) -> Echelon:
                    tuple(tuple(col) for col in t) if keep else ())
 
 
-def solve(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution x of m x = b, or None: E y = b by forward
-    substitution, then x = T y."""
-    if len(b) != m.rows:
-        raise ValueError("dimension mismatch")
-    ech = echelon_form(m, m.cols)
-    y = ech.substitute(b)
-    if y is None:
-        return None
-    x = [0] * m.cols
-    for q, col in zip(y, ech.transform):
-        if q:
-            x = [a + q * v for a, v in zip(x, col)]
-    return tuple(x)
-
-
-def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel lattice {x : m x = 0}.
-
-    The columns of the echelon transform T after the pivots, in order: T is
-    unimodular, so they are a basis of the kernel lattice and not merely of
-    a finite-index sublattice.
-    """
-    ech = echelon_form(m, m.cols)
-    return list(ech.transform[len(ech.pivots):])
-
-
 def relative_kernel(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
     """Generators (as columns) of {x : m x lies in the column span of lat}.
 
@@ -370,13 +341,6 @@ def relative_kernel(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
     ech = echelon_form(m.hstack(lat), m.cols)
     cols = [k for k in ech.transform[len(ech.pivots):] if any(k)]
     return IntMatrix.from_cols(cols, rows=m.cols)
-
-
-def in_lattice(lat: IntMatrix, vec: Sequence[int]) -> bool:
-    """Whether vec lies in the column span of lat over the integers."""
-    if len(vec) != lat.rows:
-        raise ValueError("dimension mismatch")
-    return echelon_form(lat).substitute(vec) is not None
 
 
 def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:

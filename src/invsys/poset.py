@@ -27,8 +27,8 @@ class Poset:
     """Finite poset on opaque string labels.
 
     Instances are created through :func:`validate_poset`; direct construction
-    assumes distinct labels and acyclic covers over them.  ``covers`` may
-    also hold a < c beside a < b < c, as `generators.random_poset` emits.
+    assumes distinct labels and acyclic covers over them.  ``covers`` holds
+    the declared pairs, which may include a < c beside a < b < c.
     """
 
     def __init__(self, elements: Sequence[str], covers: Sequence[tuple[str, str]]):

@@ -103,11 +103,6 @@ class Thread:
         return dict(self.assignment)
 
 
-def is_thread(sys: SetSystem, t: Thread) -> bool:
-    m = t.as_dict()
-    return all(bmap[m[hi]] == m[lo] for (lo, hi), bmap in sys.cover_bonds.items())
-
-
 def is_surjective(sys: Diagram):
     """(verdict, first failing cover or None) for a system of any kind.
 

@@ -16,22 +16,20 @@ from invsys.bergman import (CosetElement, FreeAbElement, coset_equal, d_map,
                             g, gset_bond, random_h_combination, translate)
 from invsys.derived import (derived_limit, limit_exactness_check,
                             scd_witness_system)
-from invsys.generators import (random_exact_sequence, random_forest_poset,
-                               random_poset, random_set_system,
-                               random_surjective_absystem,
-                               random_surjective_set_system, random_tower)
+from invsys.generators import random_surjective_absystem
 from invsys.henkin import (cofinal_extract, enumerate_members,
                            family_from_top, henkin_eps, henkin_lift,
                            henkin_member)
 from invsys.intlinalg import invariant_factors
 from invsys.poset import chain_poset, grid_poset, wedge_poset
-from invsys.setsys import (is_surjective, is_thread, limit_threads,
-                           ml_report, thread_from_top, tower_chain,
-                           universal_images)
+from invsys.setsys import (is_surjective, limit_threads, ml_report, thread_from_top,
+                           tower_chain, universal_images)
 
-from conftest import (brute_force_flags, brute_force_threads, det,
+from conftest import (brute_force_flags, brute_force_threads, det, is_thread,
                       minors_gcd_invariants, naive_universal_images,
-                      random_int_matrix, smith_normal_form)
+                      random_exact_sequence, random_forest_poset, random_int_matrix,
+                      random_poset, random_set_system, random_surjective_set_system,
+                      random_tower, smith_normal_form)
 
 
 def _report(num: int, text: str):

@@ -13,18 +13,18 @@ from invsys.derived import (CochainComplex, ExactnessReport, cohomology,
                             nerve_complex, scd_finite, scd_witness_system,
                             validate_absystem)
 from invsys.errors import FunctorialityViolation, SquaresDoNotCommute
-from invsys.generators import (random_exact_sequence, random_forest_poset,
-                               random_poset, random_surjective_absystem)
-from invsys.intlinalg import IntMatrix, SparseMatrix, echelon_form, in_lattice
+from invsys.generators import random_surjective_absystem
+from invsys.intlinalg import IntMatrix, SparseMatrix, echelon_form
 from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
 from invsys.setsys import is_surjective, limit_threads, validate_system
 from invsys.textio import parse_document
 
-from conftest import (apply_hom_canon, brute_force_flags, cochain_count_order,
-                      constant_z, face_poset, finite_elements, full_nerve_complex,
-                      grid_surface_triangles, group_order, kernel_h0_with_basis,
-                      minors_gcd_invariants, orientation_system,
-                      presented_cohomology, product_poset, rp2_triangles,
+from conftest import (apply_hom_canon, brute_force_flags, cochain_count_order, constant_z,
+                      face_poset, finite_elements, full_nerve_complex,
+                      grid_surface_triangles, group_order, in_lattice,
+                      kernel_h0_with_basis, minors_gcd_invariants, orientation_system,
+                      presented_cohomology, product_poset, random_exact_sequence,
+                      random_forest_poset, random_poset, rp2_triangles,
                       solved_exactness_report, sphere_model, surjectivity_oracle)
 
 

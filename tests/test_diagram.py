@@ -14,13 +14,12 @@ import pytest
 from invsys.abgroups import AbHom, FgAbGroup, hom_compose, hom_equal
 from invsys.derived import AbSystem, validate_absystem
 from invsys.errors import FunctorialityViolation
-from invsys.generators import random_forest_poset, random_poset
 from invsys.intlinalg import IntMatrix
 from invsys.poset import grid_poset, validate_poset
 from invsys.setsys import (SetSystem, is_surjective, ml_report, universal_images,
                            validate_system, validate_tower)
 
-from conftest import sphere_model
+from conftest import random_forest_poset, random_poset, sphere_model
 
 
 def cover_paths(p, lower, upper):

@@ -12,8 +12,8 @@ input, no exception may escape ``main``, the exit code is 0, 1 or 2, an exit
 2 prints exactly one stderr line, which starts with ``error:``, and an exit 1
 comes only from a command whose verdict can be false, with a false verdict
 in its output.  The seeds and the numbers of mutants are fixed, so every run
-tries the same inputs.  NUL bytes are left out: no shell can pass one in an
-argument.
+tries the same inputs.  No shell can pass a NUL byte in an argument, but a
+caller of ``main`` can, so one word of the command-line mutants holds one.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ MUTANTS_PER_CASE = 120
 VALUES = ("-1", "-7", "99999999999999999999", "0x10", "1e3", "1_0", "+3", " 4", "\u0663",
           "", "two", "nosuch", "(9_9)", "a,b")
 # words in place of a command, a file or a value, and options no command has
-NAMES = ("nosuch", "nosuch.txt", "henkin", "enumerate", "validate", "-", "--json", "-h")
+NAMES = ("nosuch", "nosuch.txt", "nul\x00.txt", "henkin", "enumerate", "validate", "-",
+         "--json", "-h")
 UNKNOWN_OPTIONS = ("--nosuch", "--nosuch=1", "-x", "--", "--json=1", "--N", "--trials",
                    "--seed")
 ARGV_MUTANTS_PER_COMMAND = 30

@@ -10,11 +10,10 @@ from invsys.errors import (NoStrictUpper, NotComparable, NotMember,
 from invsys.henkin import (cofinal_extract, enumerate_members,
                            family_from_top, henkin_eps, henkin_lift,
                            henkin_member, henkin_system)
-from invsys.generators import random_poset
 from invsys.poset import chain_poset, grid_poset, wedge_poset
 from invsys.setsys import is_surjective, limit_threads
 
-from conftest import brute_force_flags, even_tuple_members
+from conftest import brute_force_flags, even_tuple_members, random_poset
 
 SMALL_POSETS = [chain_poset(3), chain_poset(5), grid_poset(2, 2),
                 wedge_poset()]

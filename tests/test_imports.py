@@ -55,3 +55,25 @@ def test_no_unused_imports():
         unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
                    for line, name in _imported(tree) if name not in used]
     assert not unused, unused
+
+
+def test_package_holds_no_dead_definitions():
+    """Every module-level function and class of the package is named in
+    another package module, used in its own module outside its definition,
+    or exported in invsys.__all__; what only the tests call lives in them."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "invsys").glob("*.py"))}
+    used = {module: [_used(ast.Module([stmt], [])) for stmt in tree.body]
+            for module, tree in trees.items()}  # __init__ reads the names in __all__
+    dead = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(u for other, us in used.items() if other != module for u in us))
+        for k, node in enumerate(tree.body):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            here = set().union(*(u for j, u in enumerate(used[module]) if j != k))
+            qualified = f"{module}.{node.name}"
+            if not (node.name in here or node.name in elsewhere
+                    or any(u.endswith(qualified) for u in elsewhere)):
+                dead.append(qualified)
+    assert not dead, f"{len(dead)} definitions no package code reaches: {', '.join(dead)}"

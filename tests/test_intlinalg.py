@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from invsys.abgroups import AbHom, FgAbGroup
 from invsys.derived import validate_absystem
 from invsys.generators import random_unimodular
-from invsys.intlinalg import (IntMatrix, echelon_form, in_lattice,
-                              invariant_factors, kernel_basis,
-                              relative_kernel, solve,
+from invsys.intlinalg import (IntMatrix, echelon_form, invariant_factors, relative_kernel,
                               sparse_invariant_factors)
 from invsys.poset import chain_poset, grid_poset
 
-from conftest import (_det_perm, det, full_nerve_complex, minors_gcd_invariants,
-                      random_int_matrix, smith_normal_form, smith_solve)
+from conftest import (_det_perm, det, echelon_solve, full_nerve_complex, in_lattice,
+                      kernel_basis, minors_gcd_invariants, random_int_matrix,
+                      smith_normal_form, smith_solve)
 
 matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -138,15 +137,15 @@ def test_solve_roundtrip():
         m = random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         x = [rng.randint(-5, 5) for _ in range(m.cols)]
         b = m.apply(x)
-        got = solve(m, b)
+        got = echelon_solve(m, b)
         assert got is not None
         assert m.apply(got) == tuple(b)
 
 
 def test_solve_detects_unsolvable():
     m = IntMatrix.from_rows([[2, 0], [0, 2]])
-    assert solve(m, [1, 0]) is None
-    assert solve(m, [2, -4]) == (1, -2)
+    assert echelon_solve(m, [1, 0]) is None
+    assert echelon_solve(m, [2, -4]) == (1, -2)
 
 
 def test_kernel_basis_spans_kernel():
@@ -285,7 +284,7 @@ def test_echelon_membership_and_solve_against_smith_oracle(case):
     m = IntMatrix.from_rows(rows, cols=c)
     image = m.apply(x)
     for b in (image, tuple(y + e for y, e in zip(image, d))):
-        got, oracle = solve(m, b), smith_solve(m, b)
+        got, oracle = echelon_solve(m, b), smith_solve(m, b)
         assert (got is None) == (oracle is None) == (not in_lattice(m, b))
         if got is not None:
             assert m.apply(got) == tuple(b)

@@ -7,11 +7,10 @@ import time
 import pytest
 
 from invsys.errors import BudgetExceeded, CycleDetected, UnknownElement
-from invsys.generators import random_poset
 from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
 
 from conftest import (brute_force_flags, cone_deletion_core, floyd_warshall_leq,
-                      is_directed, naive_linear_extension, sphere_model,
+                      is_directed, naive_linear_extension, random_poset, sphere_model,
                       upper_bounds)
 
 

@@ -7,17 +7,14 @@ import pytest
 from invsys.errors import (BudgetExceeded, EmptyFiber, FunctorialityViolation,
                            MissingBond, NoMaximum, NotFunction, SigmaNotInjective,
                            SquaresDoNotCommute)
-from invsys.generators import (random_forest_poset, random_poset,
-                               random_set_system,
-                               random_surjective_set_system, random_tower)
 from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
-from invsys.setsys import (Thread, count_threads, fiber_subsystem,
-                           is_surjective, is_thread, limit_threads, ml_report,
-                           thread_from_top, universal_images, validate_system,
-                           validate_tower)
+from invsys.setsys import (Thread, count_threads, fiber_subsystem, is_surjective,
+                           limit_threads, ml_report, thread_from_top, universal_images,
+                           validate_system, validate_tower)
 
-from conftest import (brute_force_threads, naive_universal_images,
-                      surjectivity_oracle)
+from conftest import (brute_force_threads, is_thread, naive_universal_images,
+                      random_forest_poset, random_poset, random_set_system,
+                      random_surjective_set_system, random_tower, surjectivity_oracle)
 
 
 def diamond():

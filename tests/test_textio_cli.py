@@ -14,14 +14,13 @@ import pytest
 
 from invsys.cli import COMMANDS, main, parse_args
 from invsys.errors import BudgetExceeded, ParseError
-from invsys.generators import (random_exact_sequence, random_poset,
-                               random_surjective_absystem,
-                               random_surjective_set_system, random_tower)
+from invsys.generators import random_surjective_absystem
 from invsys.poset import Poset, chain_poset, wedge_poset
 from invsys.textio import DEFAULT_HORIZON_BUDGET, parse_document
 
-from conftest import (absystem_to_text, poset_to_text, sequence_to_text, sphere_model,
-                      system_to_text, tower_to_text)
+from conftest import (absystem_to_text, poset_to_text, random_exact_sequence,
+                      random_poset, random_surjective_set_system, random_tower,
+                      sequence_to_text, sphere_model, system_to_text, tower_to_text)
 
 WEDGE_TXT = """\
 poset W
@@ -923,6 +922,11 @@ def _loaded_by_cli_import(names: set[str]) -> str:
 
 def test_cli_imports_neither_openssl_nor_bergman():
     assert _loaded_by_cli_import({"_hashlib", "hashlib", "invsys.bergman"}) == "[]"
+
+
+def test_cli_import_leaves_the_scd_sampler_unloaded():
+    # scd_finite imports invsys.generators inside the call
+    assert _loaded_by_cli_import({"invsys.generators"}) == "[]"
 
 
 def test_cli_imports_no_dataclasses():

@@ -20,12 +20,12 @@ import pytest
 
 from invsys.cli import main
 from invsys.errors import InvsysError
-from invsys.generators import (random_forest_poset, random_poset, random_set_system,
-                               random_surjective_set_system, random_tower)
 from invsys.poset import grid_poset
 from invsys.textio import parse_document
 
-from conftest import per_token_document, poset_to_text, system_to_text, tower_to_text
+from conftest import (per_token_document, poset_to_text, random_forest_poset,
+                      random_poset, random_set_system, random_surjective_set_system,
+                      random_tower, system_to_text, tower_to_text)
 
 SEPARATORS = {"->", ",", ":", "<", "{", "}"}
 GAPS = ["", " ", "\t", "\u00a0", "\u3000", " \t "]  # around a separator
