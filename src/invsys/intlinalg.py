@@ -13,10 +13,10 @@ pivots of [m | lat].
 Invariant factors (`sparse_invariant_factors`, and `invariant_factors` on
 a dense matrix) come from one sparse elimination that keeps no
 transforms: a single pivot routine clears a row and a column at a time on
-sparse rows, first on unit pivots in one sweep over the rows, then on
-entries of least absolute value, and a gcd/lcm pass over the non-unit
-pivots makes them a divisibility chain.  No routine of the package asks
-for a Smith transform, so none computes one.
+sparse rows, each row in turn pivoting on its own entry of least absolute
+value, and a gcd/lcm pass over the non-unit pivots makes them a
+divisibility chain.  No routine of the package asks for a Smith
+transform, so none computes one.
 """
 
 from __future__ import annotations
@@ -139,14 +139,15 @@ def sparse_invariant_factors(vectors: Iterable[dict[int, int]]) -> list[int]:
 
     Every step is one call of `pivot`, which clears a row and a column
     around a nonzero entry by unimodular operations, so the factors are
-    those of the whole matrix.  The pivots come in two orders.  First one
-    sweep over the rows, in order: a row still present that holds a unit
-    when its turn comes pivots on its unit in the column with fewest
-    entries, which keeps fill-in small.  Nerve differentials are nearly all
-    +-1, so this sweep mostly empties the matrix (Dumas, Saunders and
-    Villard 2001; Kaczynski, Mischaikow and Mrozek, Computational Homology,
-    ch. 3).  What is left then pivots on an entry of least absolute value,
-    ties to the least row and column index (Havas, Holt and Rees 1993).
+    those of the whole matrix.  One rule picks every pivot: the rows are
+    taken in order, and a row still present pivots on its entry of least
+    absolute value, ties to the column with fewest entries, which keeps
+    fill-in small, then to the lower column index; again, until the row is
+    gone (`pivot` may finish on another row of the column).  A unit is
+    always a least entry, and nerve differentials are nearly all +-1, so
+    most rows go in one unit pivot (Dumas, Saunders and Villard 2001;
+    Kaczynski, Mischaikow and Mrozek, Computational Homology, ch. 3).  No
+    row is ever added, so the sweep empties the matrix.
     """
     rows = {i: dict(vec) for i, vec in enumerate(vectors) if vec}
     where: dict[int, set[int]] = {}  # column -> rows with an entry there
@@ -204,12 +205,9 @@ def sparse_invariant_factors(vectors: Iterable[dict[int, int]]) -> list[int]:
             return
 
     for i in list(rows):
-        js = [j for j, x in rows.get(i, {}).items() if x == 1 or x == -1]
-        if js:
-            pivot(i, min(js, key=lambda j: len(where[j])))
-    while rows:
-        _, i, j = min((abs(x), i, j) for i, row in rows.items() for j, x in row.items())
-        pivot(i, j)
+        while i in rows:
+            _, _, j = min((abs(x), len(where[j]), j) for j, x in rows[i].items())
+            pivot(i, j)
     # diag(a, b) ~ diag(gcd, lcm) makes the chain (Newman, Integral
     # Matrices, ch. II); units divide everything and need no pass
     torsion = [p for p in pivots if p > 1]

@@ -22,7 +22,9 @@ file on its own.  They exist so the library code is checked against an
 independent computation, not against itself.  The sphere models, the face
 posets of triangulated surfaces, with constant Z and with the orientation
 system, and product posets have answers known from the topology (McCord,
-twisted Poincare duality, Kunneth), not from a computation.
+twisted Poincare duality, Kunneth), not from a computation; so does
+`scd_witness_system`, the lim^1 probe on the wedge that `scd` does not
+sample because it is not surjective.
 
 `echelon_solve`, `kernel_basis` and `in_lattice` read `echelon_form`
 directly, `echelon_solve` and `kernel_basis` through all of its transform,
@@ -705,6 +707,19 @@ def constant_z(p: Poset) -> AbSystem:
     z = FgAbGroup.free(1)
     return validate_absystem(p, {e: z for e in p.elements},
                              {cov: AbHom(z, z, IntMatrix.identity(1)) for cov in p.covers})
+
+
+def scd_witness_system(base: Poset) -> AbSystem:
+    """The deterministic nonvanishing probe: Z at minimal elements, 0 above.
+
+    Not a surjective system unless the poset is an antichain, so `scd`
+    does not sample it; it is the standard witness for a nonzero first
+    derived limit on non-directed shapes (wedge: free rank 1).
+    """
+    groups = {e: (FgAbGroup.trivial() if base.lower_covers[e] else FgAbGroup.free(1))
+              for e in base.elements}
+    bonds = {(lo, hi): AbHom.zero(groups[hi], groups[lo]) for lo, hi in base.covers}
+    return validate_absystem(base, groups, bonds)
 
 
 def product_poset(p: Poset, q: Poset) -> Poset:

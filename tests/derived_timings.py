@@ -6,7 +6,7 @@ complex, and the invariants found.  The models are constant Z on the S^4-S^6
 sphere models, S^2 x S^2, RP^2 x S^1 and S^2 x S^3, and twisted Z on the
 Klein bottle (their answers are in `conftest`), and seeded torsion
 systems on the Klein bottle and on S^2 x S^2, whose eliminations are mostly
-non-unit pivots; the second takes seconds.
+non-unit pivots.
 Not a test module, so pytest does not collect it.  Run it from the
 repository root:
 

@@ -14,8 +14,7 @@ import time
 from invsys.abgroups import group_invariants, is_trivial_group
 from invsys.bergman import (CosetElement, FreeAbElement, coset_equal, d_map,
                             g, gset_bond, random_h_combination, translate)
-from invsys.derived import (derived_limit, limit_exactness_check,
-                            scd_witness_system)
+from invsys.derived import derived_limit, limit_exactness_check
 from invsys.generators import random_surjective_absystem
 from invsys.henkin import (cofinal_extract, enumerate_members,
                            family_from_top, henkin_eps, henkin_lift,
@@ -29,7 +28,7 @@ from conftest import (brute_force_flags, brute_force_threads, det, is_thread,
                       minors_gcd_invariants, naive_universal_images,
                       random_exact_sequence, random_forest_poset, random_int_matrix,
                       random_poset, random_set_system, random_surjective_set_system,
-                      random_tower, smith_normal_form)
+                      random_tower, scd_witness_system, smith_normal_form)
 
 
 def _report(num: int, text: str):

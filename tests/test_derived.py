@@ -10,11 +10,11 @@ from invsys.abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
 from invsys.derived import (CochainComplex, ExactnessReport, cohomology,
                             derived_limit, h0_with_basis, induced_limit_hom,
                             limit_exactness_check,
-                            nerve_complex, scd_finite, scd_witness_system,
-                            validate_absystem)
+                            nerve_complex, scd_finite, validate_absystem)
 from invsys.errors import FunctorialityViolation, SquaresDoNotCommute
 from invsys.generators import random_surjective_absystem
-from invsys.intlinalg import IntMatrix, SparseMatrix, echelon_form
+from invsys.intlinalg import (IntMatrix, SparseMatrix, echelon_form,
+                              sparse_invariant_factors)
 from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
 from invsys.setsys import is_surjective, limit_threads, validate_system
 from invsys.textio import parse_document
@@ -24,8 +24,9 @@ from conftest import (apply_hom_canon, brute_force_flags, cochain_count_order, c
                       grid_surface_triangles, group_order, in_lattice,
                       kernel_h0_with_basis, minors_gcd_invariants, orientation_system,
                       presented_cohomology, product_poset, random_exact_sequence,
-                      random_forest_poset, random_poset, rp2_triangles,
-                      solved_exactness_report, sphere_model, surjectivity_oracle)
+                      random_forest_poset, random_poset, rp2_triangles, scd_witness_system,
+                      smith_normal_form, solved_exactness_report, sphere_model,
+                      surjectivity_oracle)
 
 
 def test_differential_squares_to_zero():
@@ -166,8 +167,13 @@ def test_scd_chain_is_zero():
     assert scd_finite(chain_poset(3), trials=5, seed=0) == 0
 
 
-def test_scd_wedge_is_one():
-    assert scd_finite(wedge_poset(), trials=5, seed=0) == 1
+def test_scd_wedge_is_zero():
+    # every onto system on the wedge has lim^1 = 0: its bonds into the
+    # minimum are onto, so the cokernel of the sum map is 0; the probe with
+    # a nonzero lim^1 is not onto, so scd does not sample it
+    assert scd_finite(wedge_poset(), trials=20, seed=0) == 0
+    assert scd_witness_system(wedge_poset()).first_non_onto() is not None
+    assert [scd_finite(sphere_model(k), trials=20, seed=0) for k in (1, 2)] == [1, 2]
 
 
 def test_cohomology_vanishes_above_top_degree():
@@ -338,6 +344,37 @@ def test_constant_z_on_surfaces_with_torsion(system, expected):
     for n, invariants in enumerate(expected + [ZERO]):
         assert group_invariants(derived_limit(s, n)) == invariants, n
         assert group_invariants(cohomology(cx, n)) == invariants, n
+
+
+@pytest.mark.parametrize("base", [sphere_model(1), sphere_model(2),
+                                  product_poset(sphere_model(1), sphere_model(1))],
+                         ids=["s1", "s2", "s1xs1"])
+def test_invariant_factors_of_nerve_matrices_match_the_smith_loop(base, monkeypatch):
+    # every matrix that cohomology eliminates, on seeded torsion systems,
+    # against the dense Smith loop of conftest, which shares no step with it
+    import invsys.derived as derived
+    seen = []
+
+    def recording(vectors):
+        vectors = list(vectors)
+        factors = sparse_invariant_factors(vectors)
+        seen.append((vectors, factors))
+        return factors
+
+    monkeypatch.setattr(derived, "sparse_invariant_factors", recording)
+    rng = random.Random(11)
+    for _ in range(3):
+        cx = nerve_complex(random_surjective_absystem(rng, base))
+        for n in range(cx.top_degree + 1):
+            cohomology(cx, n)
+    for vectors, factors in seen:
+        cols = 1 + max((j for vec in vectors for j in vec), default=-1)
+        m = IntMatrix.from_rows([[vec.get(j, 0) for j in range(cols)] for vec in vectors],
+                                cols=cols)
+        _, d, _ = smith_normal_form(m)
+        assert [d.entries[i][i] for i in range(min(m.rows, m.cols))
+                if d.entries[i][i]] == factors
+    assert any(f > 1 for _, factors in seen for f in factors)  # torsion was eliminated
 
 
 def test_cofinal_core_keeps_minimal_bases_and_shrinks_cones():

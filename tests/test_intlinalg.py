@@ -61,7 +61,7 @@ def test_snf_matches_minors_gcd_oracle():
         diagonal = [d.entries[i][i] for i in range(min(m.rows, m.cols)) if d.entries[i][i]]
         assert invariant_factors(m) == invariant_factors(m.transpose()) == diagonal \
             == minors_gcd_invariants(m)
-    # sparse rows with unit and non-unit entries, as the unit sweep sees them
+    # sparse rows with unit and non-unit entries, like nerve rows with torsion
     torsion = 0
     for _ in range(400):
         r, c = rng.randint(1, 5), rng.randint(1, 5)
@@ -71,9 +71,9 @@ def test_snf_matches_minors_gcd_oracle():
         factors = sparse_invariant_factors(rows)
         assert factors == minors_gcd_invariants(m)
         torsion += any(x > 1 for x in factors)
-    assert torsion  # the residual loop is reached, not only unit pivots
-    # row 0 holds no unit until row 1 is eliminated, so the sweep has passed
-    # it and its unit is left to the least-entry pivots
+    assert torsion  # non-unit pivots are reached, not only unit ones
+    # row 0 holds no unit: its pivot 2 leaves the remainder 1 in row 1, where
+    # `pivot` finishes, and row 0 pivots again on what is left of it
     assert sparse_invariant_factors([{0: 2, 1: 3}, {1: 1, 0: 1}]) == [1, 1]
     # beyond minors-gcd, against the dense Smith loop with transforms
     torsion = second = 0
