@@ -9,10 +9,10 @@ vanish, so the complex is finite.
 
 `nerve_complex` builds that complex over the cofinal core of the base
 (`Poset.core`), which has the same limits in every degree: its flags are
-the base's cached `Poset.core_flags`, walked once per base and capped by
-its budget, and its bonds are those of the system it is given.  So the
-systems of one base share one core and one flag list, and no restricted
-system is built.
+the base's cached `Poset.core_flags`, counted against the flag budget
+and then listed once per base, and its bonds are those of the system it
+is given.  So the systems of one base share one core and one flag list,
+and no restricted system is built.
 
 Write L(k) for the block relation lattice of C(k) (columns: the relation
 basis `FgAbGroup.relation_lattice` of each flag's group, at most ngens

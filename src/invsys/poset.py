@@ -7,9 +7,9 @@ finite analogue of "has a countable cofinal sequence" collapses to "has a
 maximum", which is the only dichotomy a finite poset can exhibit.
 
 The cofinal core (`Poset.core`, a tuple of elements) and the flags of
-the nerve inside it (`Poset.core_flags`, one walk along the strict
-up-sets filtered by the core, capped at DEFAULT_FLAG_BUDGET flags) are
-computed once per poset and cached; no subposet is built for the core.
+the nerve inside it (`Poset.core_flags`, counted against
+DEFAULT_FLAG_BUDGET before any is listed) are computed once per poset
+and cached; no subposet is built for the core.
 """
 
 from __future__ import annotations
@@ -122,15 +122,22 @@ class Poset:
 
     @cached_property
     def core(self) -> tuple[str, ...]:
-        """The cofinal core, in declared order: the elements left after
-        deleting each x whose strict up-set, among the elements still left,
-        has a maximum or a minimum; the walk goes in declared order and
-        repeats until no element qualifies.  Computed once per poset.
+        """The cofinal core, in declared order: what is left after deleting,
+        until none qualifies, each x whose strict up-set among the elements
+        left has a maximum or a minimum.  One pass takes the elements by
+        increasing up-set size, so each after all above it.  Computed once.
 
-        Maximal elements are never deleted, so x's up-set has a maximum
-        exactly when one maximal element lies above x; a minimum, if there
-        is one, is the element left above x with the largest up-set, so one
-        superset test decides it.  Each x costs O(|above x|).
+        Maximal elements never go, so x's up-set has a maximum exactly when
+        one maximal element lies above x; a minimum, if any, is the element
+        left above x with the largest up-set, found by one superset test.
+        Each x costs O(|above x|).
+
+        Whether x goes depends only on the elements left above x, and the
+        pass settles those first.  No deletion stops another element from
+        qualifying: a maximum of x's up-set is maximal, and if its minimum m
+        goes, what is left above x is m's up-set, which had a maximum or a
+        minimum.  So every deletion order ends at the same core (Newman's
+        lemma, Ann. Math. 43, 1942).
 
         Such an up-set is a cone, hence contractible, so by homotopy
         cofinality (Bousfield-Kan 1972, XI.9) an inverse system over this
@@ -140,49 +147,38 @@ class Poset:
         """
         tops = set(self.maximal_elements())
         size = {y: len(up) for y, up in self._up.items()}
-        kept = dict.fromkeys(self.elements)  # an ordered set
-        shrank = True
-        while shrank:
-            shrank = False
-            for x in list(kept):
-                above = [y for y in self._above[x] if y in kept]
-                if not above:  # x is maximal
-                    continue
+        kept = set()
+        for x in sorted(self.elements, key=size.__getitem__):
+            above = [y for y in self._above[x] if y in kept]
+            if above:
                 lowest = max(above, key=size.__getitem__)
                 if len(tops.intersection(above)) == 1 or self._up[lowest].issuperset(above):
-                    del kept[x]
-                    shrank = True
-        return tuple(kept)
+                    continue
+            kept.add(x)
+        return tuple(e for e in self.elements if e in kept)
 
     @cached_property
     def core_flags(self) -> list[list[tuple[str, ...]]]:
         """core_flags[k] lists the strictly increasing flags of k + 1 elements
         of the core, the cells of the nerve that derived limits are computed
         on, in lexicographic order of declared positions; [[]] for the empty
-        poset.  One depth-first walk from each core element in declared
-        order, each flag extended along the strict up-set of its last
-        element within the core; the path is kept on a stack, not in nested
-        calls, as a flag may be longer than the interpreter's recursion
-        limit.  Raises BudgetExceeded on flag DEFAULT_FLAG_BUDGET + 1, so a
-        core far over budget stops early."""
+        poset.
+
+        From the top down, least[x] = 1 + the sum of least[y] over the core
+        elements y above x counts the flags with least element x; a total
+        over DEFAULT_FLAG_BUDGET raises BudgetExceeded before any flag is
+        listed.  Then each degree extends every flag of the one below by the
+        core elements above its last, in declared order, keeping the order."""
         core = set(self.core)
         above = {b: [y for y in self._above[b] if y in core] for b in self.core}
-        flags: list[list[tuple[str, ...]]] = [[]]
-        count = 0
-        stack = [((), iter(self.core))]  # each flag on the path, with its extensions
-        while stack:
-            b = next(stack[-1][1], None)
-            if b is None:
-                stack.pop()
-                continue
-            flag = stack[-1][0] + (b,)
-            if len(flag) > len(flags):
-                flags.append([])
-            flags[len(flag) - 1].append(flag)
-            count += 1
-            if count > DEFAULT_FLAG_BUDGET:
-                raise BudgetExceeded("nerve flag count exceeds budget")
-            stack.append((flag, iter(above[b])))
+        least: dict[str, int] = {}
+        for x in sorted(self.core, key=lambda b: len(self._up[b])):
+            least[x] = 1 + sum(least[y] for y in above[x])
+        if sum(least.values()) > DEFAULT_FLAG_BUDGET:
+            raise BudgetExceeded("nerve flag count exceeds budget")
+        flags = [[(b,) for b in self.core]]
+        while longer := [fl + (y,) for fl in flags[-1] for y in above[fl[-1]]]:
+            flags.append(longer)
         return flags
 
     # -- structural helpers ----------------------------------------------

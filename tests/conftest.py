@@ -722,6 +722,35 @@ def scd_witness_system(base: Poset) -> AbSystem:
     return validate_absystem(base, groups, bonds)
 
 
+def subdivision(p: Poset) -> Poset:
+    """sd(p): the flags of p ordered by inclusion, each labelled by its
+    elements in increasing order joined with "<"; a flag covers its faces
+    with one element fewer.  Its nerve is the barycentric subdivision of
+    the nerve of p."""
+    assert not any("<" in e for e in p.elements)
+    flags = [fl for level in brute_force_flags(p) for fl in level]
+    label = "<".join
+    covers = [(label(fl[:k] + fl[k + 1:]), label(fl))
+              for fl in flags if len(fl) > 1 for k in range(len(fl))]
+    return validate_poset([label(fl) for fl in flags], covers)
+
+
+def pullback_along_max(sys: AbSystem) -> AbSystem:
+    """sys pulled back to `subdivision(sys.base)` along the monotone map
+    from a flag to its largest element: each flag gets the group there, and
+    each cover the composite bond of sys between the two largest elements
+    (`composite_along_path`), the identity where they agree.  The
+    largest-element map is homotopy cofinal (Quillen's Theorem A, LNM 341,
+    1973; Bousfield-Kan, LNM 304, 1972, XI), so the pullback has the same
+    lim^n as sys in every degree."""
+    sd = subdivision(sys.base)
+    top = {fl: fl.split("<")[-1] for fl in sd.elements}
+    bonds = {(lo, hi): (AbHom.identity(sys.group(top[lo])) if top[lo] == top[hi]
+                        else composite_along_path(sys, top[lo], top[hi]))
+             for lo, hi in sd.covers}
+    return validate_absystem(sd, {fl: sys.group(top[fl]) for fl in sd.elements}, bonds)
+
+
 def product_poset(p: Poset, q: Poset) -> Poset:
     """The product order on p x q, element (a, b) labelled "axb": covers
     (lo x b, hi x b) and (a x lo, a x hi).  Its order complex is the product

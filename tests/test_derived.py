@@ -23,7 +23,8 @@ from conftest import (apply_hom_canon, brute_force_flags, cochain_count_order, c
                       face_poset, finite_elements, full_nerve_complex,
                       grid_surface_triangles, group_order, in_lattice,
                       kernel_h0_with_basis, minors_gcd_invariants, orientation_system,
-                      presented_cohomology, product_poset, random_exact_sequence,
+                      presented_cohomology, product_poset, pullback_along_max,
+                      random_exact_sequence,
                       random_forest_poset, random_poset, rp2_triangles, scd_witness_system,
                       smith_normal_form, solved_exactness_report, sphere_model,
                       surjectivity_oracle)
@@ -434,6 +435,30 @@ def _full_base_report(monkeypatch, a, b, c, u, v):
         coker_embeds_in_lim1=invariants_embed(group_invariants(coker_v), lim1_a),
         a_surjective=is_surjective(a)[0],
         base_has_maximum=a.base.has_maximum() is not None)
+
+
+def test_derived_limit_is_unchanged_by_subdivision():
+    # lim^n of a system on P and of its pullback to the subdivision sd(P)
+    # along the largest element agree in every degree: seeded torsion
+    # systems on S^1, S^2 and random posets, witnesses that are not onto,
+    # and twisted Z on RP^2, whose subdivision has 181 elements
+    rng = random.Random(42)
+    systems = [random_surjective_absystem(rng, sphere_model(k), max_gens=2)
+               for k in (1, 2) for _ in range(3)]
+    while len(systems) < 20:
+        p = random_poset(rng, max_elements=6)
+        if len(p.elements) > 1:
+            systems.append(random_surjective_absystem(rng, p, max_gens=2))
+    systems += [scd_witness_system(p) for p in (wedge_poset(), sphere_model(2))]
+    systems.append(orientation_system(rp2_triangles()))
+    higher_torsion = 0
+    for s in systems:
+        degrees = range(len(brute_force_flags(s.base)) + 1)
+        expected = [group_invariants(derived_limit(s, n)) for n in degrees]
+        sd = pullback_along_max(s)
+        assert [group_invariants(derived_limit(sd, n)) for n in degrees] == expected, s.base
+        higher_torsion += any(torsion for _, torsion in expected[1:])
+    assert higher_torsion >= 6
 
 
 @pytest.mark.parametrize("ensure_maximum", [True, False])

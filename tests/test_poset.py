@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from invsys import poset as poset_module
 from invsys.errors import BudgetExceeded, CycleDetected, UnknownElement
 from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
 
@@ -187,9 +188,10 @@ def test_flags_match_the_subset_oracle():
 
 
 def test_flags_walk_does_not_recurse_per_element():
-    # the 100-sphere model is far over the flag budget, and the walk goes
-    # 101 elements deep before it lists flag 20,001; a walk with one nested
-    # call per element would pass a recursion limit 50 frames above here
+    # the 100-sphere model is far over the flag budget, and its longest
+    # flags have 101 elements; counting them by least element, or listing
+    # them, with one nested call per element would pass a recursion limit
+    # 50 frames above here
     p = sphere_model(100)
     depth, frame = 0, sys._getframe()
     while frame:
@@ -202,6 +204,25 @@ def test_flags_walk_does_not_recurse_per_element():
     finally:
         sys.setrecursionlimit(limit)
 
+
+
+def test_flag_budget_is_the_flag_count(monkeypatch):
+    # at a budget equal to the number of flags they are listed, one below it
+    # they are refused: a least-element count off by one either way fails
+    rng = random.Random(26)
+    posets = [sphere_model(3)]
+    for _ in range(60):
+        q = random_poset(rng, max_elements=8)
+        posets.append(validate_poset(rng.sample(q.elements, len(q.elements)), q.covers))
+    for p in posets:
+        oracle = brute_force_flags(p, p.core)
+        count = sum(map(len, oracle))
+        monkeypatch.setattr(poset_module, "DEFAULT_FLAG_BUDGET", count)
+        assert validate_poset(p.elements, p.covers).core_flags == oracle
+        monkeypatch.setattr(poset_module, "DEFAULT_FLAG_BUDGET", count - 1)
+        with pytest.raises(BudgetExceeded, match="^nerve flag count exceeds budget$"):
+            validate_poset(p.elements, p.covers).core_flags
+    assert sum(map(len, brute_force_flags(posets[0]))) == 80
 
 
 def test_core_matches_the_cone_deletion_oracle():

@@ -830,20 +830,20 @@ def _constant_z_file(tmp_path, p: Poset) -> str:
     return str(fp)
 
 
-def test_cli_nerve_budget_is_checked_per_flag(tmp_path, capsys, monkeypatch):
+def test_cli_nerve_budget_is_checked_before_any_flag_is_listed(tmp_path, capsys, monkeypatch):
     # the minimal model of the 11-sphere has no element the cofinal core can
-    # delete; its 24 points carry 3^12 - 1 = 531,440 flags, and the walk
-    # stops at flag 20,001, one past the budget of 20,000: the flags it has
-    # listed are read from its frame when it raises
+    # delete; its 24 points carry 3^12 - 1 = 531,440 flags, far over the
+    # budget of 20,000, and they are counted by least element before any is
+    # listed: the frame that raises holds the counts and no flag list
     fp = _constant_z_file(tmp_path, sphere_model(11))
-    listed = []
+    seen = []
 
     def counting(p, _flags=Poset.__dict__["core_flags"].func):
         try:
             return _flags(p)
         except BudgetExceeded as exc:
-            walk = exc.__traceback__.tb_next.tb_frame
-            listed.append(sum(map(len, walk.f_locals["flags"])))
+            names = exc.__traceback__.tb_next.tb_frame.f_locals
+            seen.append(("flags" in names, sum(names["least"].values())))
             raise
 
     prop = cached_property(counting)
@@ -851,7 +851,7 @@ def test_cli_nerve_budget_is_checked_per_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(Poset, "core_flags", prop)
     assert _rejected(["derived", "--n", "1", fp], capsys) == \
         "error: nerve flag count exceeds budget\n"
-    assert listed == [20001]
+    assert seen == [(False, 3 ** 12 - 1)]
 
 
 def test_cli_derived_limit_over_a_long_chain_is_within_budget(tmp_path, capsys):
