@@ -2,25 +2,31 @@
 
 A group is Z^ngens modulo the row lattice of a relation matrix; a
 homomorphism is an integer matrix on generators that must carry every
-source relator into the target's relation lattice.  Each group computes a
-basis of that lattice once (`FgAbGroup.relation_lattice`): the columns of
-the echelon form of its relators, at most ngens of them however many
-relators are declared.  Membership, kernels, images, exactness, cokernels
-and subquotients (presented on an echelon basis) work on these bases
-through the cached column echelon forms of the relevant lattices.
-Invariants come from transform-free invariant factors of the declared
-relators, which cost less than a basis would for a group that has none
-yet.  The declared relators are kept as they are: they define the group's
-equality, its hash and every cache key.  No Smith transform is computed
-here.
+source relator into the target's relation lattice L.  Every lattice
+question is answered by forward substitution in one of two column echelon
+forms (`intlinalg.echelon_form`), each computed once:
+
+- each group has the form of its relators (`FgAbGroup.relation_form`);
+  its columns are a basis of L (`relation_lattice`), at most ngens of them
+  however many relators are declared.  Validity, equality of maps and
+  injectivity substitute into it.
+- each map h has the span form of [h | L(target)] (`_span_form`).  Its
+  columns span im h + L(target), so h is onto when it has a pivot 1 in
+  every row, and the columns of its transform after the pivots are h's
+  relative kernel, {x : h(x) in L(target)}.  Kernels, images, injectivity
+  and exactness read them.
+
+Subquotients are presented on an echelon basis.  Invariants come from
+transform-free invariant factors of the declared relators.  The declared
+relators are kept as they are: they define the group's equality, its hash
+and every cache key.  No Smith transform is computed here.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .intlinalg import (IntMatrix, echelon_form, invariant_factors,
-                        lattice_contains, relative_kernel)
+from .intlinalg import Echelon, IntMatrix, echelon_form, invariant_factors
 
 
 class FgAbGroup:
@@ -44,23 +50,23 @@ class FgAbGroup:
         return FgAbGroup(n, IntMatrix.from_rows([], cols=n))
 
     @staticmethod
-    def cyclic(order: int) -> "FgAbGroup":
-        return FgAbGroup(1, IntMatrix.from_rows([[order]]))
-
-    @staticmethod
     def trivial() -> "FgAbGroup":
         return FgAbGroup(0, IntMatrix.from_rows([], cols=0))
 
+    @cached_property
+    def relation_form(self) -> Echelon:
+        """The column echelon form of the relators, reduced once per group:
+        membership in the relation lattice is substitution into it."""
+        return echelon_form(self.relations.transpose())
+
     def relation_lattice(self) -> IntMatrix:
         """A basis of the relation lattice, as columns in Z^ngens: the
-        columns of the echelon form of the relators, so it is itself in
-        echelon form (`echelon_form` gives it back with no operation)."""
+        columns of `relation_form`."""
         return self._lattice
 
     @cached_property
-    def _lattice(self) -> IntMatrix:  # reduced once per group
-        return IntMatrix.from_cols(echelon_form(self.relations.transpose()).columns,
-                                   rows=self.ngens)
+    def _lattice(self) -> IntMatrix:
+        return IntMatrix.from_cols(self.relation_form.columns, rows=self.ngens)
 
 
 def group_invariants(g: FgAbGroup) -> tuple[int, list[int]]:
@@ -107,10 +113,12 @@ def hom_is_valid(h: AbHom) -> bool:
     Cached, as AbHom is hashable: a level map of a sequence is checked when
     the file is read and again by `limit_exactness_check`.  The images of
     a basis of the source relation lattice suffice."""
-    ech = echelon_form(h.target.relation_lattice())
-    apply = h.matrix.apply
-    return all(ech.substitute(apply(col)) is not None
-               for col in zip(*h.source.relation_lattice().entries))
+    return _within(h.target.relation_form, map(h.matrix.apply, h.source.relation_form.columns))
+
+
+def _within(form: Echelon, vectors) -> bool:
+    """Whether every one of the vectors lies in the column span of form."""
+    return all(form.substitute(v) is not None for v in vectors)
 
 
 def hom_compose(g: AbHom, f: AbHom) -> AbHom:
@@ -126,9 +134,8 @@ def hom_equal(f: AbHom, g: AbHom) -> bool:
         return False
     if f.matrix == g.matrix:
         return True
-    ech = echelon_form(f.target.relation_lattice())
-    return all(ech.substitute([a - b for a, b in zip(x, y)]) is not None
-               for x, y in zip(zip(*f.matrix.entries), zip(*g.matrix.entries)))
+    cols = zip(f.matrix.transpose().entries, g.matrix.transpose().entries)
+    return _within(f.target.relation_form, ([a - b for a, b in zip(x, y)] for x, y in cols))
 
 
 def subquotient(gens: IntMatrix, sub: IntMatrix) -> FgAbGroup:
@@ -145,19 +152,28 @@ def subquotient(gens: IntMatrix, sub: IntMatrix) -> FgAbGroup:
     return FgAbGroup(len(ech.pivots), IntMatrix.from_rows(rels, cols=len(ech.pivots)))
 
 
-def _kernel_lattice(h: AbHom) -> IntMatrix:
-    """Columns generating {x in Z^source : h(x) lies in target relations}."""
-    return relative_kernel(h.matrix, h.target.relation_lattice())
+def _span_form(h: AbHom) -> Echelon:
+    """The echelon form of [h | L(target)], with the coordinates of h in its
+    transform: its columns span im h + L(target), and the columns of its
+    transform after the pivots span {x : h(x) in L(target)}."""
+    return echelon_form(h.matrix.hstack(h.target.relation_lattice()), h.source.ngens)
+
+
+def _kernel_lattice(h: AbHom) -> tuple[tuple[int, ...], ...]:
+    """A basis of {x in Z^source : h(x) lies in target relations}.  None of
+    its vectors is zero: L(target) has independent columns."""
+    form = _span_form(h)
+    return form.transform[len(form.pivots):]
 
 
 def hom_kernel(h: AbHom) -> FgAbGroup:
-    ker = _kernel_lattice(h)
+    ker = IntMatrix.from_cols(_kernel_lattice(h), rows=h.source.ngens)
     return subquotient(ker, h.source.relation_lattice())
 
 
 def hom_image(h: AbHom) -> FgAbGroup:
     """Image subgroup of the target, presented on the source generators."""
-    return FgAbGroup(h.source.ngens, _kernel_lattice(h).transpose())
+    return FgAbGroup(h.source.ngens, IntMatrix.from_rows(_kernel_lattice(h), cols=h.source.ngens))
 
 
 def hom_cokernel(h: AbHom) -> FgAbGroup:
@@ -169,25 +185,27 @@ def hom_cokernel(h: AbHom) -> FgAbGroup:
 
 def is_injective(h: AbHom) -> bool:
     """The kernel lattice of h lies in the source relation lattice."""
-    return lattice_contains(h.source.relation_lattice(), _kernel_lattice(h))
+    return _within(h.source.relation_form, _kernel_lattice(h))
 
 
 def is_surjective_hom(h: AbHom) -> bool:
-    return is_trivial_group(hom_cokernel(h))
+    """im h + L(target) is all of Z^target: its echelon form is lower
+    triangular with a pivot 1 in every row."""
+    form = _span_form(h)
+    return (len(form.pivots) == h.target.ngens
+            and all(col[i] == 1 for i, col in zip(form.pivots, form.columns)))
 
 
 def is_exact_at(f: AbHom, g: AbHom) -> bool:
-    """im f = ker g inside the shared middle group, by double inclusion.
-
-    Both subgroups are lattices between the middle relation lattice and
-    Z^ngens; equality is decided by mutual integer solvability.
+    """im f = ker g inside the shared middle group B, by double inclusion of
+    lattices between L(B) and Z^ngens: g takes the span of f's span form
+    into L(C), and the kernel lattice of g lies in that span.
     """
     if f.target != g.source:
         raise ValueError("target of f must be source of g")
-    mid_lat = f.target.relation_lattice()
-    im_lat = f.matrix.hstack(mid_lat)
-    ker_lat = _kernel_lattice(g)
-    return lattice_contains(ker_lat, im_lat) and lattice_contains(im_lat, ker_lat)
+    image = _span_form(f)
+    return (_within(g.target.relation_form, map(g.matrix.apply, image.columns))
+            and _within(image, _kernel_lattice(g)))
 
 
 def invariants_embed(small: tuple[int, list[int]], big: tuple[int, list[int]]) -> bool:

@@ -122,10 +122,6 @@ class CosetElement:
     level: int
     rep: FreeAbElement
 
-    @staticmethod
-    def basepoint(level: int) -> "CosetElement":
-        return CosetElement(level, FreeAbElement.zero())
-
 
 def coset_equal(c1: CosetElement, c2: CosetElement, n: int) -> bool:
     if c1.level != c2.level:

@@ -31,8 +31,8 @@ saturated, the free rank of H^n is dim C(n) + #L(n+1) - rank D - rank A
 and its torsion is the invariant factors of A other than 1.  Both come
 from `sparse_invariant_factors` (one sparse elimination, each row
 pivoting on its least entry, no transforms).  The block solves are the
-check that coboundaries are cocycles; each is one forward substitution,
-as a relation basis is its own echelon form.  They, the kernels and the
+check that coboundaries are cocycles; each is one forward substitution
+in the group's `relation_form`.  They, the kernels and the
 echelon H^0 bases of `h0_with_basis`, in which the exactness report reads
 its maps by forward substitution, come from column echelon forms
 (`intlinalg.echelon_form`); no Smith transform here.
@@ -109,7 +109,7 @@ class CochainComplex:
         """The relation lattice L(n) of C(n) as sparse columns: block by
         block, the relation basis of the flag's group."""
         return [{off + a: x for a, x in enumerate(col) if x}
-                for off, g in self.blocks[n] for col in zip(*g.relation_lattice().entries)]
+                for off, g in self.blocks[n] for col in g.relation_form.columns]
 
     def lattice(self, n: int) -> IntMatrix:
         """L(n) as a dense matrix of columns; no rows above the top degree."""
@@ -171,15 +171,12 @@ def cohomology(cx: CochainComplex, n: int) -> FgAbGroup:
     # negating the columns of L(n+1) changes no invariant factor of D
     rank_d = len(sparse_invariant_factors(list(d.columns) + rel_next))
 
-    # the block of each row of C(n+1), where its relations start in L(n+1),
-    # and the echelon form of each block's relation basis: the basis itself
-    owner, starts, forms, at = [], [], [], dim
+    # the block of each row of C(n+1) and where its relations start in L(n+1)
+    owner, starts, at = [], [], dim
     for k, (_, g) in enumerate(next_blocks):
         owner += [k] * g.ngens
         starts.append(at)
-        lat = g.relation_lattice()
-        forms.append(echelon_form(lat))
-        at += lat.cols
+        at += len(g.relation_form.pivots)
 
     def lift(x: dict[int, int]) -> dict[int, int]:
         """x and below it the y with L(n+1) y = d x, block by block."""
@@ -189,7 +186,7 @@ def cohomology(cx: CochainComplex, n: int) -> FgAbGroup:
         out = dict(x)
         for k, part in by_block.items():
             off, g = next_blocks[k]
-            sol = forms[k].substitute([part.get(off + a, 0) for a in range(g.ngens)])
+            sol = g.relation_form.substitute([part.get(off + a, 0) for a in range(g.ngens)])
             assert sol is not None, "coboundaries must be cocycles"
             out.update((starts[k] + j, y) for j, y in enumerate(sol) if y)
         return out
@@ -303,7 +300,7 @@ def limit_exactness_check(a: AbSystem, b: AbSystem, c: AbSystem,
             raise NotLevelwiseExact(f"u at {e} is not injective")
         if not is_exact_at(ue, ve):
             raise NotLevelwiseExact(f"sequence at {e} is not exact in the middle")
-        if not is_trivial_group(hom_cokernel(ve)):
+        if not is_surjective_hom(ve):
             raise NotLevelwiseExact(f"v at {e} is not surjective")
     for name, src, tgt, maps in (("u", a, b, u), ("v", b, c, v)):
         cover = src.first_noncommuting_cover(tgt, maps)

@@ -4,11 +4,11 @@ All entries are Python ints, so intermediate blow-up during elimination is
 harmless.
 
 Lattice work goes through column echelon forms m T = [E | 0], T
-unimodular, built by column operations only (`echelon_form`).  The cached
-membership form carries E alone: `lattice_contains` is forward
-substitution against it.  Only `relative_kernel` reads T, and it carries
-only the coordinates it reads: those of m, in the columns of T after the
-pivots of [m | lat].
+unimodular, built by column operations only (`echelon_form`).  Membership
+in the column span of m is forward substitution against E
+(`Echelon.substitute`).  A form carries only the coordinates of T that its
+caller reads: none for membership, and for a relative kernel those of m,
+in the columns of T after the pivots of [m | lat] (`relative_kernel`).
 
 Invariant factors (`sparse_invariant_factors`, and `invariant_factors` on
 a dense matrix) come from one sparse elimination that keeps no
@@ -47,7 +47,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(map(int, r)) for r in rows)
+        data = tuple(map(tuple, rows))
         if data:
             c = len(data[0])
         else:
@@ -60,8 +60,7 @@ class IntMatrix:
             r = len(cols[0])
         else:
             r = 0 if rows is None else rows
-        return IntMatrix(r, len(cols), tuple(tuple(map(int, row)) for row in zip(*cols))
-                         if cols else ((),) * r)
+        return IntMatrix(r, len(cols), tuple(zip(*cols)) if cols else ((),) * r)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -97,14 +96,6 @@ class IntMatrix:
             raise ValueError("dimension mismatch")
         return IntMatrix(self.rows, self.cols + other.cols,
                          tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
-
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for r in self.entries for v in r)
 
 
 class SparseMatrix:
@@ -340,10 +331,3 @@ def relative_kernel(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
     cols = [k for k in ech.transform[len(ech.pivots):] if any(k)]
     return IntMatrix.from_cols(cols, rows=m.cols)
 
-
-def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
-    """Column span of inner is a sublattice of the column span of outer."""
-    if inner.rows != outer.rows:
-        raise ValueError("dimension mismatch")
-    ech = echelon_form(outer)
-    return all(ech.substitute(col) is not None for col in zip(*inner.entries))

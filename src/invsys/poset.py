@@ -167,13 +167,16 @@ class Poset:
         From the top down, least[x] = 1 + the sum of least[y] over the core
         elements y above x counts the flags with least element x; a total
         over DEFAULT_FLAG_BUDGET raises BudgetExceeded before any flag is
-        listed.  Then each degree extends every flag of the one below by the
-        core elements above its last, in declared order, keeping the order."""
+        listed; each count is capped at DEFAULT_FLAG_BUDGET + 1, over the
+        budget alone, so the sums stay small and a total within it is exact.
+        Then each degree extends every flag of the one below by the core
+        elements above its last, in declared order, keeping the order."""
         core = set(self.core)
         above = {b: [y for y in self._above[b] if y in core] for b in self.core}
         least: dict[str, int] = {}
+        cap = DEFAULT_FLAG_BUDGET + 1
         for x in sorted(self.core, key=lambda b: len(self._up[b])):
-            least[x] = 1 + sum(least[y] for y in above[x])
+            least[x] = min(cap, 1 + sum(map(least.__getitem__, above[x])))
         if sum(least.values()) > DEFAULT_FLAG_BUDGET:
             raise BudgetExceeded("nerve flag count exceeds budget")
         flags = [[(b,) for b in self.core]]

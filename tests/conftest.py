@@ -17,14 +17,15 @@ the exactness report from H^0 on those generators and solves against
 loop with transforms that the sparse elimination of the invariant factors
 replaced, the Smith-form solve that the echelon form replaced, the
 triangle relators and their lattice that the cycle criterion of `bergman`
-replaced, and the reader that matched every label, rule and cover of a
-file on its own.  They exist so the library code is checked against an
-independent computation, not against itself.  The sphere models, the face
-posets of triangulated surfaces, with constant Z and with the orientation
-system, and product posets have answers known from the topology (McCord,
-twisted Poincare duality, Kunneth), not from a computation; so does
-`scd_witness_system`, the lim^1 probe on the wedge that `scd` does not
-sample because it is not surjective.
+replaced, the double inclusion of image and Smith kernel that one echelon
+form per map replaced in `is_exact_at`, and the reader that matched every
+label, rule and cover of a file on its own.  They exist so the library
+code is checked against an independent computation, not against itself.
+The sphere models, the face posets of triangulated surfaces, with constant
+Z and with the orientation system, and product posets have answers known
+from the topology (McCord, twisted Poincare duality, Kunneth), not from a
+computation; so does `scd_witness_system`, the lim^1 probe on the wedge
+that `scd` does not sample because it is not surjective.
 
 `echelon_solve`, `kernel_basis` and `in_lattice` read `echelon_form`
 directly, `echelon_solve` and `kernel_basis` through all of its transform,
@@ -54,8 +55,7 @@ from invsys.derived import (AbSystem, CochainComplex, ExactnessReport, cohomolog
 from invsys.diagram import Diagram
 from invsys.errors import ParseError, SupportExceedsBound
 from invsys.generators import random_surjective_absystem
-from invsys.intlinalg import (IntMatrix, SparseMatrix, echelon_form, lattice_contains,
-                              relative_kernel)
+from invsys.intlinalg import IntMatrix, SparseMatrix, echelon_form, relative_kernel
 from invsys.poset import Poset, validate_poset
 from invsys.setsys import SetSystem, Thread, validate_system, validate_tower
 
@@ -353,6 +353,36 @@ def in_lattice(lat: IntMatrix, vec) -> bool:
     return echelon_form(lat).substitute(vec) is not None
 
 
+def lattice_contains(outer: IntMatrix, inner: IntMatrix) -> bool:
+    """Whether the column span of inner lies in that of outer, column by
+    column through `in_lattice`; a matrix with no rows has columns too."""
+    return all(in_lattice(outer, inner.col(j)) for j in range(inner.cols))
+
+
+def smith_relative_kernel(m: IntMatrix, lat: IntMatrix) -> IntMatrix:
+    """Generators (as columns) of {x : m x lies in the column span of lat}:
+    with U [m | lat] V = D, the columns of V past the nonzero diagonal span
+    the kernel of [m | lat], and their first m.cols coordinates are kept."""
+    _, d, v = smith_normal_form(m.hstack(lat))
+    rank = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i])
+    return IntMatrix.from_cols([v.col(j)[:m.cols] for j in range(rank, v.cols)], rows=m.cols)
+
+
+def double_containment_exact(f: AbHom, g: AbHom) -> bool:
+    """im f = ker g inside the middle group B, by the double inclusion that
+    `is_exact_at` replaced: the span of f and the declared relators of B,
+    and the Smith kernel of g next to the declared relators of C projected
+    to B, each tested against the other's membership form."""
+    image = f.matrix.hstack(f.target.relations.transpose())
+    kernel = smith_relative_kernel(g.matrix, g.target.relations.transpose())
+    return lattice_contains(kernel, image) and lattice_contains(image, kernel)
+
+
+def cyclic_group(order: int) -> FgAbGroup:
+    """Z/order on one generator."""
+    return FgAbGroup(1, IntMatrix.from_rows([[order]]))
+
+
 def h_relators(alpha: int, n: int) -> list[FreeAbElement]:
     """All triangle relators with indices in {alpha..n}."""
     return [triangle_relator(i, j, k)
@@ -504,7 +534,7 @@ def floyd_warshall_leq(elements, covers):
 def random_int_matrix(rng: random.Random, rows: int, cols: int,
                       lo: int = -9, hi: int = 9) -> IntMatrix:
     return IntMatrix.from_rows(
-        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
 
 def random_poset(rng: random.Random, max_elements: int = 5,
@@ -844,7 +874,8 @@ def presented_cohomology(cx: CochainComplex, n: int) -> FgAbGroup:
     sub = cx.lattice(n)
     if n > 0:
         sub = sub.hstack(cx.diff[n - 1].dense())
-    assert lattice_contains(z, sub), "coboundaries must be cocycles"
+    assert all(in_lattice(z, sub.col(j)) for j in range(sub.cols)), \
+        "coboundaries must be cocycles"
     return kernel_subquotient(z, sub)
 
 

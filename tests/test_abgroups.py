@@ -12,10 +12,12 @@ from invsys.abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
                              is_injective, is_surjective_hom, is_trivial_group,
                              subquotient)
 from invsys.derived import ExactnessReport
+from invsys.generators import random_unimodular
 from invsys.intlinalg import IntMatrix, echelon_form
 from invsys.setsys import Thread
 
-from conftest import (apply_hom_canon, finite_elements, group_order,
+from conftest import (apply_hom_canon, cyclic_group, double_containment_exact,
+                      finite_elements, group_order,
                       invariants_embed_by_prime_powers, kernel_subquotient,
                       minors_gcd_invariants, random_int_matrix, smith_normal_form,
                       smith_solve)
@@ -24,8 +26,8 @@ from conftest import (apply_hom_canon, finite_elements, group_order,
 def test_invariants_of_standard_groups():
     assert group_invariants(FgAbGroup.trivial()) == (0, [])
     assert group_invariants(FgAbGroup.free(3)) == (3, [])
-    assert group_invariants(FgAbGroup.cyclic(12)) == (0, [12])
-    assert group_invariants(FgAbGroup.cyclic(1)) == (0, [])
+    assert group_invariants(cyclic_group(12)) == (0, [12])
+    assert group_invariants(cyclic_group(1)) == (0, [])
     # Z/2 x Z/4 presented with tangled relators
     g = FgAbGroup(2, IntMatrix.from_rows([[2, 4], [0, 4]]))
     assert group_invariants(g) == (0, [2, 4])
@@ -69,7 +71,7 @@ def test_relation_basis_spans_exactly_the_relators():
 
 def test_group_order():
     assert group_order(FgAbGroup.trivial()) == 1
-    assert group_order(FgAbGroup.cyclic(6)) == 6
+    assert group_order(cyclic_group(6)) == 6
     assert group_order(FgAbGroup.free(1)) is None
 
 
@@ -82,7 +84,7 @@ def test_invariants_survive_presentation_change():
         nrel = rng.randint(1, 3)
         rel = random_int_matrix(rng, nrel, ngens, -6, 6)
         g = FgAbGroup(ngens, rel)
-        doubled = FgAbGroup(ngens, rel.vstack(rel))
+        doubled = FgAbGroup(ngens, IntMatrix.from_rows(rel.entries + rel.entries, cols=ngens))
         assert group_invariants(doubled) == group_invariants(g)
         shuffled = FgAbGroup(ngens, IntMatrix.from_rows(
             [rel.entries[i] for i in rng.sample(range(nrel), nrel)], cols=ngens))
@@ -91,7 +93,7 @@ def test_invariants_survive_presentation_change():
 
 def test_hom_validity():
     z = FgAbGroup.free(1)
-    z2 = FgAbGroup.cyclic(2)
+    z2 = cyclic_group(2)
     proj = AbHom(z, z2, IntMatrix.from_rows([[1]]))
     assert hom_is_valid(proj)
     # x -> x is not well defined Z/2 -> Z since 2x must map to 0
@@ -113,7 +115,7 @@ def test_kernel_image_cokernel_mult_by_n():
 
 def test_kernel_of_projection_to_quotient():
     z = FgAbGroup.free(1)
-    z4 = FgAbGroup.cyclic(4)
+    z4 = cyclic_group(4)
     proj = AbHom(z, z4, IntMatrix.from_rows([[1]]))
     assert group_invariants(hom_kernel(proj)) == (1, [])
     assert is_surjective_hom(proj)
@@ -145,16 +147,134 @@ def test_is_injective_agrees_with_the_kernel_group(case):
 
 
 def test_is_injective_on_torsion():
-    z, z2, z4 = FgAbGroup.free(1), FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
+    z, z2, z4 = FgAbGroup.free(1), cyclic_group(2), cyclic_group(4)
     assert is_injective(AbHom(z2, z4, IntMatrix.from_rows([[2]])))
     assert not is_injective(AbHom(z4, z2, IntMatrix.from_rows([[1]])))
     assert not is_injective(AbHom(z, z2, IntMatrix.from_rows([[1]])))
     assert is_injective(AbHom(z, z, IntMatrix.from_rows([[-3]])))
 
 
+def _group(rng, ngens: int, finite: bool, extra) -> FgAbGroup:
+    """A seeded presentation on ngens generators with the rows of extra among
+    its relators: a diagonal of orders 1-4 first when finite, so the group
+    is finite, and otherwise up to ngens random relators, which may leave
+    free summands."""
+    if finite:
+        rows = [[rng.randint(1, 4) * (i == j) for j in range(ngens)] for i in range(ngens)]
+    else:
+        rows = [[rng.randint(-4, 4) for _ in range(ngens)] for _ in range(rng.randint(0, ngens))]
+    rows += [list(r) for r in extra]
+    rng.shuffle(rows)
+    return FgAbGroup(ngens, IntMatrix.from_rows(rows, cols=ngens))
+
+
+def _homs(rng):
+    """Homs with no generators on either side, matrices with no rows or no
+    columns, maps that miss only torsion, then seeded homs between finite,
+    free and mixed groups, valid by construction: the target declares the
+    images of the source relators."""
+    z, zz, trivial = FgAbGroup.free(1), FgAbGroup.free(2), FgAbGroup.trivial()
+    z_z2 = FgAbGroup(2, IntMatrix.from_rows([[0, 2]]))  # Z + Z/2
+    yield AbHom.zero(trivial, trivial)
+    yield AbHom.zero(zz, trivial)  # no rows: onto
+    yield AbHom.zero(trivial, zz)  # no columns
+    yield AbHom.zero(trivial, cyclic_group(3))
+    yield AbHom.zero(cyclic_group(1), trivial)
+    yield AbHom(cyclic_group(4), cyclic_group(4), IntMatrix.from_rows([[2]]))
+    yield AbHom(z, z_z2, IntMatrix.from_rows([[1], [0]]))  # misses the Z/2 alone
+    yield AbHom(z_z2, z_z2, IntMatrix.from_rows([[1, 0], [0, 3]]))
+    yield AbHom(zz, z_z2, IntMatrix.from_rows([[1, 0], [0, 2]]))  # misses the Z/2 alone
+    for i in range(300):
+        finite = i % 2 == 0
+        s, t = rng.randint(0, 3), rng.randint(0, 3)
+        source = _group(rng, s, finite, [])
+        m = random_int_matrix(rng, t, s, -3, 3)
+        images = [m.apply(r) for r in source.relations.entries]
+        yield AbHom(source, _group(rng, t, finite, images), m)
+
+
+def _image_size(h: AbHom) -> int:
+    return len({apply_hom_canon(h, x) for x in finite_elements(h.source).elements()})
+
+
+def test_injective_and_surjective_match_independent_oracles():
+    # on finite groups by counting the image element by element; on the
+    # others by the kernel and the cokernel presented as groups
+    verdicts = []
+    for h in _homs(random.Random(23)):
+        assert hom_is_valid(h)
+        onto, into = is_surjective_hom(h), is_injective(h)
+        if group_order(h.source) is not None and group_order(h.target) is not None:
+            size = _image_size(h)
+            assert (onto, into) == (size == group_order(h.target), size == group_order(h.source))
+        else:
+            assert onto == is_trivial_group(hom_cokernel(h))
+            assert into == is_trivial_group(hom_kernel(h))
+        verdicts.append((onto, into))
+    counts = {v: verdicts.count(v) for v in set(verdicts)}
+    assert len(counts) == 4 and min(counts.values()) > 20, counts
+
+
+def _pairs(rng):
+    """f: A -> B and g: B -> C: edge cases, then split sequences
+    A -> A + C -> C seen through a random change of generators of the
+    middle, some with f or g multiplied by 2 or 3, then random pairs whose
+    composite vanishes because C declares the images of f under g, and
+    random pairs whose composite need not vanish."""
+    z, trivial = FgAbGroup.free(1), FgAbGroup.trivial()
+    yield AbHom.zero(trivial, trivial), AbHom.zero(trivial, trivial)
+    yield AbHom.zero(trivial, z), AbHom.zero(z, trivial)  # ker g = Z, im f = 0
+    yield AbHom.zero(trivial, cyclic_group(2)), AbHom.identity(cyclic_group(2))
+    yield AbHom.zero(z, trivial), AbHom.zero(trivial, cyclic_group(5))
+    times = [AbHom(z, z, IntMatrix.from_rows([[k]])) for k in (2, 4)]
+    mod2 = AbHom(z, cyclic_group(2), IntMatrix.from_rows([[1]]))
+    yield times[0], mod2
+    yield times[1], mod2
+    for i in range(240):
+        finite = i % 3 == 0
+        a = _group(rng, rng.randint(0, 2), finite, [])
+        if i % 2:
+            c = _group(rng, rng.randint(0, 2), finite, [])
+            na, nc = a.ngens, c.ngens
+            nb = na + nc
+            rels = ([list(r) + [0] * nc for r in a.relations.entries]
+                    + [[0] * na + list(r) for r in c.relations.entries])
+            w, winv = random_unimodular(rng, nb)
+            b = FgAbGroup(nb, IntMatrix.from_rows(rels, cols=nb).mul(w.transpose()))
+            inc = IntMatrix.from_rows([[int(r == k) for k in range(na)] for r in range(nb)],
+                                      cols=na)
+            proj = IntMatrix.from_rows([[int(k == na + r) for k in range(nb)]
+                                        for r in range(nc)], cols=nb)
+            f, g = w.mul(inc), proj.mul(winv)
+            k = rng.choice([1, 1, 2, 3])
+            if i % 4 == 1:
+                f = IntMatrix.from_rows([[k * x for x in row] for row in f.entries], cols=na)
+            else:
+                g = IntMatrix.from_rows([[k * x for x in row] for row in g.entries], cols=nb)
+            yield AbHom(a, b, f), AbHom(b, c, g)
+            continue
+        nb, nc = rng.randint(0, 3), rng.randint(0, 2)
+        f = random_int_matrix(rng, nb, a.ngens, -2, 2)
+        b = _group(rng, nb, finite, [f.apply(r) for r in a.relations.entries])
+        g = random_int_matrix(rng, nc, nb, -2, 2)
+        extra = [g.apply(r) for r in b.relations.entries]
+        if i % 6 != 4:
+            extra += [g.apply(f.col(j)) for j in range(f.cols)]
+        yield AbHom(a, b, f), AbHom(b, _group(rng, nc, finite, extra), g)
+
+
+def test_is_exact_at_matches_the_double_containment_oracle():
+    verdicts = []
+    for f, g in _pairs(random.Random(29)):
+        assert hom_is_valid(f) and hom_is_valid(g)
+        verdicts.append(is_exact_at(f, g))
+        assert verdicts[-1] == double_containment_exact(f, g), (f.matrix, g.matrix)
+    assert 40 < sum(verdicts) < len(verdicts) - 40, sum(verdicts)
+
+
 def test_hom_equal_mod_target_relations():
     z = FgAbGroup.free(1)
-    z3 = FgAbGroup.cyclic(3)
+    z3 = cyclic_group(3)
     f = AbHom(z, z3, IntMatrix.from_rows([[1]]))
     g = AbHom(z, z3, IntMatrix.from_rows([[4]]))
     h = AbHom(z, z3, IntMatrix.from_rows([[2]]))
@@ -172,7 +292,7 @@ def test_compose():
 def test_exactness_short_sequence():
     # 0 -> Z --2--> Z --proj--> Z/2 -> 0
     z = FgAbGroup.free(1)
-    z2 = FgAbGroup.cyclic(2)
+    z2 = cyclic_group(2)
     f = AbHom(z, z, IntMatrix.from_rows([[2]]))
     g = AbHom(z, z2, IntMatrix.from_rows([[1]]))
     assert hom_equal(hom_compose(g, f), AbHom.zero(f.source, g.target))
@@ -303,7 +423,7 @@ def _values() -> list:
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
     g = FgAbGroup(2, m)
     return [m, IntMatrix.from_rows([], cols=2), g,
-            AbHom(g, FgAbGroup.cyclic(6), IntMatrix.from_rows([[3, 2]])),
+            AbHom(g, cyclic_group(6), IntMatrix.from_rows([[3, 2]])),
             Thread.of({"b": "x", "a": 1})]
 
 
@@ -319,7 +439,7 @@ def test_values_compare_and_hash_by_value():
                   base_has_maximum=False)
     assert ExactnessReport(**fields) == ExactnessReport(*fields.values())
     assert ExactnessReport(**fields) != ExactnessReport(**{**fields, "lim1_a": (0, [2])})
-    g = FgAbGroup.cyclic(4)
+    g = cyclic_group(4)
     assert g.relation_lattice() is g.relation_lattice()  # reduced once
     # a cache keyed by a matrix finds it again from an equal one, both the
     # membership form and the form that carries the transform

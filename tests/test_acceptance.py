@@ -199,7 +199,7 @@ def test_criterion_8_collapse_and_coset_action():
         assert d_map(FreeAbElement.of(coeffs)).coefficient_sum() == 0
     n = 6
     for _ in range(50):
-        c = translate(CosetElement.basepoint(5),
+        c = translate(CosetElement(5, FreeAbElement.zero()),
                       random_h_combination(rng, 1, n))
         assert coset_equal(gset_bond(1, 3, gset_bond(3, 5, c)),
                            gset_bond(1, 5, c), n)

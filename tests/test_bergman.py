@@ -114,7 +114,7 @@ def test_gset_bond_functorial_up_to_cosets():
     n = 5
     rng = random.Random(42)
     for _ in range(30):
-        c = translate(CosetElement.basepoint(4), random_h_combination(rng, 2, n))
+        c = translate(CosetElement(4, FreeAbElement.zero()), random_h_combination(rng, 2, n))
         via = gset_bond(1, 2, gset_bond(2, 4, c))
         direct = gset_bond(1, 4, c)
         assert coset_equal(via, direct, n)
@@ -123,7 +123,7 @@ def test_gset_bond_functorial_up_to_cosets():
 def test_gset_bond_surjective_with_explicit_preimage():
     # any level-1 point is hit from level 3 by untranslating g(1,3)
     n = 5
-    target = translate(CosetElement.basepoint(1),
+    target = translate(CosetElement(1, FreeAbElement.zero()),
                        FreeAbElement.of({g(1, 2): 2, g(2, 4): 1}))
     pre = CosetElement(3, target.rep.sub(FreeAbElement.gen(g(1, 3))))
     assert coset_equal(gset_bond(1, 3, pre), target, n)
@@ -131,15 +131,16 @@ def test_gset_bond_surjective_with_explicit_preimage():
 
 def test_coset_equal_needs_matching_levels():
     with pytest.raises(LevelMismatch):
-        coset_equal(CosetElement.basepoint(1), CosetElement.basepoint(2), 4)
+        coset_equal(CosetElement(1, FreeAbElement.zero()),
+                    CosetElement(2, FreeAbElement.zero()), 4)
     with pytest.raises(LevelMismatch):
-        gset_bond(1, 2, CosetElement.basepoint(3))
+        gset_bond(1, 2, CosetElement(3, FreeAbElement.zero()))
 
 
 def test_translation_by_subgroup_fixes_cosets():
     rng = random.Random(43)
     n = 5
-    c = CosetElement.basepoint(2)
+    c = CosetElement(2, FreeAbElement.zero())
     for _ in range(20):
         moved = translate(c, random_h_combination(rng, 2, n))
         assert coset_equal(moved, c, n)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +48,12 @@ def _imported(tree: ast.Module) -> list[tuple[int, str]]:
     return out
 
 
+def _names_read(tree: ast.AST) -> list[str]:
+    """Every name and attribute the tree reads, once per reading."""
+    return [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+
+
 def test_no_unused_imports():
     unused = []
     for path in SOURCES:
@@ -60,7 +67,9 @@ def test_no_unused_imports():
 def test_package_holds_no_dead_definitions():
     """Every module-level function and class of the package is named in
     another package module, used in its own module outside its definition,
-    or exported in invsys.__all__; what only the tests call lives in them."""
+    or exported in invsys.__all__; what only the tests call lives in them.
+    Every public method of a package class is matched by name: one whose
+    name the package reads nowhere outside its own definition is dead."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src" / "invsys").glob("*.py"))}
     used = {module: [_used(ast.Module([stmt], [])) for stmt in tree.body]
@@ -76,4 +85,13 @@ def test_package_holds_no_dead_definitions():
             if not (node.name in here or node.name in elsewhere
                     or any(u.endswith(qualified) for u in elsewhere)):
                 dead.append(qualified)
+    read = Counter(name for tree in trees.values() for name in _names_read(tree))
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and read[node.name] == _names_read(node).count(node.name)):
+                    dead.append(f"{module}.{cls.name}.{node.name}")
     assert not dead, f"{len(dead)} definitions no package code reaches: {', '.join(dead)}"

@@ -384,8 +384,11 @@ def test_cli_exactness_checks_each_level_map_once(tmp_path, capsys, monkeypatch)
     assert "ok: True" in capsys.readouterr().out
     # a second check of the 12 level maps would add one substitution per
     # vector of a source relation basis: 4 for the u maps and 9 for the v
-    # maps, where the sources declare 7 and 15 relators
-    assert len(calls) == 132
+    # maps, where the sources declare 7 and 15 relators.  Middle exactness
+    # applies v to the columns of the echelon form of [u | L(B)], a basis of
+    # im u + L(B): 11 of them where [u | L(B)] has 15 at the limit, and 11
+    # where it has 15 over the three levels
+    assert len(calls) == 124
     seq = parse_document(TORSION_SEQUENCE).sequences["Q"]
     maps = [*seq.u.values(), *seq.v.values()]
     assert sum(h.source.relation_lattice().cols for h in seq.u.values()) == 4
@@ -834,7 +837,9 @@ def test_cli_nerve_budget_is_checked_before_any_flag_is_listed(tmp_path, capsys,
     # the minimal model of the 11-sphere has no element the cofinal core can
     # delete; its 24 points carry 3^12 - 1 = 531,440 flags, far over the
     # budget of 20,000, and they are counted by least element before any is
-    # listed: the frame that raises holds the counts and no flag list
+    # listed: the frame that raises holds the counts and no flag list.  The
+    # two points of level k are the least elements of 3^(11 - k) flags each,
+    # a count capped at the budget + 1 = 20,001 for k = 0 and k = 1
     fp = _constant_z_file(tmp_path, sphere_model(11))
     seen = []
 
@@ -851,7 +856,7 @@ def test_cli_nerve_budget_is_checked_before_any_flag_is_listed(tmp_path, capsys,
     monkeypatch.setattr(Poset, "core_flags", prop)
     assert _rejected(["derived", "--n", "1", fp], capsys) == \
         "error: nerve flag count exceeds budget\n"
-    assert seen == [(False, 3 ** 12 - 1)]
+    assert seen == [(False, 4 * 20001 + 3 ** 10 - 1)]
 
 
 def test_cli_derived_limit_over_a_long_chain_is_within_budget(tmp_path, capsys):
