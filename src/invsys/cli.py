@@ -129,8 +129,8 @@ def _clip_tower(t: SetSystem, horizon) -> SetSystem:
         return t
     if horizon > full:
         raise BadOption(f"--horizon {horizon} exceeds the tower's horizon {full}")
-    return validate_tower(horizon, list(t.carriers.values())[: horizon + 1],
-                          list(t.cover_bonds.values())[:horizon])
+    return validate_tower(horizon, [t.carriers[str(n)] for n in range(horizon + 1)],
+                          [t.cover_bonds[(str(n), str(n + 1))] for n in range(horizon)])
 
 
 def cmd_ml(args, report: RunReport) -> int:

@@ -46,8 +46,8 @@ from .abgroups import (AbHom, FgAbGroup, group_invariants, hom_cokernel,
                        is_trivial_group, subquotient)
 from .diagram import Diagram
 from .errors import NotLevelwiseExact, SquaresDoNotCommute
-from .intlinalg import (IntMatrix, SparseMatrix, echelon_form, relative_kernel,
-                        sparse_invariant_factors)
+from .intlinalg import (Echelon, IntMatrix, SparseMatrix, echelon_form,
+                        relative_kernel, sparse_invariant_factors)
 from .poset import Poset
 
 
@@ -205,36 +205,33 @@ def derived_limit(sys: AbSystem, n: int) -> FgAbGroup:
     return cohomology(nerve_complex(sys), n)
 
 
-def h0_with_basis(sys: AbSystem) -> tuple[FgAbGroup, IntMatrix, CochainComplex]:
-    """H^0 with its generators in C(0), the echelon basis of the 0-cocycles
-    on the cofinal core."""
+def h0_with_basis(sys: AbSystem) -> tuple[FgAbGroup, Echelon, CochainComplex]:
+    """H^0 with its generators in C(0): the columns of the echelon form of
+    the 0-cocycles on the cofinal core, the form H^0 is presented from."""
     cx = nerve_complex(sys)
     z = relative_kernel(cx.diff[0].dense(), cx.lattice(1))  # the 0-cocycles
-    basis = IntMatrix.from_cols(echelon_form(z).columns, rows=cx.dims[0])
-    return subquotient(z, cx.lattice(0)), basis, cx
+    return subquotient(z, cx.lattice(0)), echelon_form(z), cx
 
 
 def induced_limit_hom(level_maps: dict[str, AbHom],
-                      src_h0: tuple[FgAbGroup, IntMatrix, CochainComplex],
-                      tgt_h0: tuple[FgAbGroup, IntMatrix, CochainComplex]) -> AbHom:
+                      src_h0: tuple[FgAbGroup, Echelon, CochainComplex],
+                      tgt_h0: tuple[FgAbGroup, Echelon, CochainComplex]) -> AbHom:
     """The hom between H^0 groups induced by a level-wise map of systems.
 
     src_h0 and tgt_h0 are what h0_with_basis returns for the two systems.
     """
-    h0_s, z_s, cx_s = src_h0
-    h0_t, z_t, _ = tgt_h0
+    h0_s, form_s, cx_s = src_h0
+    h0_t, form_t, _ = tgt_h0
     # each level map acts on its own block of C(0), one per 1-element flag
     blocks = [(off, level_maps[e].matrix)
               for (e,), (off, _) in zip(cx_s.flags[0], cx_s.blocks[0])]
-    ech = echelon_form(z_t)  # z_t is its own echelon form: E y = image gives y
     cols = []
-    for j in range(z_s.cols):
-        z = z_s.col(j)
+    for z in form_s.columns:
         image = [y for off, m in blocks for y in m.apply(z[off:off + m.cols])]
-        coords = ech.substitute(image)
+        coords = form_t.substitute(image)
         assert coords is not None, "level map does not preserve compatible families"
         cols.append(coords)
-    mat = IntMatrix.from_cols(cols, rows=z_t.cols)
+    mat = IntMatrix.from_cols(cols, rows=len(form_t.pivots))
     h = AbHom(h0_s, h0_t, mat)
     assert hom_is_valid(h)
     return h

@@ -63,10 +63,11 @@ def henkin_lift(poset: Poset, x: Sequence[str], alpha: str, beta: str,
                 gamma: str | None = None) -> tuple[str, ...]:
     """A preimage at level beta of a member x at level alpha.
 
-    Extends x by the pair (beta, gamma) with gamma strictly above beta;
-    when beta equals alpha the member is its own preimage (the naive
-    extension would repeat the level and violate membership).  Raises
-    NoStrictUpper at the truncation boundary.
+    Extends x by the pair (beta, gamma) with gamma strictly above beta, by
+    default the first declared element strictly above beta; when beta
+    equals alpha the member is its own preimage (the naive extension would
+    repeat the level and violate membership).  Raises NoStrictUpper at the
+    truncation boundary.
     """
     x = tuple(x)
     if not henkin_member(x, alpha, poset):
@@ -76,10 +77,9 @@ def henkin_lift(poset: Poset, x: Sequence[str], alpha: str, beta: str,
     if beta == alpha:
         return x
     if gamma is None:
-        uppers = poset.strict_uppers(beta)
-        if not uppers:
+        gamma = next((g for g in poset.elements if poset.lt(beta, g)), None)
+        if gamma is None:
             raise NoStrictUpper(f"no element strictly above {beta}")
-        gamma = uppers[0]
     elif not poset.lt(beta, gamma):
         raise NoStrictUpper(f"{gamma} is not strictly above {beta}")
     y = x + (beta, gamma)

@@ -6,10 +6,12 @@ covers.  Everything here is finite and immutable after validation; the
 finite analogue of "has a countable cofinal sequence" collapses to "has a
 maximum", which is the only dichotomy a finite poset can exhibit.
 
-The cofinal core (`Poset.core`, a tuple of elements) and the flags of
-the nerve inside it (`Poset.core_flags`, counted against
-DEFAULT_FLAG_BUDGET before any is listed) are computed once per poset
-and cached; no subposet is built for the core.
+The order is kept once, as up-sets and covers.  One top-down pass finds
+the cofinal core (`Poset.core`, a tuple of elements) and, per core
+element, the core elements above it in no order; from those lists the
+flags of the nerve inside the core (`Poset.core_flags`) are counted
+against DEFAULT_FLAG_BUDGET, and only within it sorted and listed.  Each
+is computed once per poset and cached; no subposet is built for the core.
 """
 
 from __future__ import annotations
@@ -100,16 +102,6 @@ class Poset:
                 seen.update(self.lower_covers[x])
         return [x for x in found if not any(y != x and y in self._up[x] for y in found)]
 
-    @cached_property
-    def _above(self) -> dict[str, tuple[str, ...]]:
-        """label -> the labels strictly above it, in declared order."""
-        return {a: tuple(sorted(self._up[a] - {a}, key=self._index.__getitem__))
-                for a in self.elements}
-
-    def strict_uppers(self, a: str) -> list[str]:
-        """The elements x with a < x, in declared order."""
-        return list(self._above[a])
-
     def maximal_elements(self) -> list[str]:
         """All x with nothing strictly above; ties in declared label order."""
         return [x for x in self.elements if len(self._up[x]) == 1]
@@ -121,16 +113,34 @@ class Poset:
         return maxima[0] if len(maxima) == 1 else None
 
     @cached_property
+    def _core_above(self) -> dict[str, list[str]]:
+        """The pass of `core`: each core element -> the core elements above
+        it, in no order, keyed from the top down."""
+        tops = set(self.maximal_elements())
+        size = {y: len(up) for y, up in self._up.items()}
+        kept: dict[str, list[str]] = {}
+        for x in sorted(self.elements, key=size.__getitem__):
+            above = [y for y in self._up[x] if y in kept]
+            if above:
+                lowest = max(above, key=size.__getitem__)
+                if len(tops.intersection(above)) == 1 or self._up[lowest].issuperset(above):
+                    continue
+            kept[x] = above
+        return kept
+
+    @cached_property
     def core(self) -> tuple[str, ...]:
         """The cofinal core, in declared order: what is left after deleting,
         until none qualifies, each x whose strict up-set among the elements
-        left has a maximum or a minimum.  One pass takes the elements by
-        increasing up-set size, so each after all above it.  Computed once.
+        left has a maximum or a minimum.  One pass (`_core_above`) takes the
+        elements by increasing up-set size, so each after all above it, and
+        reads the kept elements above each from its up-set, in any order.
 
         Maximal elements never go, so x's up-set has a maximum exactly when
         one maximal element lies above x; a minimum, if any, is the element
-        left above x with the largest up-set, found by one superset test.
-        Each x costs O(|above x|).
+        left above x with the largest up-set, found by one superset test
+        (two tied there lie neither above the other, so the order read does
+        not matter).  Each x costs O(|above x|).
 
         Whether x goes depends only on the elements left above x, and the
         pass settles those first.  No deletion stops another element from
@@ -145,17 +155,7 @@ class Poset:
         degree.  The dual rule on down-sets is not safe for general
         coefficients: it deletes both tops of the wedge and loses its lim^1.
         """
-        tops = set(self.maximal_elements())
-        size = {y: len(up) for y, up in self._up.items()}
-        kept = set()
-        for x in sorted(self.elements, key=size.__getitem__):
-            above = [y for y in self._above[x] if y in kept]
-            if above:
-                lowest = max(above, key=size.__getitem__)
-                if len(tops.intersection(above)) == 1 or self._up[lowest].issuperset(above):
-                    continue
-            kept.add(x)
-        return tuple(e for e in self.elements if e in kept)
+        return tuple(e for e in self.elements if e in self._core_above)
 
     @cached_property
     def core_flags(self) -> list[list[tuple[str, ...]]]:
@@ -165,20 +165,21 @@ class Poset:
         poset.
 
         From the top down, least[x] = 1 + the sum of least[y] over the core
-        elements y above x counts the flags with least element x; a total
-        over DEFAULT_FLAG_BUDGET raises BudgetExceeded before any flag is
-        listed; each count is capped at DEFAULT_FLAG_BUDGET + 1, over the
-        budget alone, so the sums stay small and a total within it is exact.
-        Then each degree extends every flag of the one below by the core
-        elements above its last, in declared order, keeping the order."""
-        core = set(self.core)
-        above = {b: [y for y in self._above[b] if y in core] for b in self.core}
+        elements y above x (the unordered lists of `_core_above`) counts the
+        flags with least element x; a total over DEFAULT_FLAG_BUDGET raises
+        BudgetExceeded before anything is sorted or listed; each count is
+        capped at DEFAULT_FLAG_BUDGET + 1, over the budget alone, so the sums
+        stay small and a total within it is exact.  Then each list is sorted
+        by declared position, and each degree extends every flag of the one
+        below by the core elements above its last, keeping the order."""
+        above = self._core_above
         least: dict[str, int] = {}
         cap = DEFAULT_FLAG_BUDGET + 1
-        for x in sorted(self.core, key=lambda b: len(self._up[b])):
-            least[x] = min(cap, 1 + sum(map(least.__getitem__, above[x])))
+        for x, ys in above.items():
+            least[x] = min(cap, 1 + sum(map(least.__getitem__, ys)))
         if sum(least.values()) > DEFAULT_FLAG_BUDGET:
             raise BudgetExceeded("nerve flag count exceeds budget")
+        above = {x: sorted(ys, key=self._index.__getitem__) for x, ys in above.items()}
         flags = [[(b,) for b in self.core]]
         while longer := [fl + (y,) for fl in flags[-1] for y in above[fl[-1]]]:
             flags.append(longer)

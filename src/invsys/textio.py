@@ -27,7 +27,7 @@ from .derived import AbSystem, validate_absystem
 from .errors import BadOption, NotFunction, ParseError
 from .intlinalg import IntMatrix
 from .poset import Poset, validate_poset
-from .setsys import SetSystem, tower_chain, validate_system, validate_tower
+from .setsys import SetSystem, tower_chain, validate_system
 
 LABEL = r"[A-Za-z0-9_()]+"
 _LABEL_RE = re.compile(LABEL)
@@ -318,6 +318,8 @@ def _close_block(b: _Block | None, doc: Document):
             doc.posets[b.name] = validate_poset(b.objects, b.arrows)
             return
         if b.kind == "tower":
+            if int(b.args[0]) < 1:
+                raise ParseError(b.line, "horizon must be positive")
             if int(b.args[0]) > DEFAULT_HORIZON_BUDGET:
                 raise ParseError(b.line, f"horizon {b.args[0]} exceeds the budget "
                                          f"of {DEFAULT_HORIZON_BUDGET}")
@@ -329,9 +331,7 @@ def _close_block(b: _Block | None, doc: Document):
         if b.kind == "system":
             doc.systems[b.name] = validate_system(base, b.objects, b.arrows)
         elif b.kind == "tower":
-            doc.towers[b.name] = validate_tower(int(b.args[0]),
-                                                [b.objects[e] for e in base.elements],
-                                                [b.arrows[c] for c in base.covers])
+            doc.towers[b.name] = validate_system(base, b.objects, b.arrows)
         elif b.kind == "absystem":
             doc.absystems[b.name] = validate_absystem(base, b.objects, {
                 (lo, hi): _hom(b, (lo, hi), b.objects[hi], b.objects[lo])

@@ -161,7 +161,7 @@ def test_criterion_7_even_tuple_system_exhaustive():
                         henkin_eps(p, a, c, t)
         for a in p.elements:
             for b in p.elements:
-                if p.leq(a, b) and p.strict_uppers(b):
+                if p.leq(a, b) and p.up_set(b) - {b}:
                     for x in members[a]:
                         y = henkin_lift(p, x, a, b)
                         assert henkin_eps(p, a, b, y) == x

@@ -226,24 +226,26 @@ def test_h0_basis_consistency():
     ident = IntMatrix.identity(1)
     s = validate_absystem(p, {e: z for e in p.elements},
                           {cov: AbHom(z, z, ident) for cov in p.covers})
-    h0, basis, cx = h0_with_basis(s)
+    h0, form, cx = h0_with_basis(s)
     assert group_invariants(h0) == (1, [])
     # each basis column is a cocycle: the differential kills it
-    for j in range(basis.cols):
-        assert all(x == 0 for x in cx.diff[0].dense().apply(basis.col(j)))
+    for col in form.columns:
+        assert all(x == 0 for x in cx.diff[0].dense().apply(col))
 
 
 def test_h0_basis_is_an_echelon_basis_of_the_cocycles():
-    # the basis is its own echelon form, so its columns are independent, and
-    # each relator of H^0 is the coordinate vector of one relation of C(0)
+    # the basis, the columns of the form h0_with_basis hands over, is its own
+    # echelon form, so its columns are independent, and each relator of H^0
+    # is the coordinate vector of one relation of C(0)
     rng = random.Random(42)
     systems = [random_surjective_absystem(rng, sphere_model(1 + k % 2)) for k in range(4)]
     for i in range(40):
         p = random_poset(rng, max_elements=6)
         systems.append(scd_witness_system(p) if i % 4 == 0 else random_surjective_absystem(rng, p))
     for s in systems:
-        h0, basis, cx = h0_with_basis(s)
-        columns = tuple(basis.col(j) for j in range(basis.cols))
+        h0, form, cx = h0_with_basis(s)
+        columns = form.columns
+        basis = IntMatrix.from_cols(columns, rows=cx.dims[0])
         ech = echelon_form(basis)
         assert ech.columns == columns and len(ech.pivots) == basis.cols == h0.ngens
         lat = cx.lattice(0)

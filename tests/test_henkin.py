@@ -10,7 +10,7 @@ from invsys.errors import (NoStrictUpper, NotComparable, NotMember,
 from invsys.henkin import (cofinal_extract, enumerate_members,
                            family_from_top, henkin_eps, henkin_lift,
                            henkin_member, henkin_system)
-from invsys.poset import chain_poset, grid_poset, wedge_poset
+from invsys.poset import chain_poset, grid_poset, validate_poset, wedge_poset
 from invsys.setsys import is_surjective, limit_threads
 
 from conftest import brute_force_flags, even_tuple_members, random_poset
@@ -99,7 +99,7 @@ def test_lift_identity():
                     try:
                         y = henkin_lift(p, x, a, b)
                     except NoStrictUpper:
-                        assert b == a or not p.strict_uppers(b)
+                        assert b == a or not p.up_set(b) - {b}
                         continue
                     assert henkin_eps(p, a, b, y) == x
 
@@ -108,6 +108,32 @@ def test_lift_at_top_reports_truncation():
     p = chain_poset(3)
     with pytest.raises(NoStrictUpper):
         henkin_lift(p, ("1", "1"), "1", "3")
+
+
+def test_default_lift_witness_is_the_first_declared_strict_upper():
+    # m2 is declared before b below it, so the declared order is not a
+    # linear extension; the default witness above z is m2, the first strict
+    # upper in declared order, not b, the first in the linear extension,
+    # nor p, the first maximal one
+    p = validate_poset(["m2", "p", "b", "q", "m1", "z", "a"],
+                       [("a", "z"), ("z", "b"), ("b", "m1"), ("b", "m2"), ("m1", "p"), ("m1", "q"),
+                        ("m2", "p"), ("m2", "q")])
+    assert p.linear_extension() == ["a", "z", "b", "m2", "m1", "p", "q"]
+    first_above = {"z": "m2", "b": "m2", "m1": "p", "m2": "p"}
+    lifted = 0
+    for alpha in p.elements:
+        for beta, gamma in first_above.items():
+            if p.lt(alpha, beta):
+                for x in enumerate_members(p, alpha, maxlen=4):
+                    assert henkin_lift(p, x, alpha, beta) == x + (beta, gamma)
+                    lifted += 1
+    assert lifted > 10
+    for beta in ("p", "q"):
+        with pytest.raises(NoStrictUpper):
+            henkin_lift(p, ("z", "z"), "z", beta)
+    # a and z are the elements whose strict up-sets have a minimum, z and b
+    assert p.core == ("m2", "p", "b", "q", "m1")
+    assert p.core_flags == brute_force_flags(p, p.core)
 
 
 def test_lift_with_explicit_witness():

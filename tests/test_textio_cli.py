@@ -681,6 +681,7 @@ map v at c: matrix [[1]]
      "line 3: map all: clipdec needs integer carriers, got 'a'"),
     (CLIPDEC_TOWER, "horizon 2\nset all: { 0 1 }", "horizon 1\nset 0: { 0 }\nset 1: { 5 }",
      "line 4: bond 1 -> 0 maps outside carrier(0)"),
+    (CLIPDEC_TOWER, "horizon 2", "horizon 0", "line 1: horizon must be positive"),
 ], ids=["system-set-twice", "system-map-twice", "system-map-off-cover", "system-set-missing",
         "tower-set-twice", "tower-map-twice", "tower-set-beyond-horizon",
         "tower-map-off-cover", "absystem-group-twice", "absystem-map-twice",
@@ -688,7 +689,7 @@ map v at c: matrix [[1]]
         "top-level-group-ragged", "sequence-map-missing", "sequence-map-twice",
         "sequence-undeclared-element", "sequence-systems-off-base",
         "tower-bond-not-total", "absystem-map-ragged", "tower-clipdec-not-integer",
-        "tower-clipdec-outside-lower-carrier"])
+        "tower-clipdec-outside-lower-carrier", "tower-horizon-zero"])
 def test_cli_rejects_bad_declaration_with_its_line(tmp_path, capsys, text, old, new, message):
     assert text.count(old) == 1
     fp = tmp_path / "bad.txt"
